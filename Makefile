@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all check build test race vet fmt lint lint-fix-audit checks-test fuzz-smoke bench bench-json bench-check anytime-test faults-test chaos-test metrics-test parallel-test ingest-test load-test load-bench experiments demo clean
+.PHONY: all check build test race vet fmt lint lint-fix-audit checks-test fuzz-smoke bench bench-json bench-check bench-diff anytime-test faults-test chaos-test metrics-test parallel-test ingest-test load-test load-bench experiments demo clean
 
 all: fmt vet lint test build
 
@@ -45,12 +45,13 @@ lint-fix-audit:
 checks-test:
 	$(GO) test -race -tags bionav_checks ./...
 
-# Short fuzz runs of the differential Opt-EdgeCut and PolyCut targets
-# and the hierarchy serialization round-trip — CI-sized smoke, not a
-# campaign.
+# Short fuzz runs of the differential Opt-EdgeCut, PolyCut and
+# k-partition targets and the hierarchy serialization round-trip —
+# CI-sized smoke, not a campaign.
 fuzz-smoke:
 	$(GO) test -run FuzzOptEdgeCut -fuzz FuzzOptEdgeCut -fuzztime 10s ./internal/core
 	$(GO) test -run FuzzPolyCut -fuzz FuzzPolyCut -fuzztime 10s ./internal/core
+	$(GO) test -run FuzzKPartition -fuzz FuzzKPartition -fuzztime 10s ./internal/core
 	$(GO) test -run FuzzHierarchySerialization -fuzz FuzzHierarchySerialization -fuzztime 10s ./internal/hierarchy
 
 bench:
@@ -79,9 +80,10 @@ metrics-test:
 
 # Concurrency gate: the parallel EXPAND pipeline raced at GOMAXPROCS=4 —
 # parallel-vs-serial differential tests, the nav-cache stampede proof,
-# batch EXPAND degradation, and the TTL-vs-in-flight-EXPAND race.
+# batch EXPAND degradation, the TTL-vs-in-flight-EXPAND race, and
+# concurrent sessions racing on a tree's first-use aggregates.
 parallel-test:
-	GOMAXPROCS=4 $(GO) test -race -run 'SolveComponents|PoolLifecycle|ExpandBatch|FaultBatch|BuildParallel|GetOrBuild|ExpandAllParallel|ConcurrentExpand|SessionExpired|TTL' ./internal/core ./internal/navtree ./internal/navigate ./internal/server
+	GOMAXPROCS=4 $(GO) test -race -run 'SolveComponents|PoolLifecycle|ExpandBatch|FaultBatch|BuildParallel|GetOrBuild|ExpandAllParallel|ConcurrentExpand|SessionExpired|TTL|SharedAggregates' ./internal/core ./internal/navtree ./internal/navigate ./internal/server
 
 # Live-corpus gate: the incremental-ingest layer raced end to end —
 # copy-on-write snapshot/index/corpus deltas, ingest-log durability and
@@ -120,6 +122,13 @@ bench-json:
 	GOMAXPROCS=4 $(GO) test -json -bench='BenchmarkSolveComponents' -run='^$$' ./internal/core >> BENCH_core.json
 	$(GO) test -json -bench='BenchmarkIngest|BenchmarkCitationReaderGet' -run='^$$' ./internal/store >> BENCH_core.json
 	$(GO) run ./cmd/bionav-benchcheck BENCH_core.json
+
+# Bench trajectory: per benchmark, ns/op, B/op and allocs/op of the
+# working tree's BENCH_core.json (after `make bench-json`) against the
+# committed one, with names found on one side only listed as added or
+# removed.
+bench-diff:
+	git show HEAD:BENCH_core.json | $(GO) run ./cmd/bionav-benchcheck -compare - BENCH_core.json
 
 # JSONL guard for recorded benchmark baselines: every line of every
 # recorded BENCH file must parse as a standalone JSON object (and

@@ -10,6 +10,15 @@
 // Exits non-zero listing each offending line. Empty files are rejected
 // too: a bench run that produced nothing is not a baseline.
 //
+// With -compare it instead reports the trajectory between two such
+// files, per benchmark: ns/op, B/op and allocs/op, old and new, with the
+// relative change (`make bench-diff` compares the working tree's
+// BENCH_core.json with the committed one):
+//
+//	bionav-benchcheck -compare OLD NEW
+//
+// A path of "-" reads standard input.
+//
 // Files whose first line carries `"schema":"bionav-load/v1"` (the
 // capacity curves bionav-loadgen emits) are additionally validated
 // against that schema: >= 3 step records with strictly increasing
@@ -35,8 +44,14 @@ func main() {
 }
 
 func run(args []string, stdout io.Writer) error {
+	if len(args) > 0 && args[0] == "-compare" {
+		if len(args) != 3 {
+			return fmt.Errorf("usage: bionav-benchcheck -compare OLD NEW")
+		}
+		return compareFiles(args[1], args[2], os.Stdin, stdout)
+	}
 	if len(args) == 0 {
-		return fmt.Errorf("usage: bionav-benchcheck FILE [FILE ...]")
+		return fmt.Errorf("usage: bionav-benchcheck FILE [FILE ...] | -compare OLD NEW")
 	}
 	bad := 0
 	for _, path := range args {

@@ -19,24 +19,35 @@ type Edge struct {
 // roots are the nodes visible in the interface. The active tree is closed
 // under the EdgeCut operation and supports BACKTRACK via an undo stack.
 type ActiveTree struct {
-	nav    *navtree.Tree
+	nav *navtree.Tree
+	// The navigation tree's per-node aggregates, shared read-only by every
+	// active tree over it (see treeAggregates).
+	*treeAggregates
 	compOf []navtree.NodeID // node → root of its component
 
-	bits      []bitset  // per node: citations attached to it, as a bitset
-	scores    []float64 // per node: s(n) = |res(n)| / cnt(n)
-	sumScores float64
-
-	// Immutable per-subtree aggregates, built once bottom-up: the citation
-	// union and node count of each node's full navigation subtree. They
-	// answer Distinct/ComponentSize/DistinctUnder in O(words)/O(1) whenever
-	// the component still covers the whole subtree of its root, which the
-	// full flags track (every component starts full; EXPAND passes fullness
-	// to the lower components it detaches and clears it on the upper).
-	subtreeBits []bitset
-	subtreeSize []int
-	full        []bool // meaningful for component roots only
+	// full tracks, per component root, whether the component still covers
+	// the whole navigation subtree of its root, so the subtree aggregates
+	// answer Distinct/ComponentSize/DistinctUnder in O(words)/O(1). Every
+	// component starts full; EXPAND passes fullness to the lower
+	// components it detaches and clears it on the upper.
+	full []bool // meaningful for component roots only
 
 	undo []undoFrame // snapshots for BACKTRACK
+}
+
+// treeAggregates is the per-node state that depends only on the
+// navigation tree: each node's citation bitset and selectivity score, and
+// the citation union and node count of each node's full navigation
+// subtree. It is computed at most once per *navtree.Tree, on the first
+// NewActiveTree over it, and never written afterwards, so every session
+// on a cached tree, and every SolveComponents goroutine, reads one copy
+// without locking.
+type treeAggregates struct {
+	bits        []bitset  // per node: citations attached to it, as a bitset
+	scores      []float64 // per node: s(n) = |res(n)| / cnt(n)
+	sumScores   float64
+	subtreeBits []bitset // per node: union of bits over its navigation subtree
+	subtreeSize []int    // per node: size of its navigation subtree
 }
 
 type undoFrame struct {
@@ -46,45 +57,59 @@ type undoFrame struct {
 
 // NewActiveTree converts a navigation tree into its initial active tree:
 // a single component rooted at the navigation root containing every node.
+// The tree's aggregates are computed by the first call for a given nav
+// and shared by the later ones.
 func NewActiveTree(nav *navtree.Tree) *ActiveTree {
 	n := nav.Len()
 	at := &ActiveTree{
-		nav:         nav,
-		compOf:      make([]navtree.NodeID, n),
+		nav:            nav,
+		treeAggregates: nav.Aggregates(buildAggregates).(*treeAggregates),
+		compOf:         make([]navtree.NodeID, n),
+		full:           make([]bool, n),
+	}
+	for i := range at.compOf {
+		at.compOf[i] = nav.Root()
+	}
+	at.full[nav.Root()] = true
+	return at
+}
+
+// buildAggregates computes nav's treeAggregates; navtree.Tree.Aggregates
+// runs it once per tree.
+func buildAggregates(nav *navtree.Tree) any {
+	n := nav.Len()
+	agg := &treeAggregates{
 		bits:        make([]bitset, n),
 		scores:      make([]float64, n),
 		subtreeBits: make([]bitset, n),
 		subtreeSize: make([]int, n),
-		full:        make([]bool, n),
 	}
 	words := (nav.DistinctTotal() + 63) / 64
 	ownBack := make([]uint64, n*words)
 	subBack := make([]uint64, n*words)
 	for i := 0; i < n; i++ {
-		at.compOf[i] = nav.Root()
 		b := bitset(ownBack[i*words : (i+1)*words])
 		for _, idx := range nav.ResultIndexes(i) {
 			b.set(int(idx))
 		}
-		at.bits[i] = b
+		agg.bits[i] = b
 		sb := bitset(subBack[i*words : (i+1)*words])
 		copy(sb, b)
-		at.subtreeBits[i] = sb
-		at.subtreeSize[i] = 1
+		agg.subtreeBits[i] = sb
+		agg.subtreeSize[i] = 1
 		if cnt := nav.GlobalCount(i); cnt > 0 {
-			at.scores[i] = float64(nav.NumResults(i)) / float64(cnt)
+			agg.scores[i] = float64(nav.NumResults(i)) / float64(cnt)
 		}
-		at.sumScores += at.scores[i]
+		agg.sumScores += agg.scores[i]
 	}
 	// Parents precede children in ID order, so one reverse sweep ORs each
 	// subtree into its parent instead of re-scanning results per ancestor.
 	for i := n - 1; i >= 1; i-- {
 		p := nav.Parent(i)
-		at.subtreeBits[p].orInto(at.subtreeBits[i])
-		at.subtreeSize[p] += at.subtreeSize[i]
+		agg.subtreeBits[p].orInto(agg.subtreeBits[i])
+		agg.subtreeSize[p] += agg.subtreeSize[i]
 	}
-	at.full[nav.Root()] = true
-	return at
+	return agg
 }
 
 // Nav returns the underlying navigation tree.
@@ -111,10 +136,12 @@ func (at *ActiveTree) VisibleRoots() []navtree.NodeID {
 	return out
 }
 
-// Members returns the nodes of the component rooted at root, in ascending
-// node order (which is a pre-order of the component subtree). It exploits
-// the component invariant: once a descendant belongs to a different
-// component, its entire subtree does too, so the walk can prune there.
+// Members returns the nodes of the component rooted at root in pre-order
+// of the component subtree, following each node's navigation child order:
+// every parent precedes its children, but NodeIDs follow concept IDs, so
+// the list is not in ascending node order. It exploits the component
+// invariant: once a descendant belongs to a different component, its
+// entire subtree does too, so the walk can prune there.
 func (at *ActiveTree) Members(root navtree.NodeID) []navtree.NodeID {
 	if at.compOf[root] != root {
 		return nil

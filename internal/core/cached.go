@@ -75,16 +75,16 @@ func (h *CachedHeuristic) ChooseCut(ctx context.Context, at *ActiveTree, root na
 		delete(h.plans, root) // stale: the tree changed under us
 	}
 	sp.SetAttr("cached_plan", false)
-	return h.freshCut(ctx, at, root)
+	return h.freshCut(ctx, sp, at, root)
 }
 
 // freshCut mirrors HeuristicReducedOpt and records the plan. A ctx abort
 // propagates before any plan is registered, so a degraded EXPAND leaves
 // the cache exactly as it was.
-func (h *CachedHeuristic) freshCut(ctx context.Context, at *ActiveTree, root navtree.NodeID) ([]Edge, error) {
+func (h *CachedHeuristic) freshCut(ctx context.Context, sp *obs.Span, at *ActiveTree, root navtree.NodeID) ([]Edge, error) {
 	h.Recomputes++
 	inner := &HeuristicReducedOpt{K: h.K, Model: h.Model}
-	ct, k, err := inner.reduce(at, root)
+	ct, k, err := inner.reduce(sp, at, root)
 	if err != nil {
 		return nil, err
 	}

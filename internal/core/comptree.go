@@ -68,53 +68,6 @@ func identityCompTree(at *ActiveTree, root navtree.NodeID, members []navtree.Nod
 	return ct, nil
 }
 
-// partitionCompTree builds the reduced supernode tree T_R from a
-// k-partitioning of the component. parts must be ordered with the partition
-// containing the component root first and partition roots ascending (the
-// order kPartition produces), which guarantees Parent[i] < i.
-func partitionCompTree(at *ActiveTree, parts []partition) (*compTree, error) {
-	if len(parts) > maxOptNodes {
-		return nil, fmt.Errorf("core: %d partitions exceed Opt-EdgeCut limit %d", len(parts), maxOptNodes)
-	}
-	// Map every member node to its partition index.
-	partOf := make(map[navtree.NodeID]int)
-	for i, p := range parts {
-		for _, m := range p.members {
-			partOf[m] = i
-		}
-	}
-	ct := newCompTree(len(parts), at.SumScores())
-	nbits := at.nav.DistinctTotal()
-	for i, p := range parts {
-		b := newBitset(nbits)
-		score := 0.0
-		for _, m := range p.members {
-			b.orInto(at.nodeBits(m))
-			score += at.nodeScore(m)
-		}
-		ct.Bits[i] = b
-		ct.Own[i] = b.count()
-		ct.Score[i] = score
-		if i == 0 {
-			ct.Parent[i] = -1
-			continue
-		}
-		navParent := at.nav.Parent(p.root)
-		pi, ok := partOf[navParent]
-		if !ok {
-			return nil, fmt.Errorf("core: partition %d root %d has parent outside component", i, p.root)
-		}
-		if pi >= i {
-			return nil, fmt.Errorf("core: partition order violated: parent %d !< child %d", pi, i)
-		}
-		ct.Parent[i] = pi
-		ct.Children[pi] = append(ct.Children[pi], i)
-		ct.NavEdge[i] = Edge{Parent: navParent, Child: p.root}
-	}
-	ct.computeDescMasks()
-	return ct, nil
-}
-
 func newCompTree(n int, sum float64) *compTree {
 	return &compTree{
 		Parent:   make([]int, n),

@@ -21,17 +21,33 @@ func benchTree(b *testing.B) *ActiveTree {
 	return NewActiveTree(nav)
 }
 
+// BenchmarkNewActiveTree times a session opening on a navigation tree:
+// "first" on a freshly built tree, which pays for the per-tree aggregates
+// (citation bitsets, subtree unions, scores), and "shared" on a tree whose
+// aggregates an earlier session already computed, as on a nav-cache hit.
 func BenchmarkNewActiveTree(b *testing.B) {
 	tree := hierarchy.Generate(hierarchy.GenConfig{Seed: 91, Nodes: 8000, TopLevel: 112, MaxDepth: 11})
 	corp := corpus.Generate(tree, corpus.GenConfig{
 		Seed: 92, Citations: 313, MeanConcepts: 90, FirstID: 1, YearLo: 1990, YearHi: 2008,
 	})
-	nav := navtree.Build(corp, corp.IDs())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	b.Run("first", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			nav := navtree.Build(corp, corp.IDs())
+			b.StartTimer()
+			_ = NewActiveTree(nav)
+		}
+	})
+	b.Run("shared", func(b *testing.B) {
+		nav := navtree.Build(corp, corp.IDs())
 		_ = NewActiveTree(nav)
-	}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			_ = NewActiveTree(nav)
+		}
+	})
 }
 
 // chainCompTree builds a root with `width` chains of `depth` decision

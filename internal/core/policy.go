@@ -48,7 +48,7 @@ func (h *HeuristicReducedOpt) ChooseCut(ctx context.Context, at *ActiveTree, roo
 	sp := obs.FromContext(ctx).StartChild("choose_cut")
 	defer sp.End()
 	sp.SetAttr("policy", h.Name())
-	ct, k, err := h.reduce(at, root)
+	ct, k, err := h.reduce(sp, at, root)
 	if err != nil {
 		return nil, err
 	}
@@ -69,7 +69,7 @@ func (h *HeuristicReducedOpt) ChooseCut(ctx context.Context, at *ActiveTree, roo
 // options (pushing the estimate up) but also coarsens the entropy-based
 // EXPAND probabilities (which can push it down).
 func (h *HeuristicReducedOpt) ExpectedCost(at *ActiveTree, root navtree.NodeID) (float64, error) {
-	ct, _, err := h.reduce(at, root)
+	ct, _, err := h.reduce(nil, at, root)
 	if err != nil {
 		return 0, err
 	}
@@ -80,29 +80,43 @@ func (h *HeuristicReducedOpt) ExpectedCost(at *ActiveTree, root navtree.NodeID) 
 // without committing to a cut; used by the Fig. 11 experiment, which
 // correlates per-EXPAND latency with |T_R|.
 func (h *HeuristicReducedOpt) LastReducedSize(at *ActiveTree, root navtree.NodeID) (int, error) {
-	_, n, err := h.reduce(at, root)
+	_, n, err := h.reduce(nil, at, root)
 	return n, err
 }
 
-func (h *HeuristicReducedOpt) reduce(at *ActiveTree, root navtree.NodeID) (*compTree, int, error) {
+// reduce lays the component out once and builds the tree Opt-EdgeCut runs
+// on: the component itself when it fits within K nodes, else its
+// k-partition's supernode tree. It records a k_partition span under sp
+// (nil: untraced) and returns the reduced tree's size.
+func (h *HeuristicReducedOpt) reduce(sp *obs.Span, at *ActiveTree, root navtree.NodeID) (*compTree, int, error) {
 	if at.ComponentOf(root) != root {
 		return nil, 0, fmt.Errorf("core: %s: node %d is not a component root", h.Name(), root)
 	}
-	members := at.Members(root)
-	if len(members) < 2 {
+	ksp := sp.StartChild("k_partition")
+	defer ksp.End()
+	sc := kpPool.Get().(*kpScratch)
+	defer kpPool.Put(sc)
+	sc.load(at, root)
+	n := len(sc.node)
+	ksp.SetAttr("members", n)
+	if n < 2 {
 		return nil, 0, fmt.Errorf("core: %s: component %d has no internal edges", h.Name(), root)
 	}
 	k := h.K
 	if k < 2 {
 		k = 2
 	}
-	if len(members) <= k {
-		ct, err := identityCompTree(at, root, members)
-		return ct, len(members), err
+	if n <= k {
+		ksp.SetAttr("sweeps", 0)
+		ksp.SetAttr("partitions", n)
+		ct, err := identityCompTree(at, root, sc.node)
+		return ct, n, err
 	}
-	parts := kPartition(at, root, k)
-	ct, err := partitionCompTree(at, parts)
-	return ct, len(parts), err
+	sc.split(k)
+	ksp.SetAttr("sweeps", sc.sweeps)
+	ksp.SetAttr("partitions", len(sc.roots))
+	ct, err := sc.compTree(at)
+	return ct, len(sc.roots), err
 }
 
 // OptEdgeCutPolicy runs Opt-EdgeCut directly on the component without

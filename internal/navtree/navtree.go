@@ -35,6 +35,9 @@ type Tree struct {
 	distinct  int // distinct citations across the whole tree
 	resultIdx map[corpus.CitationID]int
 	nodeIdxs  [][]int32 // per node: Results mapped through resultIdx
+
+	aggOnce sync.Once
+	agg     any // see Aggregates
 }
 
 // Build constructs the navigation tree for the given query result over
@@ -271,6 +274,19 @@ func (t *Tree) ResultIndex(id corpus.CitationID) (int, bool) {
 // same order — the dense citation indexes a bitset builder needs, with no
 // per-citation map lookups. The slice must not be modified.
 func (t *Tree) ResultIndexes(id NodeID) []int32 { return t.nodeIdxs[id] }
+
+// Aggregates returns per-tree derived state, computing it with compute on
+// the first call and returning that same value to every later caller,
+// including concurrent ones, which wait for the first to finish. The
+// tree is immutable, so the value never goes stale; the caller owns its
+// layout and must treat it as read-only. Package core keeps its
+// active-tree aggregates here so that every session over a cached tree
+// shares one copy; it is the only caller, which is why the first
+// compute wins.
+func (t *Tree) Aggregates(compute func(*Tree) any) any {
+	t.aggOnce.Do(func() { t.agg = compute(t) })
+	return t.agg
+}
 
 // NodeByConcept resolves a concept to its navigation-tree node.
 func (t *Tree) NodeByConcept(c hierarchy.ConceptID) (NodeID, bool) {
