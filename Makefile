@@ -45,13 +45,14 @@ lint-fix-audit:
 checks-test:
 	$(GO) test -race -tags bionav_checks ./...
 
-# Short fuzz runs of the differential Opt-EdgeCut, PolyCut and
-# k-partition targets and the hierarchy serialization round-trip —
-# CI-sized smoke, not a campaign.
+# Short fuzz runs of the differential Opt-EdgeCut, PolyCut, k-partition
+# and navigation-tree build targets and the hierarchy serialization
+# round-trip — CI-sized smoke, not a campaign.
 fuzz-smoke:
 	$(GO) test -run FuzzOptEdgeCut -fuzz FuzzOptEdgeCut -fuzztime 10s ./internal/core
 	$(GO) test -run FuzzPolyCut -fuzz FuzzPolyCut -fuzztime 10s ./internal/core
 	$(GO) test -run FuzzKPartition -fuzz FuzzKPartition -fuzztime 10s ./internal/core
+	$(GO) test -run FuzzBuild -fuzz FuzzBuild -fuzztime 10s ./internal/navtree
 	$(GO) test -run FuzzHierarchySerialization -fuzz FuzzHierarchySerialization -fuzztime 10s ./internal/hierarchy
 
 bench:
@@ -79,11 +80,12 @@ metrics-test:
 	$(GO) test -race ./internal/obs
 
 # Concurrency gate: the parallel EXPAND pipeline raced at GOMAXPROCS=4 —
-# parallel-vs-serial differential tests, the nav-cache stampede proof,
+# parallel-vs-serial differential tests, the navigation-tree build against
+# its oracle (its scratch is pooled), the nav-cache stampede proof,
 # batch EXPAND degradation, the TTL-vs-in-flight-EXPAND race, and
 # concurrent sessions racing on a tree's first-use aggregates.
 parallel-test:
-	GOMAXPROCS=4 $(GO) test -race -run 'SolveComponents|PoolLifecycle|ExpandBatch|FaultBatch|BuildParallel|GetOrBuild|ExpandAllParallel|ConcurrentExpand|SessionExpired|TTL|SharedAggregates' ./internal/core ./internal/navtree ./internal/navigate ./internal/server
+	GOMAXPROCS=4 $(GO) test -race -run 'SolveComponents|PoolLifecycle|ExpandBatch|FaultBatch|BuildMatchesOracle|GetOrBuild|ExpandAllParallel|ConcurrentExpand|SessionExpired|TTL|SharedAggregates' ./internal/core ./internal/navtree ./internal/navigate ./internal/server
 
 # Live-corpus gate: the incremental-ingest layer raced end to end —
 # copy-on-write snapshot/index/corpus deltas, ingest-log durability and
@@ -111,13 +113,14 @@ load-bench:
 	$(GO) run ./cmd/bionav-benchcheck BENCH_load.json
 
 # Machine-readable core benchmark run, for before/after comparisons.
-# Includes the instrumentation-overhead benchmark from the repo root, the
+# Includes the navigation-tree build benchmarks, the
+# instrumentation-overhead benchmark from the repo root, the
 # session-replay (solver-cache) benchmarks from internal/navigate, plus a
 # GOMAXPROCS=4 pass of the solve-pool benchmarks so the recorded
 # speedup-x / dp-speedup-x metrics reflect the parallel configuration.
 # Ends by validating the appended file's JSONL integrity (bench-check).
 bench-json:
-	$(GO) test -json -bench=. -benchmem -run='^$$' ./internal/core . > BENCH_core.json
+	$(GO) test -json -bench=. -benchmem -run='^$$' ./internal/core ./internal/navtree . > BENCH_core.json
 	$(GO) test -json -bench='BenchmarkSessionReplay' -run='^$$' ./internal/navigate >> BENCH_core.json
 	GOMAXPROCS=4 $(GO) test -json -bench='BenchmarkSolveComponents' -run='^$$' ./internal/core >> BENCH_core.json
 	$(GO) test -json -bench='BenchmarkIngest|BenchmarkCitationReaderGet' -run='^$$' ./internal/store >> BENCH_core.json

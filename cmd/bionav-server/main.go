@@ -114,7 +114,7 @@ func build(args []string, stdout io.Writer, logger *slog.Logger) (*app, error) {
 		sessTTL = fs.Duration("session-ttl", 30*time.Minute, "idle session lifetime")
 
 		expBudget = fs.Duration("expand-budget", 2*time.Second, "EXPAND optimization budget before degrading to the static cut (negative disables)")
-		poolSize  = fs.Int("pool", 0, "solve-pool workers for parallel EXPAND and tree builds (0 = GOMAXPROCS, negative disables)")
+		poolSize  = fs.Int("pool", 0, "solve-pool workers for parallel EXPAND (0 = GOMAXPROCS, negative disables)")
 		inFlight  = fs.Int("max-inflight", 64, "concurrent API requests before shedding with 503 (negative disables)")
 		queueWait = fs.Duration("queue-wait", 100*time.Millisecond, "how long an over-limit request waits for a slot")
 		apiTO     = fs.Duration("api-timeout", 30*time.Second, "whole-request API deadline (negative disables)")

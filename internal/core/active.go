@@ -46,7 +46,7 @@ type treeAggregates struct {
 	bits        []bitset  // per node: citations attached to it, as a bitset
 	scores      []float64 // per node: s(n) = |res(n)| / cnt(n)
 	sumScores   float64
-	subtreeBits []bitset // per node: union of bits over its navigation subtree
+	subtreeBits []bitset // per node: union of bits over its navigation subtree; a leaf's is its bits
 	subtreeSize []int    // per node: size of its navigation subtree
 }
 
@@ -85,17 +85,30 @@ func buildAggregates(nav *navtree.Tree) any {
 		subtreeSize: make([]int, n),
 	}
 	words := (nav.DistinctTotal() + 63) / 64
+	inner := 0
+	for i := 0; i < n; i++ {
+		if len(nav.Children(i)) > 0 {
+			inner++
+		}
+	}
 	ownBack := make([]uint64, n*words)
-	subBack := make([]uint64, n*words)
+	subBack := make([]uint64, inner*words)
 	for i := 0; i < n; i++ {
 		b := bitset(ownBack[i*words : (i+1)*words])
 		for _, idx := range nav.ResultIndexes(i) {
 			b.set(int(idx))
 		}
 		agg.bits[i] = b
-		sb := bitset(subBack[i*words : (i+1)*words])
-		copy(sb, b)
-		agg.subtreeBits[i] = sb
+		// A leaf's subtree is the leaf itself, so its subtree bitset is its
+		// own: the sweep below ORs only into parents, and nothing writes a
+		// subtree bitset after it.
+		agg.subtreeBits[i] = b
+		if len(nav.Children(i)) > 0 {
+			sb := bitset(subBack[:words])
+			subBack = subBack[words:]
+			copy(sb, b)
+			agg.subtreeBits[i] = sb
+		}
 		agg.subtreeSize[i] = 1
 		if cnt := nav.GlobalCount(i); cnt > 0 {
 			agg.scores[i] = float64(nav.NumResults(i)) / float64(cnt)

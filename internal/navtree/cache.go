@@ -3,6 +3,7 @@ package navtree
 import (
 	"container/list"
 	"context"
+	"errors"
 	"strings"
 	"sync"
 
@@ -119,7 +120,9 @@ func (c *Cache) Get(key Key) (*Tree, bool) {
 // is shared state, not one request's private work — while each waiter
 // honors its own ctx and abandons the wait with the ctx error; the flight
 // itself is unaffected. A failed build is not cached: waiters of that
-// flight share its error, and the next GetOrBuild retries.
+// flight share its error, and the next GetOrBuild retries. A build that
+// panics fails the same way for its waiters, and the panic propagates to
+// the leader's caller.
 func (c *Cache) GetOrBuild(ctx context.Context, key Key, build func() (*Tree, error)) (*Tree, error) {
 	c.mu.Lock()
 	if t, ok := c.getLocked(key); ok {
@@ -136,21 +139,24 @@ func (c *Cache) GetOrBuild(ctx context.Context, key Key, build func() (*Tree, er
 			return nil, ctx.Err()
 		}
 	}
-	f := &flight{done: make(chan struct{})}
+	// err stays errBuildPanic for the waiters if build panics.
+	f := &flight{done: make(chan struct{}), err: errBuildPanic}
 	c.flights[key] = f
 	c.mu.Unlock()
-
+	defer func() {
+		c.mu.Lock()
+		delete(c.flights, key)
+		if f.err == nil {
+			c.addLocked(key, f.tree)
+		}
+		c.mu.Unlock()
+		close(f.done)
+	}()
 	f.tree, f.err = build()
-
-	c.mu.Lock()
-	delete(c.flights, key)
-	if f.err == nil {
-		c.addLocked(key, f.tree)
-	}
-	c.mu.Unlock()
-	close(f.done)
 	return f.tree, f.err
 }
+
+var errBuildPanic = errors.New("navtree: tree build panicked")
 
 // Add stores the tree under key, evicting the least recently used entry if
 // the cache is full. Re-adding an existing key refreshes its tree and

@@ -3,42 +3,12 @@ package navtree
 import (
 	"context"
 	"errors"
-	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"bionav/internal/corpus"
-	"bionav/internal/hierarchy"
+	"time"
 )
-
-// TestBuildParallelMatchesSerial checks sharded construction is invisible:
-// for any worker count the tree must be deeply equal to the serial build —
-// same nodes, same per-concept citation order, same result index.
-func TestBuildParallelMatchesSerial(t *testing.T) {
-	tree := hierarchy.Generate(hierarchy.GenConfig{Seed: 41, Nodes: 900, TopLevel: 9, MaxDepth: 8})
-	corp := corpus.Generate(tree, corpus.GenConfig{
-		Seed: 42, Citations: 400, MeanConcepts: 25, FirstID: 1, YearLo: 2000, YearHi: 2008,
-	})
-	// Duplicate some IDs: the dedupe pass is part of the contract.
-	results := append(corp.IDs(), corp.IDs()[:50]...)
-
-	serial := Build(corp, results)
-	if err := serial.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// More workers than top-level subtrees, prime counts, and the serial
-	// degenerate cases all must agree.
-	for _, workers := range []int{0, 1, 2, 3, 8, 16} {
-		par := BuildParallel(corp, results, workers)
-		if err := par.Validate(); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !reflect.DeepEqual(serial, par) {
-			t.Fatalf("workers=%d: parallel build diverged from serial", workers)
-		}
-	}
-}
 
 // TestCacheGetOrBuildStampede fires 64 concurrent cold-cache requests for
 // one key and proves the flight coalescing admits exactly one build: every
@@ -158,5 +128,60 @@ func TestCacheGetOrBuildErrorNotCached(t *testing.T) {
 	})
 	if err != nil || got != tree {
 		t.Fatalf("retry after failed build = (%v, %v)", got, err)
+	}
+}
+
+// TestCacheGetOrBuildPanicReleasesFlight panics inside the leader's build,
+// as a handler panic the server's middleware recovers would: the waiter
+// parked on that flight gets an error at once instead of waiting out its
+// own context, the leader's caller still sees the panic, and the next call
+// for the key builds.
+func TestCacheGetOrBuildPanicReleasesFlight(t *testing.T) {
+	f := newFixture(t)
+	tree := f.build(t, 1)
+	c := NewCache(4)
+
+	gate := make(chan struct{})
+	leaderIn := make(chan struct{})
+	leaderPanic := make(chan any, 1)
+	go func() {
+		defer func() { leaderPanic <- recover() }()
+		_, _ = c.GetOrBuild(context.Background(), qk("k"), func() (*Tree, error) {
+			close(leaderIn)
+			<-gate
+			panic("build exploded")
+		})
+	}()
+	<-leaderIn // the flight is registered and building
+
+	coalesced := navCacheCoalesced.Value()
+	waiterErr := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_, err := c.GetOrBuild(ctx, qk("k"), func() (*Tree, error) {
+			t.Error("waiter built while the leader's flight was open")
+			return nil, nil
+		})
+		waiterErr <- err
+	}()
+	for navCacheCoalesced.Value() == coalesced {
+		runtime.Gosched() // until the waiter has joined the flight
+	}
+
+	close(gate)
+	if p := <-leaderPanic; p != "build exploded" {
+		t.Fatalf("leader's caller recovered %v, want the build's panic", p)
+	}
+	if err := <-waiterErr; !errors.Is(err, errBuildPanic) {
+		t.Fatalf("waiter err = %v, want errBuildPanic", err)
+	}
+	built := false
+	got, err := c.GetOrBuild(context.Background(), qk("k"), func() (*Tree, error) {
+		built = true
+		return tree, nil
+	})
+	if err != nil || got != tree || !built {
+		t.Fatalf("call after the panic = (%v, %v), built %v; want a fresh build", got, err, built)
 	}
 }

@@ -29,196 +29,176 @@ type Node struct {
 
 // Tree is an immutable navigation tree for one query result.
 type Tree struct {
-	corp      *corpus.Corpus
-	nodes     []Node
-	byConcept map[hierarchy.ConceptID]NodeID
-	distinct  int // distinct citations across the whole tree
-	resultIdx map[corpus.CitationID]int
-	nodeIdxs  [][]int32 // per node: Results mapped through resultIdx
+	corp        *corpus.Corpus
+	nodes       []Node // ascending by Concept; parents precede children
+	distinct    int    // distinct citations across the whole tree
+	attachments int    // citations attached across all nodes, with duplicates
+	resultIdx   map[corpus.CitationID]int
+	nodeIdxs    [][]int32 // per node: Results mapped through resultIdx
 
 	aggOnce sync.Once
 	agg     any // see Aggregates
 }
 
 // Build constructs the navigation tree for the given query result over
-// corp's hierarchy. Each result citation is attached to every concept it is
-// associated with (the initial navigation tree); concepts with no attached
-// results are then elided by connecting each kept concept to its nearest
-// kept ancestor — the maximum embedding of Definition 2, computed in a
-// single pass over concepts in ascending ID order (parents precede
-// children). Unknown citation IDs are ignored.
+// corp's hierarchy: each result citation is attached to every concept it
+// is associated with (the initial navigation tree), and each concept with
+// attached results is connected to its nearest such ancestor — the maximum
+// embedding of Definition 2. After a dedupe pass, the build is a counting
+// sort over flat arrays: one ascending scan over concept IDs numbers the
+// kept concepts, parents first, and each node's Results, ResultIndexes and
+// Children are windows of flat arrays, in result and node order. Unknown
+// and repeated citation IDs are ignored.
 func Build(corp *corpus.Corpus, results []corpus.CitationID) *Tree {
-	return build(corp, results, 1)
-}
-
-// BuildParallel is Build with concept attachment and result-list fill
-// sharded across up to `workers` goroutines, partitioned by top-level
-// hierarchy subtree (every MeSH descriptor under one top-level category
-// lands on the same shard). Sharding preserves the serial scan order
-// within every shard, so the resulting tree is identical — node for
-// node, slice for slice — to Build's; the differential test asserts it.
-// workers <= 1 falls back to the serial path.
-func BuildParallel(corp *corpus.Corpus, results []corpus.CitationID, workers int) *Tree {
-	return build(corp, results, workers)
-}
-
-// attachShard is one shard's view of phase 1: the per-concept citation
-// lists (and their dense-index mirrors) for the concepts this shard owns.
-type attachShard struct {
-	attached    map[hierarchy.ConceptID][]corpus.CitationID
-	attachedIdx map[hierarchy.ConceptID][]int32
-}
-
-func build(corp *corpus.Corpus, results []corpus.CitationID, workers int) *Tree {
 	h := corp.Tree()
 
-	// Dedupe pass (serial: result order defines the dense result indexes).
-	// It also snapshots each kept citation's concept list so the attach
-	// shards can scan without re-resolving.
+	// Dedupe pass: result order defines the dense result indexes. It also
+	// snapshots each kept citation's concept list so the passes below need
+	// no further lookups.
 	type kept struct {
 		id       corpus.CitationID
 		concepts []hierarchy.ConceptID
 	}
-	seen := make(map[corpus.CitationID]struct{}, len(results))
 	resultIdx := make(map[corpus.CitationID]int, len(results))
 	order := make([]kept, 0, len(results))
 	for _, id := range results {
-		if _, dup := seen[id]; dup {
+		if _, dup := resultIdx[id]; dup {
 			continue
 		}
 		concepts := corp.Concepts(id)
 		if concepts == nil {
 			continue
 		}
-		seen[id] = struct{}{}
-		resultIdx[id] = len(resultIdx)
+		resultIdx[id] = len(order)
 		order = append(order, kept{id: id, concepts: concepts})
 	}
 
-	// Attach phase: append every kept citation to the list of each of its
-	// concepts. attachedIdx mirrors attached with the dense result indexes
-	// so consumers building bitsets (core.NewActiveTree) need no map
-	// lookups afterwards. With workers > 1 the work shards by top-level
-	// subtree: each worker scans the deduped citations in the same order
-	// as the serial code but appends only to concepts its shard owns, so
-	// every per-concept list comes out in the identical order.
-	if workers > len(order) {
-		workers = len(order)
-	}
-	var shards []attachShard
-	var shardOf []int32 // concept → owning shard; nil when serial
-	if workers > 1 {
-		shardOf = shardByTopLevel(h, workers)
-		shards = make([]attachShard, workers)
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func(w int) {
-				defer wg.Done()
-				sh := attachShard{
-					attached:    make(map[hierarchy.ConceptID][]corpus.CitationID),
-					attachedIdx: make(map[hierarchy.ConceptID][]int32),
-				}
-				for idx, k := range order {
-					for _, c := range k.concepts {
-						if int(shardOf[c]) != w {
-							continue
-						}
-						sh.attached[c] = append(sh.attached[c], k.id)
-						sh.attachedIdx[c] = append(sh.attachedIdx[c], int32(idx))
-					}
-				}
-				shards[w] = sh
-			}(w)
-		}
-		wg.Wait()
-	} else {
-		sh := attachShard{
-			attached:    make(map[hierarchy.ConceptID][]corpus.CitationID),
-			attachedIdx: make(map[hierarchy.ConceptID][]int32),
-		}
-		for idx, k := range order {
-			for _, c := range k.concepts {
-				sh.attached[c] = append(sh.attached[c], k.id)
-				sh.attachedIdx[c] = append(sh.attachedIdx[c], int32(idx))
+	s := buildPool.Get().(*buildScratch)
+	s.slot = resize(s.slot, h.Len())
+	s.nodeOf = resize(s.nodeOf, h.Len())
+
+	// Count every concept's attachments. A concept listed twice on one
+	// citation gets that citation twice, as in the initial navigation tree.
+	attachments, nKept := 0, 0
+	for _, k := range order {
+		for _, c := range k.concepts {
+			if s.slot[c] == 0 {
+				nKept++
 			}
+			s.slot[c]++
 		}
-		shards = []attachShard{sh}
+		attachments += len(k.concepts)
 	}
 
-	nAttached := 0
-	for _, sh := range shards {
-		nAttached += len(sh.attached)
-	}
-	t := &Tree{
-		corp:      corp,
-		byConcept: make(map[hierarchy.ConceptID]NodeID, nAttached+1),
-		distinct:  len(resultIdx),
-		resultIdx: resultIdx,
-	}
-	t.nodes = append(t.nodes, Node{Concept: h.Root(), Parent: -1})
-	t.nodeIdxs = append(t.nodeIdxs, nil)
-	t.byConcept[h.Root()] = 0
-
-	// Concept IDs ascend from parents to children, so a single ordered scan
-	// sees every kept ancestor before its descendants. The shards partition
-	// the concept set, so the union of their keys is exactly the serial
-	// attached set.
-	conceptIDs := make([]hierarchy.ConceptID, 0, nAttached)
-	for _, sh := range shards {
-		for c := range sh.attached {
-			conceptIDs = append(conceptIDs, c)
-		}
-	}
-	sort.Slice(conceptIDs, func(i, j int) bool { return conceptIDs[i] < conceptIDs[j] })
-
-	for _, c := range conceptIDs {
-		sh := &shards[0]
-		if shardOf != nil {
-			sh = &shards[shardOf[c]]
-		}
-		parentNode := t.findKeptAncestor(h, c)
-		id := NodeID(len(t.nodes))
-		t.nodes = append(t.nodes, Node{
-			Concept: c,
-			Parent:  parentNode,
-			Results: sh.attached[c],
-			Depth:   t.nodes[parentNode].Depth + 1,
-		})
-		t.nodeIdxs = append(t.nodeIdxs, sh.attachedIdx[c])
-		t.nodes[parentNode].Children = append(t.nodes[parentNode].Children, id)
-		t.byConcept[c] = id
-	}
-	return t
-}
-
-// shardByTopLevel assigns every hierarchy concept to one of `workers`
-// shards such that a whole top-level subtree shares a shard (round-robin
-// over top-level concepts in ID order). Concept IDs ascend from parents
-// to children, so one forward pass inherits the parent's shard.
-func shardByTopLevel(h *hierarchy.Tree, workers int) []int32 {
-	shard := make([]int32, h.Len())
-	next := int32(0)
+	// Number the kept concepts in ascending ID order, so the nearest kept
+	// ancestor is numbered already; the root's node 0 ends every walk up.
+	// slot[c] turns into the start of c's result window.
 	root := h.Root()
-	for c := root + 1; c < hierarchy.ConceptID(h.Len()); c++ {
-		if h.Parent(c) == root {
-			shard[c] = next % int32(workers)
-			next++
+	nodes := make([]Node, 1, nKept+1)
+	nodes[0] = Node{Concept: root, Parent: -1}
+	s.kids = resize(s.kids, nKept+1)
+	var off int32
+	for c := root + 1; len(nodes) <= nKept; c++ {
+		n := s.slot[c]
+		if n == 0 {
 			continue
 		}
-		shard[c] = shard[h.Parent(c)]
+		a := h.Parent(c)
+		for a != root && s.nodeOf[a] == 0 {
+			a = h.Parent(a)
+		}
+		parent := NodeID(s.nodeOf[a])
+		s.nodeOf[c] = int32(len(nodes))
+		s.slot[c] = off
+		off += n
+		s.kids[parent]++
+		nodes = append(nodes, Node{Concept: c, Parent: parent, Depth: nodes[parent].Depth + 1})
 	}
-	return shard
-}
 
-// findKeptAncestor walks up the hierarchy from concept c to the nearest
-// ancestor that is already a navigation-tree node (ultimately the root).
-func (t *Tree) findKeptAncestor(h *hierarchy.Tree, c hierarchy.ConceptID) NodeID {
-	for cur := h.Parent(c); ; cur = h.Parent(cur) {
-		if id, ok := t.byConcept[cur]; ok {
-			return id
+	// Fill the result windows; slot[c] advances to the window's end.
+	cits := make([]corpus.CitationID, attachments)
+	idxs := make([]int32, attachments)
+	for i, k := range order {
+		for _, c := range k.concepts {
+			at := s.slot[c]
+			cits[at], idxs[at] = k.id, int32(i)
+			s.slot[c]++
 		}
 	}
+
+	// Counting sort of the nodes by parent: kids[p] turns into the start of
+	// p's children window, then advances to its end.
+	var coff int32
+	for i := range nodes {
+		n := s.kids[i]
+		s.kids[i] = coff
+		coff += n
+	}
+	children := make([]NodeID, len(nodes)-1)
+	for i := 1; i < len(nodes); i++ {
+		p := nodes[i].Parent
+		children[s.kids[p]] = i
+		s.kids[p]++
+	}
+
+	// Cut the windows, clearing every scratch entry the build touched.
+	nodeIdxs := make([][]int32, len(nodes))
+	var lo, clo int32
+	for i := range nodes {
+		n := &nodes[i]
+		if hi := s.kids[i]; hi > clo {
+			n.Children = children[clo:hi:hi]
+			clo = hi
+		}
+		s.kids[i] = 0
+		if i == 0 {
+			continue
+		}
+		hi := s.slot[n.Concept]
+		n.Results = cits[lo:hi:hi]
+		nodeIdxs[i] = idxs[lo:hi:hi]
+		lo = hi
+		s.slot[n.Concept], s.nodeOf[n.Concept] = 0, 0
+	}
+	// Not deferred: a build that panics drops its scratch instead of
+	// handing dirty arrays to the next one.
+	buildPool.Put(s)
+
+	return &Tree{
+		corp:        corp,
+		nodes:       nodes,
+		distinct:    len(order),
+		attachments: attachments,
+		resultIdx:   resultIdx,
+		nodeIdxs:    nodeIdxs,
+	}
+}
+
+// BuildParallel is Build; workers is ignored.
+//
+// Deprecated: the build is serial. Use Build.
+func BuildParallel(corp *corpus.Corpus, results []corpus.CitationID, workers int) *Tree {
+	return Build(corp, results)
+}
+
+// buildScratch is Build's working state, taken from buildPool per call.
+// Every entry is zero between builds: a build clears each entry it
+// touched before returning the scratch.
+type buildScratch struct {
+	slot   []int32 // concept → attachment count, then write cursor into the flat result arrays
+	nodeOf []int32 // concept → navigation node; 0 for concepts not kept
+	kids   []int32 // node → child count, then write cursor into the flat children array
+}
+
+var buildPool = sync.Pool{New: func() any { return new(buildScratch) }}
+
+// resize returns a with length n, reallocating when its capacity is
+// short. It relies on every pooled entry already being zero.
+func resize(a []int32, n int) []int32 {
+	if cap(a) < n {
+		return make([]int32, n)
+	}
+	return a[:n]
 }
 
 // Corpus returns the corpus the tree was built from.
@@ -262,6 +242,10 @@ func (t *Tree) GlobalCount(id NodeID) int64 {
 // (= size of the query result that reached any concept).
 func (t *Tree) DistinctTotal() int { return t.distinct }
 
+// Attachments reports the number of citations attached across the tree's
+// nodes, counted with duplicates (Stats.TotalAttached).
+func (t *Tree) Attachments() int { return t.attachments }
+
 // ResultIndex maps a result citation to its dense index in [0,
 // DistinctTotal()); used to build per-node citation bitsets. The second
 // return is false for citations outside the query result.
@@ -288,10 +272,14 @@ func (t *Tree) Aggregates(compute func(*Tree) any) any {
 	return t.agg
 }
 
-// NodeByConcept resolves a concept to its navigation-tree node.
+// NodeByConcept resolves a concept to its navigation-tree node by binary
+// search: nodes ascend by concept ID.
 func (t *Tree) NodeByConcept(c hierarchy.ConceptID) (NodeID, bool) {
-	id, ok := t.byConcept[c]
-	return id, ok
+	i := sort.Search(len(t.nodes), func(i int) bool { return t.nodes[i].Concept >= c })
+	if i == len(t.nodes) || t.nodes[i].Concept != c {
+		return 0, false
+	}
+	return i, true
 }
 
 // IsAncestor reports whether a is a proper ancestor of b in the navigation
@@ -351,12 +339,11 @@ type Stats struct {
 
 // ComputeStats scans the tree once.
 func (t *Tree) ComputeStats() Stats {
-	s := Stats{Size: len(t.nodes) - 1, DistinctTotal: t.distinct}
+	s := Stats{Size: len(t.nodes) - 1, TotalAttached: t.attachments, DistinctTotal: t.distinct}
 	widths := make(map[int]int)
 	for i := 1; i < len(t.nodes); i++ {
 		n := &t.nodes[i]
 		widths[n.Depth]++
-		s.TotalAttached += len(n.Results)
 		if n.Depth > s.Height {
 			s.Height = n.Depth
 		}

@@ -293,13 +293,3 @@ func TestEmptyResultTree(t *testing.T) {
 		t.Fatalf("stats = %+v", s)
 	}
 }
-
-func BenchmarkBuild(b *testing.B) {
-	tree := hierarchy.Generate(hierarchy.GenConfig{Seed: 31, Nodes: 5000, TopLevel: 16, MaxDepth: 10})
-	corp := corpus.Generate(tree, corpus.GenConfig{Seed: 6, Citations: 400, MeanConcepts: 90, FirstID: 1, YearLo: 2000, YearHi: 2008})
-	results := corp.IDs()[:300]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = Build(corp, results)
-	}
-}

@@ -138,6 +138,48 @@ func TestExpandDebugTrace(t *testing.T) {
 	}
 }
 
+// TestQueryDebugTrace: ?debug=trace on a cold /api/query splits the
+// nav_tree span into the index search and the tree build; a repeat of the
+// query hits the nav cache and runs neither.
+func TestQueryDebugTrace(t *testing.T) {
+	srv, ts := testServer(t, Config{})
+	query := func() *obs.SpanSummary {
+		t.Helper()
+		_, raw := postJSON(t, ts.URL+"/api/query?debug=trace", map[string]string{"keywords": queryTerm(srv)})
+		var trace obs.SpanSummary
+		if err := json.Unmarshal(raw["trace"], &trace); err != nil {
+			t.Fatalf("trace %s: %v", raw["trace"], err)
+		}
+		nav := findSpan(&trace, "nav_tree")
+		if nav == nil {
+			t.Fatalf("no nav_tree span in %+v", trace)
+		}
+		return nav
+	}
+
+	cold := query()
+	if cold.Attrs["cache"] != "miss" {
+		t.Fatalf("cold nav_tree attrs = %+v, want cache miss", cold.Attrs)
+	}
+	if findSpan(cold, "index_search") == nil {
+		t.Fatalf("cold nav_tree has no index_search child: %+v", cold)
+	}
+	build := findSpan(cold, "navtree_build")
+	if build == nil {
+		t.Fatalf("cold nav_tree has no navtree_build child: %+v", cold)
+	}
+	for _, attr := range []string{"nodes", "attachments"} {
+		if n, ok := build.Attrs[attr].(float64); !ok || n < 1 {
+			t.Fatalf("navtree_build attr %s = %v, want a positive count", attr, build.Attrs[attr])
+		}
+	}
+
+	warm := query()
+	if warm.Attrs["cache"] != "hit" || len(warm.Children) != 0 {
+		t.Fatalf("repeat nav_tree = %+v, want a cache hit with no children", warm)
+	}
+}
+
 // findSpan walks the summary tree for a span by name.
 func findSpan(s *obs.SpanSummary, name string) *obs.SpanSummary {
 	if s.Name == name {

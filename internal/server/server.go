@@ -53,7 +53,7 @@ type Config struct {
 	Policy       string        // expansion policy name, per core.PolicyByName (default "heuristic")
 	PolicyK      int           // policy cut/reduction budget (default 10)
 	NavCacheSize int           // navigation trees cached across queries (default 128; negative disables)
-	Workers      int           // solve-pool workers for parallel EXPAND and sharded tree builds (0 = GOMAXPROCS; negative disables the pool)
+	Workers      int           // solve-pool workers for parallel EXPAND (0 = GOMAXPROCS; negative disables the pool)
 
 	// Resilience knobs — see the package comment and docs/RESILIENCE.md.
 	ExpandBudget time.Duration // EdgeCut optimization budget per EXPAND (default 2s; negative disables)
@@ -129,7 +129,7 @@ type Server struct {
 	cur      atomic.Pointer[snapState] // serving snapshot; sessions pin the one they started on
 	cfg      Config
 	navCache *navtree.Cache // nil when disabled; immutable trees, shared across sessions; keyed by (epoch, query)
-	pool     *core.Pool     // parallel EXPAND solves + sharded tree builds; nil when disabled
+	pool     *core.Pool     // parallel EXPAND solves; nil when disabled
 	sem      chan struct{}  // in-flight /api/ slots; nil when shedding disabled
 	met      *serverMetrics // per-instance registry; /api/stats reads through it
 	reqSeq   atomic.Uint64  // request counter driving the trace sampler
@@ -264,8 +264,8 @@ func (s *Server) minPinnedEpoch() uint64 {
 // keeps trees from different dataset versions apart — a pinned session
 // keeps hitting its epoch's entries while new queries build against fresh
 // data. Concurrent cold-cache requests for one key coalesce onto a single
-// build (navtree.Cache.GetOrBuild), and the build itself shards across
-// the solve pool when one is configured.
+// build (navtree.Cache.GetOrBuild). A miss traces the index search and the
+// tree build as separate children of the nav_tree span.
 func (s *Server) navTreeFor(ctx context.Context, st *snapState, keywords string) (*navtree.Tree, error) {
 	sp := obs.FromContext(ctx).StartChild("nav_tree")
 	defer sp.End()
@@ -273,12 +273,19 @@ func (s *Server) navTreeFor(ctx context.Context, st *snapState, keywords string)
 	built := false
 	build := func() (*navtree.Tree, error) {
 		built = true
+		search := sp.StartChild("index_search")
 		results := st.snap.Index.SearchQuery(key.Query)
+		search.End()
 		if len(results) == 0 {
 			return nil, fmt.Errorf("no citations match %q", keywords)
 		}
 		sp.SetAttr("results", len(results))
-		return navtree.BuildParallel(st.snap.Corpus, results, s.pool.Size()), nil
+		bs := sp.StartChild("navtree_build")
+		nav := navtree.Build(st.snap.Corpus, results)
+		bs.SetAttr("nodes", nav.Len())
+		bs.SetAttr("attachments", nav.Attachments())
+		bs.End()
+		return nav, nil
 	}
 	if s.navCache == nil {
 		sp.SetAttr("cache", "off")
@@ -435,11 +442,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, err)
 		return
 	}
-	sess := navigate.NewSession(nav, s.newPolicy())
-
-	id := s.register(&session{nav: sess, st: st, keywords: req.Keywords, lastUsed: time.Now()})
+	sess := &session{nav: navigate.NewSession(nav, s.newPolicy()), st: st, keywords: req.Keywords, lastUsed: time.Now()}
+	id := s.register(sess)
 	s.journalCreate(id, req.Keywords, st.snap.Epoch)
-	s.writeState(w, id)
+	s.writeState(w, r, id, sess)
 }
 
 func (s *Server) handleExpand(w http.ResponseWriter, r *http.Request) {
@@ -713,7 +719,7 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 	sess.mu.Lock()
 	s.journalActionsLocked(id, sess) // the imported history is this session's log
 	sess.mu.Unlock()
-	s.writeState(w, id)
+	s.writeState(w, r, id, sess)
 }
 
 // ingestRequest carries one batch of citations to append to the live
@@ -894,15 +900,16 @@ func (s *Server) evictLocked() []string {
 
 // --- rendering ---
 
-func (s *Server) writeState(w http.ResponseWriter, id string) {
-	sess, err := s.lookup(id)
-	if err != nil {
-		httpError(w, http.StatusNotFound, err)
-		return
-	}
+// writeState renders the navigation state of sess, which the request
+// created as session id, even if a burst of newer sessions has already
+// evicted it; ?debug=trace attaches the request's span tree.
+func (s *Server) writeState(w http.ResponseWriter, r *http.Request, id string, sess *session) {
 	sess.mu.Lock()
 	resp := s.stateLocked(id, sess)
 	sess.mu.Unlock()
+	if r.URL.Query().Get("debug") == "trace" {
+		resp.Trace = obs.FromContext(r.Context()).Summary()
+	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
