@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -14,10 +15,13 @@ import (
 	"bionav/internal/navtree"
 )
 
-var update = flag.Bool("update", false, "rewrite the behaviour golden under testdata/golden")
+var update = flag.Bool("update", false, "rewrite the goldens under testdata/golden")
 
-// goldenPath is the behaviour golden at the repository root.
-var goldenPath = filepath.Join("..", "..", "testdata", "golden", "topdown.golden")
+// The goldens live under testdata/golden at the repository root.
+var (
+	topdownGolden = filepath.Join("..", "..", "testdata", "golden", "topdown.golden")
+	viewsGolden   = filepath.Join("..", "..", "testdata", "golden", "views.golden")
+)
 
 // goldenPolicies are the Ablation C arms (keyed as aggregate keys them)
 // plus Poly-Anytime. Policies may be stateful, so each run makes its own.
@@ -78,25 +82,32 @@ func TestBehaviourGolden(t *testing.T) {
 				line.cost.Navigation(), line.cost.Expands, line.cost.ConceptsRevealed, line.digest)
 		}
 	}
+	checkGolden(t, topdownGolden, buf.Bytes())
+}
+
+// checkGolden compares got with the golden file at path, or rewrites the
+// file under -update, reporting every differing line.
+func checkGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
 	if *update {
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenPath, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	want, err := os.ReadFile(goldenPath)
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("%v (regenerate with -update)", err)
 	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		got, wantLines := bytes.Split(buf.Bytes(), []byte("\n")), bytes.Split(want, []byte("\n"))
-		for i := 0; i < len(got) || i < len(wantLines); i++ {
+	if !bytes.Equal(got, want) {
+		gotLines, wantLines := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
+		for i := 0; i < len(gotLines) || i < len(wantLines); i++ {
 			var g, w []byte
-			if i < len(got) {
-				g = got[i]
+			if i < len(gotLines) {
+				g = gotLines[i]
 			}
 			if i < len(wantLines) {
 				w = wantLines[i]
@@ -105,7 +116,7 @@ func TestBehaviourGolden(t *testing.T) {
 				t.Errorf("line %d:\n got  %s\n want %s", i+1, g, w)
 			}
 		}
-		t.Fatal("navigation behaviour differs from " + goldenPath)
+		t.Fatal("output differs from " + path)
 	}
 }
 
@@ -131,4 +142,87 @@ func goldenRun(nav *navtree.Tree, policy core.Policy, target navtree.NodeID) (go
 		fmt.Fprintf(h, "%d:%v\n", root, revealed)
 	}
 	return goldenLine{cost: s.Cost(), digest: h.Sum(nil)}, nil
+}
+
+// viewSteps is the number of actions the view golden's script takes per
+// query: with the initial view, twelve rendered views per query.
+const viewSteps = 11
+
+// TestViewGolden pins what the user sees on the experiments workload: for
+// every Table I query under hro-default, a SHA-256 of the rendered view
+// after the query and after each action of a fixed script, which EXPANDs
+// the expandable visible component with the most citations (ties to the
+// lower node ID) and BACKTRACKs every fourth step. A view hashes each
+// visible node, root first and then down the ranked child lists, with its
+// ID, label, count, expandable flag, the bits of its EXPLORE probability
+// and its ranked children. Regenerate with
+//
+//	go test ./internal/experiments -run TestViewGolden -update
+//
+// only for an intended behaviour change, and say why in CHANGES.md.
+func TestViewGolden(t *testing.T) {
+	r := testRunner(t)
+	var buf bytes.Buffer
+	fmt.Fprintln(&buf, "# query | step | action | sha256(rendered view)")
+	for i := range r.W.Queries {
+		q := &r.W.Queries[i]
+		nav, _, err := r.nav(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := navigate.NewSession(nav, core.NewHeuristicReducedOpt())
+		fmt.Fprintf(&buf, "%s | 0 | query | %x\n", q.Spec.Keyword, viewDigest(s.Visualize()))
+		for step := 1; step <= viewSteps; step++ {
+			var action string
+			if step%4 == 0 {
+				action = "BACKTRACK"
+				if err := s.Backtrack(); err != nil {
+					t.Fatalf("%q step %d: %v", q.Spec.Keyword, step, err)
+				}
+			} else {
+				root, ok := largestExpandable(s.Visualize())
+				if !ok {
+					break
+				}
+				if _, err := s.Expand(root); err != nil {
+					t.Fatalf("%q step %d: EXPAND %d: %v", q.Spec.Keyword, step, root, err)
+				}
+				action = fmt.Sprintf("EXPAND %d", root)
+			}
+			fmt.Fprintf(&buf, "%s | %d | %s | %x\n", q.Spec.Keyword, step, action, viewDigest(s.Visualize()))
+		}
+	}
+	checkGolden(t, viewsGolden, buf.Bytes())
+}
+
+// largestExpandable returns the expandable visible component with the
+// most citations, the lower node ID on ties.
+func largestExpandable(vis map[navtree.NodeID]*core.VisibleNode) (navtree.NodeID, bool) {
+	best, found := navtree.NodeID(0), false
+	for id, v := range vis {
+		if !v.Expandable {
+			continue
+		}
+		if b := vis[best]; !found || v.Count > b.Count || (v.Count == b.Count && id < best) {
+			best, found = id, true
+		}
+	}
+	return best, found
+}
+
+// viewDigest hashes a rendered view, root first, then depth-first down
+// the ranked child lists.
+func viewDigest(vis map[navtree.NodeID]*core.VisibleNode) []byte {
+	h := sha256.New()
+	var walk func(id navtree.NodeID)
+	walk = func(id navtree.NodeID) {
+		v := vis[id]
+		fmt.Fprintf(h, "%d|%s|%d|%t|%016x|%v\n", v.Node, v.Label, v.Count, v.Expandable,
+			math.Float64bits(v.Explore), v.Children)
+		for _, c := range v.Children {
+			walk(c)
+		}
+	}
+	walk(0)
+	return h.Sum(nil)
 }
