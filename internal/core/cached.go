@@ -159,7 +159,7 @@ func maskNavSize(p *plan, mask uint64) int {
 
 // supernodeSizes recovers each supernode's navigation-node count: the
 // reduced tree does not retain member lists, but supernode subtrees
-// partition the component, so sizes follow from DistinctUnder-style walks.
+// partition the component, so sizes follow from DistinctUnder-style scans.
 func supernodeSizes(at *ActiveTree, root navtree.NodeID, ct *compTree) []int {
 	// subtreeNavSize(i) = nodes under NavEdge[i].Child within the component;
 	// supernode size = subtree size − Σ child-supernode subtree sizes.
@@ -169,15 +169,7 @@ func supernodeSizes(at *ActiveTree, root navtree.NodeID, ct *compTree) []int {
 		if i > 0 {
 			top = ct.NavEdge[i].Child
 		}
-		n := 0
-		at.nav.PreOrder(top, func(m navtree.NodeID) bool {
-			if at.compOf[m] != root {
-				return false
-			}
-			n++
-			return true
-		})
-		subtree[i] = n
+		at.scan(root, top, func(navtree.NodeID) { subtree[i]++ })
 	}
 	sizes := make([]int, ct.len())
 	copy(sizes, subtree)

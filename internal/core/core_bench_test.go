@@ -159,8 +159,16 @@ func BenchmarkExpandAndBacktrack(b *testing.B) {
 	}
 }
 
+// BenchmarkVisualize times a render: "fresh" on the single full root a
+// query renders, "expanded" after three heuristic EXPANDs of the root.
 func BenchmarkVisualize(b *testing.B) {
 	at := benchTree(b)
+	b.Run("fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_ = at.Visualize()
+		}
+	})
 	pol := NewHeuristicReducedOpt()
 	for step := 0; step < 3; step++ {
 		root := at.Nav().Root()
@@ -175,8 +183,10 @@ func BenchmarkVisualize(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = at.Visualize()
-	}
+	b.Run("expanded", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_ = at.Visualize()
+		}
+	})
 }

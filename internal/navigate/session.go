@@ -281,6 +281,7 @@ func (s *Session) Backtrack() error {
 	if err := s.at.Backtrack(); err != nil {
 		return err
 	}
+	check.ActiveTree(s.at)
 	s.cache.onBacktrack()
 	s.log = append(s.log, Action{Kind: ActionBacktrack, Node: -1})
 	return nil
