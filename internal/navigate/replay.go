@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 
+	"bionav/internal/check"
 	"bionav/internal/core"
 	"bionav/internal/navtree"
 )
@@ -157,6 +158,7 @@ func (s *Session) replayExpand(node navtree.NodeID, cut []core.Edge) error {
 		s.cache.invalidate(node)
 		return err
 	}
+	check.ActiveTree(s.at)
 	s.cache.onExpand(node, cut)
 	s.cost.Expands++
 	s.cost.ConceptsRevealed += len(revealed)

@@ -120,6 +120,13 @@ func TestReplayErrorPaths(t *testing.T) {
 			substr: "is not a navigation-tree edge",
 		},
 		{
+			name: "cut edge listed twice",
+			// An EdgeCut is a set (Definition 3): a recorded cut naming
+			// (0→1) twice must fail ActiveTree.Expand, not apply.
+			in:     `{"version": 1, "actions": [{"kind": "EXPAND", "node": 0, "cut": [{"Parent": 0, "Child": 1}, {"Parent": 0, "Child": 1}]}]}`,
+			substr: "listed twice",
+		},
+		{
 			name:    "truncated JSON",
 			in:      `{"version": 1, "actions": [{"kind": "EXP`,
 			substr:  "replay",
