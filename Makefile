@@ -90,10 +90,13 @@ metrics-test:
 # Concurrency gate: the parallel EXPAND pipeline raced at GOMAXPROCS=4 —
 # parallel-vs-serial differential tests, the navigation-tree build against
 # its oracle (its scratch is pooled), the nav-cache stampede proof,
-# batch EXPAND degradation, the TTL-vs-in-flight-EXPAND race, and
-# concurrent sessions racing on a tree's first-use aggregates.
+# batch EXPAND degradation, the TTL-vs-in-flight-EXPAND race, concurrent
+# sessions racing on a tree's first-use aggregates, and the cut memo the
+# sessions on a tree share: its differential test once, and its race test
+# ten times.
 parallel-test:
-	GOMAXPROCS=4 $(GO) test -race -run 'SolveComponents|PoolLifecycle|ExpandBatch|FaultBatch|BuildMatchesOracle|GetOrBuild|ExpandAllParallel|ConcurrentExpand|SessionExpired|TTL|SharedAggregates' ./internal/core ./internal/navtree ./internal/navigate ./internal/server
+	GOMAXPROCS=4 $(GO) test -race -run 'SolveComponents|PoolLifecycle|ExpandBatch|FaultBatch|BuildMatchesOracle|GetOrBuild|ExpandAllParallel|ConcurrentExpand|SessionExpired|TTL|SharedAggregates|CutMemoMatchesFreshSolve' ./internal/core ./internal/navtree ./internal/navigate ./internal/server
+	GOMAXPROCS=4 $(GO) test -race -count=10 -run 'CutMemoConcurrentSessions' ./internal/navigate
 
 # Live-corpus gate: the incremental-ingest layer raced end to end —
 # copy-on-write snapshot/index/corpus deltas, ingest-log durability and
@@ -151,10 +154,11 @@ bench-check:
 
 # Anytime-optimization gate: the PolyCut DP differential tests, the
 # grade ladder, the w8d3 anytime-beats-static acceptance scenario, and
-# the solver-cache invalidation suite — raced at a tight GOMAXPROCS so
-# the cache's undo-stack bookkeeping is exercised under contention.
+# the cut-memo suite (memo hits, exact keys, the differential and race
+# tests, and imports kept out of the memo) — raced at a tight GOMAXPROCS
+# so the memo's locking is exercised under contention.
 anytime-test:
-	GOMAXPROCS=4 $(GO) test -race -run 'PolyCut|Anytime|SolverCache|PolyPolicy' ./internal/core ./internal/navigate ./internal/server
+	GOMAXPROCS=4 $(GO) test -race -run 'PolyCut|Anytime|PolyPolicy|SolverCacheReplayHit|SolverCacheBatchReplay|CutMemo|ReplayKeepsCutsOutOfMemo' ./internal/core ./internal/navigate ./internal/server
 
 # Regenerate every table and figure of the paper's evaluation (§VIII).
 experiments:

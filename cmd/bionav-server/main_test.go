@@ -165,8 +165,8 @@ var metricCatalog = []struct{ name, kind string }{
 	{"bionav_sessions_evicted_total", "counter"},
 	{"bionav_sessions_live", "gauge"},
 	{"bionav_solve_component_seconds", "histogram"},
+	{"bionav_solver_cache_evictions_total", "counter"},
 	{"bionav_solver_cache_hits_total", "counter"},
-	{"bionav_solver_cache_invalidations_total", "counter"},
 	{"bionav_solver_cache_misses_total", "counter"},
 	{"bionav_store_load_seconds", "histogram"},
 	{"bionav_store_loads_total", "counter"},

@@ -55,7 +55,9 @@ type compAgg struct {
 // and the tree's pre-order layout. It is computed at most once per
 // *navtree.Tree, on the first NewActiveTree over it, and never written
 // afterwards, so every session on a cached tree, and every
-// SolveComponents goroutine, reads one copy without locking.
+// SolveComponents goroutine, reads one copy without locking. The one
+// exception is the cut memo, which the sessions fill as they solve
+// components and which its own mutex guards.
 type treeAggregates struct {
 	bits        []bitset  // per node: citations attached to it, as a bitset
 	scores      []float64 // per node: s(n) = |res(n)| / cnt(n)
@@ -68,6 +70,8 @@ type treeAggregates struct {
 	// pos[n]+subtreeSize[n]-1, which scan walks.
 	pre, pos []int32
 	preScore float64 // Σ s(n) in pre-order: the initial component's score sum
+
+	memo cutMemo // solved cuts shared by the tree's sessions (cutmemo.go)
 }
 
 // undoFrame is the state one EXPAND replaced: the component map, and the

@@ -56,6 +56,11 @@ func NewCachedHeuristic() *CachedHeuristic {
 // Name implements Policy.
 func (h *CachedHeuristic) Name() string { return "Heuristic-ReducedOpt (cached)" }
 
+// CutKey implements Policy. It is nil: a follow-up cut comes from this
+// session's own plans, which are the §VI-B cut cache, so sessions under
+// this policy neither share cuts nor take them from the tree's memo.
+func (h *CachedHeuristic) CutKey() any { return nil }
+
 // ChooseCut implements Policy.
 func (h *CachedHeuristic) ChooseCut(ctx context.Context, at *ActiveTree, root navtree.NodeID) ([]Edge, error) {
 	if h.plans == nil {

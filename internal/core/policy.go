@@ -22,6 +22,13 @@ type Policy interface {
 	// callers can cap per-EXPAND optimization time and degrade (see
 	// navigate.Session.ExpandContext).
 	ChooseCut(ctx context.Context, at *ActiveTree, root navtree.NodeID) ([]Edge, error)
+	// CutKey returns a comparable value holding every parameter a full
+	// ChooseCut result depends on besides the navigation tree and the
+	// component's member set, so sessions on one tree can share solved
+	// cuts (ActiveTree.MemoKey). It returns nil when the cut depends on
+	// more than that, such as per-session state; such a policy solves
+	// every EXPAND itself.
+	CutKey() any
 }
 
 // HeuristicReducedOpt is the paper's §VI-B expansion policy: reduce the
@@ -42,6 +49,9 @@ func NewHeuristicReducedOpt() *HeuristicReducedOpt {
 
 // Name implements Policy.
 func (h *HeuristicReducedOpt) Name() string { return "Heuristic-ReducedOpt" }
+
+// CutKey implements Policy: the cut depends on K and the cost model.
+func (h *HeuristicReducedOpt) CutKey() any { return *h }
 
 // ChooseCut implements Policy.
 func (h *HeuristicReducedOpt) ChooseCut(ctx context.Context, at *ActiveTree, root navtree.NodeID) ([]Edge, error) {
@@ -129,6 +139,9 @@ type OptEdgeCutPolicy struct {
 // Name implements Policy.
 func (o *OptEdgeCutPolicy) Name() string { return "Opt-EdgeCut" }
 
+// CutKey implements Policy: the cut depends on the cost model.
+func (o *OptEdgeCutPolicy) CutKey() any { return *o }
+
 // ChooseCut implements Policy.
 func (o *OptEdgeCutPolicy) ChooseCut(ctx context.Context, at *ActiveTree, root navtree.NodeID) ([]Edge, error) {
 	sp := obs.FromContext(ctx).StartChild("choose_cut")
@@ -168,6 +181,9 @@ type StaticAll struct{}
 // Name implements Policy.
 func (StaticAll) Name() string { return "Static" }
 
+// CutKey implements Policy: the cut has no parameters.
+func (StaticAll) CutKey() any { return StaticAll{} }
+
 // ChooseCut implements Policy.
 func (StaticAll) ChooseCut(_ context.Context, at *ActiveTree, root navtree.NodeID) ([]Edge, error) {
 	var cut []Edge
@@ -192,6 +208,9 @@ type StaticTopK struct {
 
 // Name implements Policy.
 func (s StaticTopK) Name() string { return fmt.Sprintf("Static-Top%d", s.K) }
+
+// CutKey implements Policy: the cut depends on K.
+func (s StaticTopK) CutKey() any { return s }
 
 // ChooseCut implements Policy.
 func (s StaticTopK) ChooseCut(_ context.Context, at *ActiveTree, root navtree.NodeID) ([]Edge, error) {

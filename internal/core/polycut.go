@@ -73,8 +73,9 @@ type AnytimeResult struct {
 }
 
 // polySolver carries one component's PolyCut state. It is built per
-// solve; navigate.Session avoids rebuilding it for unchanged components
-// by caching the resulting cut, not the solver (see navigate.SolverCache).
+// solve; sessions avoid rebuilding it for a component already solved on
+// their tree by sharing the resulting cut, not the solver (see
+// ActiveTree.MemoKey).
 type polySolver struct {
 	at    *ActiveTree
 	root  navtree.NodeID
@@ -720,6 +721,10 @@ func NewPolyCutPolicy() *PolyCutPolicy {
 
 // Name implements Policy.
 func (p *PolyCutPolicy) Name() string { return "Poly-Anytime" }
+
+// CutKey implements Policy: a full-grade cut depends on K and the cost
+// model; anytime and static grades are never shared.
+func (p *PolyCutPolicy) CutKey() any { return *p }
 
 // ChooseCut implements Policy.
 func (p *PolyCutPolicy) ChooseCut(ctx context.Context, at *ActiveTree, root navtree.NodeID) ([]Edge, error) {

@@ -74,6 +74,9 @@ type stallPolicy struct {
 
 func (p stallPolicy) Name() string { return "stall+" + p.inner.Name() }
 
+// CutKey is nil: a shared cut would skip the stall being measured.
+func (p stallPolicy) CutKey() any { return nil }
+
 func (p stallPolicy) ChooseCut(ctx context.Context, at *ActiveTree, root navtree.NodeID) ([]Edge, error) {
 	t := time.NewTimer(p.d)
 	defer t.Stop()

@@ -70,6 +70,10 @@ type panicOnRoot struct {
 
 func (p panicOnRoot) Name() string { return "panic-on-root" }
 
+// CutKey is nil: the cut depends on which root panics, not on the
+// component alone.
+func (p panicOnRoot) CutKey() any { return nil }
+
 func (p panicOnRoot) ChooseCut(ctx context.Context, at *ActiveTree, root navtree.NodeID) ([]Edge, error) {
 	if root == p.target {
 		panic("synthetic solve bug")

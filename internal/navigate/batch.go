@@ -66,39 +66,44 @@ func (s *Session) ExpandBatchContext(ctx context.Context, pool *core.Pool, nodes
 		return nil, fmt.Errorf("navigate: batch EXPAND with no components")
 	}
 
-	// Cache phase: components the session has already solved skip the
-	// policy (see solvercache.go). Roots are walked in ascending ID order,
-	// the same order the solve merge and the apply phase use.
+	// Memo phase: components some EXPAND on the tree already solved skip
+	// the policy (core's cut memo). A memoized cut that is not a valid
+	// EdgeCut of its component is dropped, and the component is solved.
+	// Roots are walked in ascending ID order, the order the solve merge
+	// and the apply phase use.
 	ordered := append([]navtree.NodeID(nil), nodes...)
 	sort.Ints(ordered)
-	cachedCuts := make(map[navtree.NodeID][]core.Edge)
+	cuts := make([]core.ComponentCut, len(ordered))
+	keys := make([]core.MemoKey, len(ordered))
+	shared := make([]bool, len(ordered))
+	fromMemo := make([]bool, len(ordered))
 	var misses []navtree.NodeID
-	for _, n := range ordered {
-		if cut, ok := s.cache.lookup(s.at, n, s.policy.Name()); ok {
-			cachedCuts[n] = cut
-		} else {
-			misses = append(misses, n)
+	for i, n := range ordered {
+		cuts[i].Root = n
+		if keys[i], shared[i] = s.at.MemoKey(s.policy, n); shared[i] {
+			cut, ok := s.at.MemoCut(keys[i])
+			if ok && check.ValidateEdgeCut(s.at, n, cut) == nil {
+				memoHits.Inc()
+				cuts[i].Cut, fromMemo[i] = cut, true
+				continue
+			}
+			if ok {
+				s.at.Forget(keys[i])
+			}
+			memoMisses.Inc()
 		}
+		misses = append(misses, n)
 	}
-	sp.SetAttr("cache_hits", len(cachedCuts))
+	sp.SetAttr("cache_hits", len(ordered)-len(misses))
 
 	// Solve phase: read-only fan-out over the misses, merged by ascending
 	// root ID (both ordered and the solve results are ascending).
-	var solved []core.ComponentCut
 	if len(misses) > 0 {
-		solved = core.SolveComponents(ctx, pool, s.at, s.policy, misses)
-	}
-	cuts := make([]core.ComponentCut, 0, len(ordered))
-	fromCache := make([]bool, 0, len(ordered))
-	si := 0
-	for _, n := range ordered {
-		if cut, ok := cachedCuts[n]; ok {
-			cuts = append(cuts, core.ComponentCut{Root: n, Cut: cut})
-			fromCache = append(fromCache, true)
-		} else {
-			cuts = append(cuts, solved[si])
-			fromCache = append(fromCache, false)
-			si++
+		solved := core.SolveComponents(ctx, pool, s.at, s.policy, misses)
+		for i := range cuts {
+			if !fromMemo[i] {
+				cuts[i], solved = solved[0], solved[1:]
+			}
 		}
 	}
 
@@ -116,8 +121,6 @@ func (s *Session) ExpandBatchContext(ctx context.Context, pool *core.Pool, nodes
 				out[i].Degraded = true
 				out[i].Reason = cc.Reason
 				degraded++
-			} else if !fromCache[i] {
-				s.cache.store(s.at, cc.Root, s.policy.Name(), cc.Cut)
 			}
 			continue
 		}
@@ -142,55 +145,21 @@ func (s *Session) ExpandBatchContext(ctx context.Context, pool *core.Pool, nodes
 
 	// Apply phase: serial, in ascending root order. Cuts were chosen
 	// against the pre-batch tree; they stay valid because each one touches
-	// only its own component. A cached cut that fails to apply (possible
-	// only if the cache went stale through an out-of-band tree mutation)
-	// is dropped and re-solved in place rather than failing the batch.
-	for i := range cuts {
-		cc := &cuts[i]
-		if fromCache[i] {
-			if err := s.applyCachedOrResolve(ctx, cc); err != nil {
-				return nil, err
-			}
-		}
+	// only its own component. Full-grade solves join the memo once they
+	// apply.
+	for i, cc := range cuts {
 		check.EdgeCut(s.at, cc.Root, cc.Cut)
 		revealed, err := s.at.Expand(cc.Root, cc.Cut)
 		if err != nil {
 			return nil, fmt.Errorf("navigate: batch EXPAND apply on %d: %w", cc.Root, err)
 		}
-		check.ActiveTree(s.at)
-		s.cache.onExpand(cc.Root, cc.Cut)
-		s.cost.Expands++
-		s.cost.ConceptsRevealed += len(revealed)
-		s.log = append(s.log, Action{Kind: ActionExpand, Node: cc.Root, Revealed: revealed})
+		if shared[i] && !fromMemo[i] && out[i].Grade == core.GradeFull {
+			s.at.Memoize(keys[i], cc.Cut)
+		}
+		s.expanded(cc.Root, revealed)
 		out[i].Revealed = revealed
 	}
 	return out, nil
-}
-
-// applyCachedOrResolve vets a cached cut right before its apply: if it no
-// longer passes validation against the live tree, the entry is dropped
-// and the component re-solved with the policy on the spot.
-func (s *Session) applyCachedOrResolve(ctx context.Context, cc *core.ComponentCut) error {
-	if err := check.ValidateEdgeCut(s.at, cc.Root, cc.Cut); err == nil {
-		return nil
-	}
-	s.cache.invalidate(cc.Root)
-	sctx, rep := core.WithGradeReport(ctx)
-	cut, err := s.policy.ChooseCut(sctx, s.at, cc.Root)
-	if err != nil {
-		if !isDegradableErr(ctx, err) {
-			return fmt.Errorf("navigate: batch EXPAND component %d: %w", cc.Root, err)
-		}
-		//lint:ignore CTX01 degradation path must not inherit the expired deadline that triggered it
-		cut, err = core.StaticAll{}.ChooseCut(context.Background(), s.at, cc.Root)
-		if err != nil {
-			return fmt.Errorf("navigate: degraded batch EXPAND fallback for %d: %w", cc.Root, err)
-		}
-	} else if rep.Grade == core.GradeFull {
-		s.cache.store(s.at, cc.Root, s.policy.Name(), cut)
-	}
-	cc.Cut = cut
-	return nil
 }
 
 // isDegradableErr reports whether a batch solve failure can be repaired

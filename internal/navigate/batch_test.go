@@ -33,26 +33,28 @@ func openedSession(t *testing.T, nav *navtree.Tree, policy core.Policy) (*Sessio
 }
 
 // TestExpandBatchMatchesSequential checks the batch EXPAND's equivalence
-// claim from three directions on the same tree: batch-serial equals
-// expanding the roots one at a time in ascending order, and batch-parallel
-// equals batch-serial byte for byte (results, costs, and the visible tree).
+// claim from three directions: batch-serial equals expanding the roots one
+// at a time in ascending order, and batch-parallel equals batch-serial
+// byte for byte (results, costs, and the visible tree). Each arm runs on
+// its own build of the same tree, so each solves its components rather
+// than reading another arm's cuts from a shared cut memo.
 func TestExpandBatchMatchesSequential(t *testing.T) {
-	nav := buildNav(t, 211, 300, 35)
+	nav := func() *navtree.Tree { return buildNav(t, 211, 300, 35) }
 
-	seq, roots := openedSession(t, nav, core.NewHeuristicReducedOpt())
+	seq, roots := openedSession(t, nav(), core.NewHeuristicReducedOpt())
 	for _, r := range roots {
 		if _, err := seq.Expand(r); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	serial, roots2 := openedSession(t, nav, core.NewHeuristicReducedOpt())
+	serial, roots2 := openedSession(t, nav(), core.NewHeuristicReducedOpt())
 	resSerial, err := serial.ExpandBatchContext(context.Background(), nil, roots2)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	par, roots3 := openedSession(t, nav, core.NewHeuristicReducedOpt())
+	par, roots3 := openedSession(t, nav(), core.NewHeuristicReducedOpt())
 	pool := core.NewPool(4)
 	defer pool.Close()
 	resPar, err := par.ExpandBatchContext(context.Background(), pool, roots3)
@@ -113,6 +115,10 @@ type failOnRoot struct {
 }
 
 func (p failOnRoot) Name() string { return "fail-on-root" }
+
+// CutKey is nil: the injected failure belongs to one root, not to the
+// component's members.
+func (p failOnRoot) CutKey() any { return nil }
 
 func (p failOnRoot) ChooseCut(ctx context.Context, at *core.ActiveTree, root navtree.NodeID) ([]core.Edge, error) {
 	if root == p.target {
@@ -204,6 +210,10 @@ type panickyPolicy struct {
 }
 
 func (p panickyPolicy) Name() string { return "panicky" }
+
+// CutKey is nil: the panic belongs to one root, not to the component's
+// members.
+func (p panickyPolicy) CutKey() any { return nil }
 
 func (p panickyPolicy) ChooseCut(ctx context.Context, at *core.ActiveTree, root navtree.NodeID) ([]core.Edge, error) {
 	if root == p.target {

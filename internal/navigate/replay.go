@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"bionav/internal/check"
 	"bionav/internal/core"
 	"bionav/internal/navtree"
 )
@@ -142,26 +141,18 @@ func (s *Session) applyExported(actions []actionExport) error {
 }
 
 // replayExpand applies a recorded cut directly, bypassing the policy. The
-// cut is also planted in the solver cache before the expand consumes it:
-// a recorded cut was the policy's full solve for that component when it
-// was recorded, so a recovered or imported session gets the cache's
-// replay speedup (docs/COSTMODEL.md §7) on its next EXPAND of the same
-// component — after a BACKTRACK the restored entry answers immediately —
-// instead of starting cold.
+// cut stays out of the tree's cut memo: it comes from a client or the
+// journal, not from the policy, and other sessions take their cuts from
+// the memo. After a BACKTRACK, the session's next EXPAND of the component
+// asks the memo or the policy again.
 func (s *Session) replayExpand(node navtree.NodeID, cut []core.Edge) error {
 	if len(cut) == 0 {
 		return fmt.Errorf("recorded EXPAND has no cut")
 	}
-	s.cache.store(s.at, node, s.policy.Name(), cut)
 	revealed, err := s.at.Expand(node, cut)
 	if err != nil {
-		s.cache.invalidate(node)
 		return err
 	}
-	check.ActiveTree(s.at)
-	s.cache.onExpand(node, cut)
-	s.cost.Expands++
-	s.cost.ConceptsRevealed += len(revealed)
-	s.log = append(s.log, Action{Kind: ActionExpand, Node: node, Revealed: revealed})
+	s.expanded(node, revealed)
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -164,31 +165,56 @@ func TestReplayErrorPaths(t *testing.T) {
 	}
 }
 
-// TestReplayWarmsSolverCache: replaying recorded cuts re-inserts them into
-// the session solver cache, so a recovered session's BACKTRACK-then-EXPAND
-// is answered from the cache instead of re-running the policy cold.
-func TestReplayWarmsSolverCache(t *testing.T) {
+// TestReplayKeepsCutsOutOfMemo: an imported session applies its recorded
+// cuts, but they never enter the tree's cut memo, where they would choose
+// other sessions' cuts. The import records the static all-children cut of
+// the root, which the policy would not pick; a fresh session on the same
+// tree still gets the policy's cut, and so does the imported session when
+// it re-expands the root after BACKTRACK.
+func TestReplayKeepsCutsOutOfMemo(t *testing.T) {
 	nav := buildNav(t, 509, 160, 30)
-	orig := NewSession(nav, core.NewHeuristicReducedOpt())
-	if _, err := orig.Expand(nav.Root()); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := orig.Export(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Replay(nav, core.NewHeuristicReducedOpt(), bytes.NewReader(buf.Bytes()))
+	rec := NewSession(buildNav(t, 509, 160, 30), core.StaticAll{})
+	recorded, err := rec.Expand(nav.Root())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := got.Backtrack(); err != nil {
+	var buf bytes.Buffer
+	if err := rec.Export(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := got.Expand(nav.Root()); err != nil {
+	imported, err := Replay(nav, core.NewHeuristicReducedOpt(), &buf)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if stats := got.SolverCacheStats(); stats.Hits == 0 {
-		t.Fatalf("re-EXPAND after replay+backtrack missed the warmed cache: %+v", stats)
+	if got := imported.Active().VisibleRoots(); len(got) != len(recorded)+1 {
+		t.Fatalf("import shows %d roots, want the recorded %d plus the root", len(got), len(recorded))
+	}
+
+	fresh := NewSession(nav, core.NewHeuristicReducedOpt())
+	want, err := freshCut(fresh, nav.Root())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reflect.DeepEqual(want, recorded) {
+		t.Fatal("fixture: the policy picks the static cut, so the import cannot differ from it")
+	}
+	miss0 := memoMisses.Value()
+	got, err := fresh.Expand(nav.Root())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) || memoMisses.Value() != miss0+1 {
+		t.Fatalf("fresh session revealed %v (misses +%d); want the policy's %v from a miss", got, memoMisses.Value()-miss0, want)
+	}
+	if err := imported.Backtrack(); err != nil {
+		t.Fatal(err)
+	}
+	again, err := imported.Expand(nav.Root())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(again, want) {
+		t.Fatalf("imported session re-expanded the root to %v, want the policy's %v", again, want)
 	}
 }
 

@@ -66,13 +66,21 @@ func (c Cost) Navigation() int { return c.Expands + c.ConceptsRevealed }
 // Total reports the overall §III cost including SHOWRESULTS listings.
 func (c Cost) Total() int { return c.Navigation() + c.CitationsListed }
 
+// Process-wide cut-memo metrics on the default registry, counting the
+// EXPANDs of policies that share cuts (core.Policy.CutKey).
+var (
+	memoHits = obs.Default.Counter("bionav_solver_cache_hits_total",
+		"EXPANDs answered from their navigation tree's cut memo (policy skipped).")
+	memoMisses = obs.Default.Counter("bionav_solver_cache_misses_total",
+		"EXPANDs that found no usable cut in their tree's cut memo and ran the policy.")
+)
+
 // Session is one user's navigation over a query result.
 type Session struct {
 	at     *core.ActiveTree // guarded by caller
 	policy core.Policy      // guarded by caller
 	log    []Action         // guarded by caller
 	cost   Cost             // guarded by caller
-	cache  *solverCache     // guarded by caller
 }
 
 // NewSession starts a navigation over nav using policy for EXPAND actions.
@@ -87,7 +95,7 @@ func NewSession(nav *navtree.Tree, policy core.Policy) *Session {
 			check.Model(p.Model)
 		}
 	}
-	return &Session{at: core.NewActiveTree(nav), policy: policy, cache: newSolverCache()}
+	return &Session{at: core.NewActiveTree(nav), policy: policy}
 }
 
 // Active exposes the underlying active tree (read-only use expected).
@@ -116,7 +124,7 @@ func (s *Session) Expand(node navtree.NodeID) ([]navtree.NodeID, error) {
 type ExpandResult struct {
 	Revealed []navtree.NodeID
 	// Grade is the applied cut's optimization grade (docs/COSTMODEL.md §7
-	// ladder): GradeFull for a completed solve or a cache hit, GradeAnytime
+	// ladder): GradeFull for a completed solve or a memo hit, GradeAnytime
 	// for an anytime policy's best-so-far incumbent, GradeStatic for the
 	// all-children fallback.
 	Grade core.CutGrade
@@ -148,32 +156,33 @@ func (s *Session) ExpandContext(ctx context.Context, node navtree.NodeID) (Expan
 	defer sp.End()
 	sp.SetAttr("node", int64(node))
 	sp.SetAttr("policy", s.policy.Name())
-	var res ExpandResult
 
-	// Fast path: a cut solved for this exact component earlier in the
-	// session (see solvercache.go). The cached cut is applied without
-	// re-validation by check.EdgeCut — if it no longer applies, the
-	// failure is absorbed as a miss and the policy runs normally.
-	if cut, ok := s.cache.lookup(s.at, node, s.policy.Name()); ok {
-		if revealed, err := s.at.Expand(node, cut); err == nil {
-			check.ActiveTree(s.at)
-			s.cache.onExpand(node, cut)
-			s.cost.Expands++
-			s.cost.ConceptsRevealed += len(revealed)
-			s.log = append(s.log, Action{Kind: ActionExpand, Node: node, Revealed: revealed})
-			res.Revealed = revealed
-			sp.SetAttr("solver_cache", "hit")
-			sp.SetAttr("grade", core.GradeFull.String())
-			sp.SetAttr("revealed", len(revealed))
-			return res, nil
+	// Fast path: a cut some EXPAND of this exact component already solved,
+	// in this session or another on the tree (core's cut memo). It goes
+	// through check.EdgeCut like a solved cut; if it does not apply, it is
+	// dropped and the policy runs.
+	key, shared := s.at.MemoKey(s.policy, node)
+	if shared {
+		if cut, ok := s.at.MemoCut(key); ok {
+			check.EdgeCut(s.at, node, cut)
+			if revealed, err := s.at.Expand(node, cut); err == nil {
+				memoHits.Inc()
+				s.expanded(node, revealed)
+				sp.SetAttr("solver_cache", "hit")
+				sp.SetAttr("grade", core.GradeFull.String())
+				sp.SetAttr("revealed", len(revealed))
+				return ExpandResult{Revealed: revealed}, nil
+			}
+			s.at.Forget(key)
 		}
-		s.cache.invalidate(node)
+		memoMisses.Inc()
+		sp.SetAttr("solver_cache", "miss")
 	}
-	sp.SetAttr("solver_cache", "miss")
 
 	// Each EXPAND gets its own GradeReport holder: grading policies
 	// (PolyCutPolicy) absorb deadline expiry into the grade instead of
 	// erroring, and the holder carries that outcome back.
+	var res ExpandResult
 	sctx, rep := core.WithGradeReport(ctx)
 	cut, err := s.policy.ChooseCut(sctx, s.at, node)
 	if err != nil {
@@ -194,19 +203,15 @@ func (s *Session) ExpandContext(ctx context.Context, node navtree.NodeID) (Expan
 		res.Degraded = true
 		res.Reason = rep.Reason
 	}
-	if res.Grade == core.GradeFull {
-		s.cache.store(s.at, node, s.policy.Name(), cut)
-	}
 	check.EdgeCut(s.at, node, cut)
 	revealed, err := s.at.Expand(node, cut)
 	if err != nil {
 		return ExpandResult{}, err
 	}
-	check.ActiveTree(s.at)
-	s.cache.onExpand(node, cut)
-	s.cost.Expands++
-	s.cost.ConceptsRevealed += len(revealed)
-	s.log = append(s.log, Action{Kind: ActionExpand, Node: node, Revealed: revealed})
+	if shared && res.Grade == core.GradeFull {
+		s.at.Memoize(key, cut)
+	}
+	s.expanded(node, revealed)
 	res.Revealed = revealed
 	sp.SetAttr("grade", res.Grade.String())
 	sp.SetAttr("revealed", len(revealed))
@@ -215,6 +220,15 @@ func (s *Session) ExpandContext(ctx context.Context, node navtree.NodeID) (Expan
 		sp.SetAttr("reason", res.Reason)
 	}
 	return res, nil
+}
+
+// expanded accounts for one applied EXPAND of node: it charges
+// 1 + |revealed| and logs the action.
+func (s *Session) expanded(node navtree.NodeID, revealed []navtree.NodeID) {
+	check.ActiveTree(s.at)
+	s.cost.Expands++
+	s.cost.ConceptsRevealed += len(revealed)
+	s.log = append(s.log, Action{Kind: ActionExpand, Node: node, Revealed: revealed})
 }
 
 // isContextErr reports whether a ChooseCut failure is a cancellation —
@@ -267,10 +281,6 @@ func (s *Session) Ignore(node navtree.NodeID) error {
 	if !s.at.IsVisible(node) {
 		return fmt.Errorf("navigate: IGNORE on hidden node %d", node)
 	}
-	// Conservatively drop the touched component's cached solve: a policy
-	// may weigh user dismissals in a future cost model, and the entry is
-	// cheap to recompute.
-	s.cache.invalidate(s.at.ComponentOf(node))
 	s.log = append(s.log, Action{Kind: ActionIgnore, Node: node})
 	return nil
 }
@@ -282,7 +292,6 @@ func (s *Session) Backtrack() error {
 		return err
 	}
 	check.ActiveTree(s.at)
-	s.cache.onBacktrack()
 	s.log = append(s.log, Action{Kind: ActionBacktrack, Node: -1})
 	return nil
 }

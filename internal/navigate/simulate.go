@@ -53,6 +53,13 @@ type reducedSizer interface {
 	LastReducedSize(at *core.ActiveTree, root navtree.NodeID) (int, error)
 }
 
+// solveEvery hides a policy's cut key, so a session over it neither reads
+// nor fills its tree's cut memo.
+type solveEvery struct{ core.Policy }
+
+// CutKey implements core.Policy.
+func (solveEvery) CutKey() any { return nil }
+
 // Clock supplies wall-clock readings for the simulation's per-EXPAND
 // timing instrumentation. Library code never reads the wall clock itself
 // (the determinism discipline DET01 in docs/STATIC_ANALYSIS.md); callers
@@ -102,6 +109,10 @@ func simulate(nav *navtree.Tree, policy core.Policy, targets []navtree.NodeID, s
 	}
 	target := targets[len(targets)-1]
 	s := NewSession(nav, policy)
+	// The oracle times each decision (Figs. 10 and 11), so its session
+	// solves every EXPAND: hiding the policy's cut key keeps the tree's
+	// cut memo out of it.
+	s.policy = solveEvery{policy}
 	res := SimResult{Policy: policy.Name(), Target: target}
 
 	maxSteps := 2*nav.Len() + 16

@@ -263,10 +263,11 @@ func (t *Tree) ResultIndexes(id NodeID) []int32 { return t.nodeIdxs[id] }
 // the first call and returning that same value to every later caller,
 // including concurrent ones, which wait for the first to finish. The
 // tree is immutable, so the value never goes stale; the caller owns its
-// layout and must treat it as read-only. Package core keeps its
-// active-tree aggregates here so that every session over a cached tree
-// shares one copy; it is the only caller, which is why the first
-// compute wins.
+// layout and its synchronization. Package core keeps its active-tree
+// aggregates here so that every session over a cached tree shares one
+// copy, and with them a mutex-guarded memo of solved EdgeCuts that the
+// sessions fill; it is the only caller, which is why the first compute
+// wins. The value lives and dies with the tree.
 func (t *Tree) Aggregates(compute func(*Tree) any) any {
 	t.aggOnce.Do(func() { t.agg = compute(t) })
 	return t.agg

@@ -230,6 +230,18 @@ func (s *Server) recoverSession(ctx context.Context, id string, p *pendingSessio
 	return nil
 }
 
+// checkpointFrames returns sess's whole action history in journal framing
+// and marks all of it journaled.
+func (sess *session) checkpointFrames() ([]json.RawMessage, error) {
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	frames, err := sess.nav.ExportedActions(0)
+	if err == nil {
+		sess.journaled = len(frames)
+	}
+	return frames, err
+}
+
 // parseSessionID inverts the "s%08x" ID format of register.
 func parseSessionID(id string) (uint64, bool) {
 	if !strings.HasPrefix(id, "s") {
@@ -266,12 +278,7 @@ func (s *Server) checkpointJournal() error {
 
 	var recs []journal.Record
 	for _, l := range live {
-		l.sess.mu.Lock()
-		frames, err := l.sess.nav.ExportedActions(0)
-		if err == nil {
-			l.sess.journaled = len(frames)
-		}
-		l.sess.mu.Unlock()
+		frames, err := l.sess.checkpointFrames()
 		if err != nil {
 			return fmt.Errorf("server: checkpoint %s: %w", l.id, err)
 		}

@@ -1,10 +1,14 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -94,6 +98,66 @@ func TestFaultExpandDegradesWithinBudget(t *testing.T) {
 	st := getStats(t, ts.URL)
 	if st["degradedExpands"] != 1 || st["expandTimeouts"] != 1 {
 		t.Fatalf("stats = %v, want 1 degraded / 1 timeout", st)
+	}
+}
+
+// TestFaultPanicReleasesSessionLock: a panic while a handler holds the
+// session lock becomes a 500 in the recovery middleware, and the session
+// stays usable, because every handler releases the lock by defer. The DP
+// panics on its first checkpoint only; the next EXPAND and SHOWRESULTS
+// on the same session must answer within a 5 s client deadline.
+func TestFaultPanicReleasesSessionLock(t *testing.T) {
+	t.Cleanup(faults.Reset)
+	srv := New(testDataset(), Config{})
+	ts := httptest.NewServer(Middleware(srv.Handler(), nil))
+	// Close waits for every handler to return, and a handler blocked on a
+	// leaked session lock never does: a failing run leaves the server up
+	// rather than hang.
+	t.Cleanup(func() {
+		if !t.Failed() {
+			ts.Close()
+		}
+	})
+	id, root := startSession(t, srv, ts.URL)
+
+	var fired atomic.Bool
+	faults.Arm(faults.SiteDP, faults.Always(), func(context.Context) error {
+		if fired.CompareAndSwap(false, true) {
+			panic("injected DP panic")
+		}
+		return nil
+	})
+	client := &http.Client{Timeout: 5 * time.Second}
+	do := func(method, url string, body any) int {
+		t.Helper()
+		b, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req, err := http.NewRequest(method, url, bytes.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatalf("%s %s: %v", method, url, err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	expand := map[string]any{"session": id, "node": root}
+	if code := do(http.MethodPost, ts.URL+"/api/expand", expand); code != http.StatusInternalServerError {
+		t.Fatalf("EXPAND with a panicking DP answered %d, want 500", code)
+	}
+	if !fired.Load() {
+		t.Fatal("the DP failpoint never fired")
+	}
+	if code := do(http.MethodPost, ts.URL+"/api/expand", expand); code != http.StatusOK {
+		t.Fatalf("EXPAND after the panic answered %d, want 200", code)
+	}
+	url := fmt.Sprintf("%s/api/results?session=%s&node=%d", ts.URL, id, root)
+	if code := do(http.MethodGet, url, nil); code != http.StatusOK {
+		t.Fatalf("SHOWRESULTS after the panic answered %d, want 200", code)
 	}
 }
 

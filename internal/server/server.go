@@ -27,6 +27,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"math"
 	"net/http"
@@ -467,23 +468,15 @@ func (s *Server) handleExpand(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.ExpandBudget)
 		defer cancel()
 	}
-	sess.mu.Lock()
-	res, err := sess.nav.ExpandContext(ctx, req.Node)
+	var res navigate.ExpandResult
+	resp, status, err := s.act(req.Session, sess, func(nav *navigate.Session) (err error) {
+		res, err = nav.ExpandContext(ctx, req.Node)
+		return err
+	})
 	if err != nil {
-		sess.mu.Unlock()
-		httpError(w, http.StatusUnprocessableEntity, err)
+		httpError(w, status, err)
 		return
 	}
-	// The TTL sweep may have reaped the session while the EXPAND was in
-	// flight; report expiry rather than success for a dead session.
-	if sess.expired.Load() {
-		sess.mu.Unlock()
-		httpError(w, http.StatusNotFound, errNoSession)
-		return
-	}
-	s.journalActionsLocked(req.Session, sess)
-	resp := s.stateLocked(req.Session, sess)
-	sess.mu.Unlock()
 	resp.Grade = res.Grade.String()
 	if res.Degraded {
 		s.met.degraded.Inc()
@@ -528,33 +521,25 @@ func (s *Server) handleExpandAll(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.ExpandBudget)
 		defer cancel()
 	}
-	sess.mu.Lock()
-	at := sess.nav.Active()
-	var roots []navtree.NodeID
-	for _, root := range at.VisibleRoots() {
-		if at.ComponentSize(root) > 1 {
-			roots = append(roots, root)
+	var results []navigate.ComponentExpand
+	resp, status, err := s.act(req.Session, sess, func(nav *navigate.Session) (err error) {
+		at := nav.Active()
+		var roots []navtree.NodeID
+		for _, root := range at.VisibleRoots() {
+			if at.ComponentSize(root) > 1 {
+				roots = append(roots, root)
+			}
 		}
-	}
-	if len(roots) == 0 {
-		sess.mu.Unlock()
-		httpError(w, http.StatusUnprocessableEntity, errors.New("server: nothing left to expand"))
-		return
-	}
-	results, err := sess.nav.ExpandBatchContext(ctx, s.pool, roots)
+		if len(roots) == 0 {
+			return errors.New("server: nothing left to expand")
+		}
+		results, err = nav.ExpandBatchContext(ctx, s.pool, roots)
+		return err
+	})
 	if err != nil {
-		sess.mu.Unlock()
-		httpError(w, http.StatusUnprocessableEntity, err)
+		httpError(w, status, err)
 		return
 	}
-	if sess.expired.Load() {
-		sess.mu.Unlock()
-		httpError(w, http.StatusNotFound, errNoSession)
-		return
-	}
-	s.journalActionsLocked(req.Session, sess)
-	resp := s.stateLocked(req.Session, sess)
-	sess.mu.Unlock()
 	worst := core.GradeFull
 	for _, cr := range results {
 		if cr.Grade > worst {
@@ -592,15 +577,13 @@ func (s *Server) handleBacktrack(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, err)
 		return
 	}
-	sess.mu.Lock()
-	if err := sess.nav.Backtrack(); err != nil {
-		sess.mu.Unlock()
-		httpError(w, http.StatusUnprocessableEntity, err)
+	resp, status, err := s.act(req.Session, sess, func(nav *navigate.Session) error {
+		return nav.Backtrack()
+	})
+	if err != nil {
+		httpError(w, status, err)
 		return
 	}
-	s.journalActionsLocked(req.Session, sess)
-	resp := s.stateLocked(req.Session, sess)
-	sess.mu.Unlock()
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -619,15 +602,13 @@ func (s *Server) handleIgnore(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, err)
 		return
 	}
-	sess.mu.Lock()
-	if err := sess.nav.Ignore(req.Node); err != nil {
-		sess.mu.Unlock()
-		httpError(w, http.StatusUnprocessableEntity, err)
+	resp, status, err := s.act(req.Session, sess, func(nav *navigate.Session) error {
+		return nav.Ignore(req.Node)
+	})
+	if err != nil {
+		httpError(w, status, err)
 		return
 	}
-	s.journalActionsLocked(req.Session, sess)
-	resp := s.stateLocked(req.Session, sess)
-	sess.mu.Unlock()
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -642,14 +623,7 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("bad node: %w", err))
 		return
 	}
-	sess.mu.Lock()
-	ids, err := sess.nav.ShowResults(node)
-	if err == nil {
-		// SHOWRESULTS is a logged, cost-charged action like any other;
-		// journal it so a recovered session's cost accounting matches.
-		s.journalActionsLocked(r.URL.Query().Get("session"), sess)
-	}
-	sess.mu.Unlock()
+	ids, err := s.showResults(r.URL.Query().Get("session"), sess, node)
 	if err != nil {
 		httpError(w, http.StatusUnprocessableEntity, err)
 		return
@@ -679,13 +653,9 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Disposition", `attachment; filename="bionav-session.json"`)
-	sess.mu.Lock()
-	err = sess.nav.Export(w)
-	sess.mu.Unlock()
-	if err != nil {
-		// Headers already sent; nothing more we can do but log-worthy drop.
-		return
-	}
+	// Headers are already sent, so an export error has no status left to
+	// report; the client sees a truncated body.
+	_ = sess.export(w)
 }
 
 // importRequest re-runs an exported session against a fresh query.
@@ -716,9 +686,7 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 	sess := &session{nav: restored, st: st, keywords: req.Keywords, lastUsed: time.Now()}
 	id := s.register(sess)
 	s.journalCreate(id, req.Keywords, st.snap.Epoch)
-	sess.mu.Lock()
-	s.journalActionsLocked(id, sess) // the imported history is this session's log
-	sess.mu.Unlock()
+	s.journalActions(id, sess) // the imported history is this session's log
 	s.writeState(w, r, id, sess)
 }
 
@@ -898,15 +866,70 @@ func (s *Server) evictLocked() []string {
 	return closed
 }
 
+// --- locked sections ---
+//
+// Each one takes sess.mu and releases it by defer: a panic while the lock
+// is held, which the recovery middleware answers with a 500, must not
+// leave the session locked for good.
+
+// act runs op on sess's navigation under sess.mu. When op succeeds, the
+// new log entries are journaled and the new state is rendered under the
+// same lock. A failed op answers 422. A session the TTL sweep reaped
+// while op ran answers 404: success for a dead session would be a lie.
+func (s *Server) act(id string, sess *session, op func(*navigate.Session) error) (stateResponse, int, error) {
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	if err := op(sess.nav); err != nil {
+		return stateResponse{}, http.StatusUnprocessableEntity, err
+	}
+	if sess.expired.Load() {
+		return stateResponse{}, http.StatusNotFound, errNoSession
+	}
+	s.journalActionsLocked(id, sess)
+	return s.stateLocked(id, sess), http.StatusOK, nil
+}
+
+// showResults runs SHOWRESULTS on sess. It is a logged, cost-charged
+// action like any other, so it is journaled: a recovered session's cost
+// accounting must match.
+func (s *Server) showResults(id string, sess *session, node navtree.NodeID) ([]corpus.CitationID, error) {
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	ids, err := sess.nav.ShowResults(node)
+	if err == nil {
+		s.journalActionsLocked(id, sess)
+	}
+	return ids, err
+}
+
+// journalActions journals sess's not-yet-durable log entries.
+func (s *Server) journalActions(id string, sess *session) {
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	s.journalActionsLocked(id, sess)
+}
+
+// render renders sess's navigation state.
+func (s *Server) render(id string, sess *session) stateResponse {
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	return s.stateLocked(id, sess)
+}
+
+// export writes sess's action history as JSON.
+func (sess *session) export(w io.Writer) error {
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	return sess.nav.Export(w)
+}
+
 // --- rendering ---
 
 // writeState renders the navigation state of sess, which the request
 // created as session id, even if a burst of newer sessions has already
 // evicted it; ?debug=trace attaches the request's span tree.
 func (s *Server) writeState(w http.ResponseWriter, r *http.Request, id string, sess *session) {
-	sess.mu.Lock()
-	resp := s.stateLocked(id, sess)
-	sess.mu.Unlock()
+	resp := s.render(id, sess)
 	if r.URL.Query().Get("debug") == "trace" {
 		resp.Trace = obs.FromContext(r.Context()).Summary()
 	}

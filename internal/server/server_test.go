@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -387,6 +388,70 @@ func TestExportImportRoundTrip(t *testing.T) {
 	r3.Body.Close()
 	if r3.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("bad import status %d", r3.StatusCode)
+	}
+}
+
+// rootExpansion starts a session for term on ts, EXPANDs its root and
+// returns the session ID and the revealed children.
+func rootExpansion(t *testing.T, ts, term string) (string, []int) {
+	t.Helper()
+	_, raw := postJSON(t, ts+"/api/query", map[string]string{"keywords": term})
+	var id string
+	if err := json.Unmarshal(raw["session"], &id); err != nil {
+		t.Fatal(err)
+	}
+	resp, raw := postJSON(t, ts+"/api/expand", map[string]any{"session": id, "node": 0})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("expand status %d: %s", resp.StatusCode, raw["error"])
+	}
+	var state struct {
+		Tree struct {
+			Children []struct {
+				Node int `json:"node"`
+			} `json:"children"`
+		} `json:"tree"`
+	}
+	reencode(t, raw, &state)
+	var kids []int
+	for _, c := range state.Tree.Children {
+		kids = append(kids, c.Node)
+	}
+	sort.Ints(kids)
+	return id, kids
+}
+
+// TestImportCannotPoisonCutMemo: an imported session's recorded cuts
+// never enter the cut memo its navigation tree shares with every session
+// on the query. The import records the static all-children cut of the
+// root, taken from a static-policy server; a fresh session on the same
+// cached tree must still get the heuristic's root cut, the one a server
+// that never saw the import picks.
+func TestImportCannotPoisonCutMemo(t *testing.T) {
+	srv, ts := testServer(t, Config{})
+	term := queryTerm(srv)
+	_, static := testServer(t, Config{Policy: "static"})
+	staticID, staticKids := rootExpansion(t, static.URL, term)
+	code, exported := exportSession(t, static.URL, staticID)
+	if code != http.StatusOK {
+		t.Fatalf("export status %d", code)
+	}
+	_, clean := testServer(t, Config{})
+	_, want := rootExpansion(t, clean.URL, term)
+	if fmt.Sprint(want) == fmt.Sprint(staticKids) {
+		t.Fatal("fixture: the heuristic picks the static cut, so the import cannot differ from it")
+	}
+
+	body, _ := json.Marshal(map[string]any{"keywords": term, "session": json.RawMessage(exported)})
+	resp, err := http.Post(ts.URL+"/api/import", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("import status %d", resp.StatusCode)
+	}
+	if _, got := rootExpansion(t, ts.URL, term); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("fresh session after the import revealed %v, want the heuristic's %v (the import recorded %v)", got, want, staticKids)
 	}
 }
 
