@@ -126,7 +126,7 @@ load-bench:
 # Machine-readable core benchmark run, for before/after comparisons.
 # Includes the navigation-tree build benchmarks, the
 # instrumentation-overhead benchmark from the repo root, the
-# session-replay (solver-cache) benchmarks from internal/navigate, plus a
+# session-replay (cut-memo) benchmarks from internal/navigate, plus a
 # GOMAXPROCS=4 pass of the solve-pool benchmarks so the recorded
 # speedup-x / dp-speedup-x metrics reflect the parallel configuration.
 # Ends by validating the appended file's JSONL integrity (bench-check).
