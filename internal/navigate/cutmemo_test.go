@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"bionav/internal/check"
 	"bionav/internal/core"
 	"bionav/internal/corpus"
 	"bionav/internal/hierarchy"
@@ -234,6 +235,98 @@ func TestSolverCacheBatchReplay(t *testing.T) {
 	if got := s.Active().VisibleRoots(); len(got) != 1 || got[0] != nav.Root() {
 		t.Fatalf("visible roots after full unwind = %v", got)
 	}
+}
+
+// plantBadCut memoizes, under n's key for p, a cut listing one of n's
+// child edges twice, which no EXPAND accepts, and returns the key.
+func plantBadCut(t *testing.T, at *core.ActiveTree, p core.Policy, n navtree.NodeID) core.MemoKey {
+	t.Helper()
+	k, ok := at.MemoKey(p, n)
+	if !ok {
+		t.Fatalf("component %d has no memo key", n)
+	}
+	e := core.Edge{Parent: n, Child: at.Nav().Children(n)[0]}
+	at.Memoize(k, []core.Edge{e, e})
+	return k
+}
+
+// TestCutMemoBadCutFallsBack: a memoized cut that is not a valid EdgeCut
+// of its component is dropped and the component solved, on the single and
+// the batch EXPAND path, and the solved cut takes its place in the memo.
+func TestCutMemoBadCutFallsBack(t *testing.T) {
+	var solves atomic.Int64
+	policy := countingPolicy{core.NewHeuristicReducedOpt(), &solves}
+
+	t.Run("expand", func(t *testing.T) {
+		if check.Enabled {
+			t.Skip("deep-assertion builds panic on an invalid memo hit")
+		}
+		nav := buildNav(t, 307, 180, 30)
+		s := NewSession(nav, policy)
+		want, err := freshCut(s, nav.Root())
+		if err != nil {
+			t.Fatal(err)
+		}
+		plantBadCut(t, s.Active(), policy, nav.Root())
+		solves0, miss0 := solves.Load(), memoMisses.Value()
+		got, err := s.Expand(nav.Root())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) || solves.Load() != solves0+1 || memoMisses.Value() != miss0+1 {
+			t.Fatalf("EXPAND over a bad memo cut revealed %v after %d solves and %d misses; want %v from one solve and one miss",
+				got, solves.Load()-solves0, memoMisses.Value()-miss0, want)
+		}
+		if again, err := NewSession(nav, policy).Expand(nav.Root()); err != nil || !reflect.DeepEqual(again, want) || solves.Load() != solves0+1 {
+			t.Fatalf("second session: %v, revealed %v after %d solves; want a hit revealing %v", err, again, solves.Load()-solves0, want)
+		}
+	})
+
+	t.Run("batch", func(t *testing.T) {
+		nav := buildNav(t, 307, 180, 30)
+		s := NewSession(nav, policy)
+		res, err := s.Expand(nav.Root())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var roots []navtree.NodeID
+		var want [][]navtree.NodeID
+		for _, r := range res {
+			if s.Active().ComponentSize(r) >= 2 {
+				cut, err := freshCut(s, r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				roots, want = append(roots, r), append(want, cut)
+			}
+		}
+		if len(roots) == 0 {
+			t.Skip("fixture revealed no expandable component")
+		}
+		k := plantBadCut(t, s.Active(), policy, roots[0])
+		solves0 := solves.Load()
+		out, err := s.ExpandBatchContext(context.Background(), nil, roots)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, cr := range out {
+			if cr.Degraded || !reflect.DeepEqual(cr.Revealed, want[i]) {
+				t.Fatalf("component %d revealed %v (%+v), want %v", cr.Node, cr.Revealed, cr.ExpandResult, want[i])
+			}
+		}
+		if got := solves.Load() - solves0; got != int64(len(roots)) {
+			t.Fatalf("batch over %d roots, one with a bad memo cut, solved %d", len(roots), got)
+		}
+		cut, ok := s.Active().MemoCut(k)
+		var kids []navtree.NodeID
+		for _, e := range cut {
+			kids = append(kids, e.Child)
+		}
+		sort.Ints(kids)
+		if !ok || !reflect.DeepEqual(kids, want[0]) {
+			t.Fatalf("the memo holds %v, %v for component %d; want the solved cut %v", cut, ok, roots[0], want[0])
+		}
+	})
 }
 
 // smallNav generates a navigation tree of 16 nodes, within Opt-EdgeCut's
