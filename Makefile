@@ -102,11 +102,12 @@ parallel-test:
 # copy-on-write snapshot/index/corpus deltas, ingest-log durability and
 # replay, codec strict-ascent validation, torn-tail accounting,
 # last-wins upserts, epoch-keyed nav-cache invalidation, the pinned
-# mid-session acceptance contract, and recovery epoch misses
+# mid-session acceptance contract, recovery epoch misses, and the
+# exhaustive crash-point test of the log format every durable file uses
 # (DESIGN.md §12, docs/RESILIENCE.md §5).
 ingest-test:
-	$(GO) test -race -run 'Ingest|Snapshot|Epoch|CitationCodec|CitationReader|LastWin|TornTail|Delta|Apply' \
-		./internal/store ./internal/index ./internal/corpus ./internal/navtree ./internal/server
+	$(GO) test -race -run 'Ingest|Snapshot|Epoch|CitationCodec|CitationReader|LastWin|TornTail|Delta|Apply|CrashPoint' \
+		./internal/store ./internal/index ./internal/corpus ./internal/navtree ./internal/server ./internal/wal
 
 # Load-harness gate: the fixed-seed open-loop smoke (nonzero successes,
 # zero unexpected failures against an in-process server), the session

@@ -1,14 +1,20 @@
 package journal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"log/slog"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
+
+	"bionav/internal/wal"
 )
 
 func mustOpen(t *testing.T, dir string, opts Options) *Journal {
@@ -109,7 +115,7 @@ func newestSegment(t *testing.T, dir string) string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.Size() > int64(len(segMagic)) && (newest == "" || p > newest) {
+		if st.Size() > int64(len(wal.Magic)) && (newest == "" || p > newest) {
 			newest, size = p, st.Size()
 		}
 	}
@@ -197,9 +203,9 @@ func TestMidJournalCorruptionDropsLaterSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	firstLen := binary.LittleEndian.Uint32(b[len(segMagic):])
-	off := len(segMagic) + frameHeader + int(firstLen)
-	binary.LittleEndian.PutUint32(b[off:], maxFrame+1)
+	firstLen := binary.LittleEndian.Uint32(b[len(wal.Magic):])
+	off := len(wal.Magic) + wal.HeaderLen + int(firstLen)
+	binary.LittleEndian.PutUint32(b[off:], wal.MaxRecord+1)
 	if err := os.WriteFile(first, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -215,6 +221,115 @@ func TestMidJournalCorruptionDropsLaterSegments(t *testing.T) {
 	// Only the truncated first segment and the freshly opened one remain.
 	if len(segs2) != 2 {
 		t.Fatalf("later segments not dropped: %v", segs2)
+	}
+}
+
+// TestSegmentWithoutMagicRecovered: a segment shorter than its magic — a
+// crash between creating a segment and writing the magic — is repaired by
+// the Open that finds it, counted once, and never again taken for
+// mid-journal corruption: the records appended after that Open survive the
+// next one.
+func TestSegmentWithoutMagicRecovered(t *testing.T) {
+	for _, tc := range []struct{ name, stub string }{{"empty", ""}, {"partial magic", wal.Magic[:2]}} {
+		stub := tc.stub
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			j := mustOpen(t, dir, Options{Fsync: FsyncAlways})
+			appendN(t, j, 3)
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, "journal-00000002.wal"), []byte(stub), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			j2 := mustOpen(t, dir, Options{Fsync: FsyncAlways})
+			if len(j2.Recovered()) != 3 || j2.TornTails() != 1 {
+				t.Fatalf("open over the stub: %d records, %d torn tails; want 3, 1",
+					len(j2.Recovered()), j2.TornTails())
+			}
+			appendN(t, j2, 2)
+			if err := j2.Close(); err != nil {
+				t.Fatal(err)
+			}
+			j3 := mustOpen(t, dir, Options{})
+			if len(j3.Recovered()) != 5 || j3.TornTails() != 0 {
+				t.Fatalf("next open: %d records, %d torn tails; want 5, 0",
+					len(j3.Recovered()), j3.TornTails())
+			}
+		})
+	}
+}
+
+// TestLegacySegmentRefused: a segment in the retired BNAVWAL1 format
+// (8-byte magic, IEEE CRC frames) is not read. It is counted as one torn
+// tail, logged once by name and rewritten empty, so the next Open is clean.
+func TestLegacySegmentRefused(t *testing.T) {
+	dir := t.TempDir()
+	legacy := bytes.NewBufferString("BNAVWAL1")
+	for i := 0; i < 3; i++ {
+		payload, err := json.Marshal(rec(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var hdr [8]byte
+		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+		binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
+		legacy.Write(hdr[:])
+		legacy.Write(payload)
+	}
+	seg := filepath.Join(dir, "journal-00000001.wal")
+	if err := os.WriteFile(seg, legacy.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var logs bytes.Buffer
+	j := mustOpen(t, dir, Options{Logger: slog.New(slog.NewTextHandler(&logs, nil))})
+	if len(j.Recovered()) != 0 || j.TornTails() != 1 {
+		t.Fatalf("legacy segment: %d records, %d torn tails; want 0, 1", len(j.Recovered()), j.TornTails())
+	}
+	if n := strings.Count(logs.String(), seg); n != 1 || !strings.Contains(logs.String(), "level=WARN") {
+		t.Fatalf("want one warning naming %s, got:\n%s", seg, logs.String())
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j2 := mustOpen(t, dir, Options{})
+	if len(j2.Recovered()) != 0 || j2.TornTails() != 0 {
+		t.Fatalf("second open: %d records, %d torn tails; want 0, 0", len(j2.Recovered()), j2.TornTails())
+	}
+}
+
+// TestAppendAfterWriteErrorStartsFreshSegment: a real write failure
+// poisons the segment's writer — nothing after a partial frame is
+// readable — so the next append moves to a fresh segment, and both the
+// records before the failure and those after it recover.
+func TestAppendAfterWriteErrorStartsFreshSegment(t *testing.T) {
+	dir := t.TempDir()
+	j := mustOpen(t, dir, Options{Fsync: FsyncOff})
+	appendN(t, j, 2)
+	j.mu.Lock()
+	seg := j.seg
+	j.w.Close() // the segment's file is gone: the next write fails
+	j.mu.Unlock()
+	if err := j.Append(rec(2)); err == nil {
+		t.Fatal("append to a closed segment succeeded")
+	}
+	if err := j.Append(rec(3)); err != nil {
+		t.Fatalf("append after a failed write: %v", err)
+	}
+	j.mu.Lock()
+	moved := j.seg != seg
+	j.mu.Unlock()
+	if !moved {
+		t.Fatal("append after a failed write stayed in the poisoned segment")
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j2 := mustOpen(t, dir, Options{})
+	got := j2.Recovered()
+	if len(got) != 3 || got[2].At != rec(3).At || j2.TornTails() != 0 {
+		t.Fatalf("recovered %+v with %d torn tails, want records 0, 1, 3 and none", got, j2.TornTails())
 	}
 }
 

@@ -1,17 +1,22 @@
 package store
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
 	"sort"
 	"strings"
+
+	"bionav/internal/wal"
 )
 
-// A DB is a directory of table files (<name>.tbl). Writing and reading are
-// separate phases, matching BioNav's off-line preprocessing / on-line
-// lookup split: a Writer creates tables once; Open then serves them.
+// A DB is a directory of table files (<name>.tbl), each an internal/wal
+// log of records. Writing and reading are separate phases, matching
+// BioNav's off-line preprocessing / on-line lookup split: a Writer creates
+// tables once; Open then serves them.
 
 const tableSuffix = ".tbl"
 
@@ -20,7 +25,7 @@ var tableNameRE = regexp.MustCompile(`^[a-z][a-z0-9_-]*$`)
 // Writer creates a database directory and its tables.
 type Writer struct {
 	dir    string
-	tables map[string]*LogWriter
+	tables map[string]*wal.Writer
 }
 
 // NewWriter prepares dir (creating it if needed) for table creation.
@@ -38,27 +43,27 @@ func NewWriter(dir string) (*Writer, error) {
 			return nil, fmt.Errorf("store: clean %s: %w", p, err)
 		}
 	}
-	return &Writer{dir: dir, tables: make(map[string]*LogWriter)}, nil
+	return &Writer{dir: dir, tables: make(map[string]*wal.Writer)}, nil
 }
 
 // CreateTable opens a new table for appending. Table names are restricted
 // to lowercase identifiers to keep paths portable.
-func (w *Writer) CreateTable(name string) (*LogWriter, error) {
+func (w *Writer) CreateTable(name string) (*wal.Writer, error) {
 	if !tableNameRE.MatchString(name) {
 		return nil, fmt.Errorf("store: invalid table name %q", name)
 	}
 	if _, dup := w.tables[name]; dup {
 		return nil, fmt.Errorf("store: table %q already created", name)
 	}
-	lw, err := CreateLog(filepath.Join(w.dir, name+tableSuffix))
+	tw, err := wal.OpenWriter(filepath.Join(w.dir, name+tableSuffix), 0)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("store: create table: %w", err)
 	}
-	w.tables[name] = lw
-	return lw, nil
+	w.tables[name] = tw
+	return tw, nil
 }
 
-// Close closes every table, reporting the first error.
+// Close fsyncs and closes every table, reporting the first error.
 func (w *Writer) Close() error {
 	names := make([]string, 0, len(w.tables))
 	for n := range w.tables {
@@ -67,7 +72,11 @@ func (w *Writer) Close() error {
 	sort.Strings(names)
 	var first error
 	for _, n := range names {
-		if err := w.tables[n].Close(); err != nil && first == nil {
+		err := w.tables[n].Sync()
+		if cerr := w.tables[n].Close(); err == nil {
+			err = cerr
+		}
+		if err != nil && first == nil {
 			first = err
 		}
 	}
@@ -113,5 +122,29 @@ func (db *DB) ForEach(table string, fn func(payload []byte) error) error {
 	if !db.HasTable(table) {
 		return fmt.Errorf("store: no table %q in %s", table, db.dir)
 	}
-	return ReadLog(filepath.Join(db.dir, table+tableSuffix), fn)
+	_, err := readLog(filepath.Join(db.dir, table+tableSuffix), false,
+		func(_ int64, payload []byte) error { return fn(payload) })
+	return err
+}
+
+// readLog streams the records of the store log at path through fn and
+// applies the store's recovery policy to where the scan stopped. A torn
+// tail — a crash mid-append — ends the log and is counted in
+// bionav_store_torn_tails_total; corruption is ErrCorrupt. A base table
+// without a valid magic is corrupt, while an ingest log that is missing,
+// or shorter than its magic (a crash right after creating it), holds no
+// records. It returns the end of the valid prefix.
+func readLog(path string, ingest bool, fn func(off int64, payload []byte) error) (int64, error) {
+	end, st, err := wal.Scan(path, fn)
+	switch {
+	case ingest && errors.Is(err, fs.ErrNotExist):
+		return 0, nil
+	case err != nil:
+		return 0, err
+	case st == wal.Corrupt || (end == 0 && !ingest):
+		return 0, fmt.Errorf("%w: %s: %v at offset %d", ErrCorrupt, path, st, end)
+	case st == wal.Torn && end > 0:
+		storeTornTails.Inc()
+	}
+	return end, nil
 }

@@ -142,15 +142,8 @@ func FuzzCitationCodec(f *testing.F) {
 // panic, and any error must wrap ErrCorrupt (torn tails return nil).
 func FuzzReadLog(f *testing.F) {
 	// Seed with a valid two-record log.
-	dir := f.TempDir()
-	path := filepath.Join(dir, "seed.tbl")
-	w, err := CreateLog(path)
-	if err != nil {
-		f.Fatal(err)
-	}
-	_ = w.Append([]byte("hello"))
-	_ = w.Append(bytes.Repeat([]byte{7}, 100))
-	_ = w.Close()
+	path := filepath.Join(f.TempDir(), "seed.tbl")
+	createLog(f, path, []byte("hello"), bytes.Repeat([]byte{7}, 100))
 	valid, err := os.ReadFile(path)
 	if err != nil {
 		f.Fatal(err)
@@ -165,7 +158,7 @@ func FuzzReadLog(f *testing.F) {
 		if err := os.WriteFile(p, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := ReadLog(p, func([]byte) error { return nil }); err != nil {
+		if err := readTable(p, func([]byte) error { return nil }); err != nil {
 			requireCorrupt(t, err)
 		}
 	})

@@ -309,6 +309,56 @@ func TestOpenLiveTruncatesTornIngestTail(t *testing.T) {
 	}
 }
 
+// TestOpenLiveIngestLogEnds pins the ingest log's recovery policy beyond
+// torn tails: a log shorter than its magic — a crash right after creating
+// it — holds no batches and is recreated, and a corrupt frame mid-log fails
+// the open with ErrCorrupt rather than serving a partial history.
+func TestOpenLiveIngestLogEnds(t *testing.T) {
+	ds := testDataset(t)
+	dir := t.TempDir()
+	if err := ds.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, tableIngest+tableSuffix)
+	if err := os.WriteFile(path, []byte("BN"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	live, err := OpenLive(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, term := range []string{"wombat", "echidna"} {
+		if _, err := live.Ingest([]corpus.Citation{ingestCitation(900050+int64(i), term, i+1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := live.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenLive(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := re.Current().Epoch; got != 2 {
+		t.Fatalf("epoch %d over a recreated log, want 2", got)
+	}
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[4+8+2] ^= 0xff // the first batch's payload; the second follows it
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenLive(dir); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("OpenLive over a corrupt batch: %v, want ErrCorrupt", err)
+	}
+}
+
 // TestFaultIngest arms the store/ingest failpoint: Live.Ingest must fail
 // cleanly — no snapshot published, no epoch bump, no log growth — and
 // recover the moment the fault is disarmed.

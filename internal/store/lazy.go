@@ -3,23 +3,24 @@ package store
 import (
 	"container/list"
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
 
 	"bionav/internal/corpus"
+	"bionav/internal/wal"
 )
 
 // CitationReader serves point lookups of citations straight from the
 // database files, without materializing the corpus in memory — the serving
 // role the paper's Oracle database plays for SHOWRESULTS/ESummary against
 // 18M-citation MEDLINE. Opening scans the citation table (and, when
-// present, the ingest log) once to build an in-memory (ID → file location)
-// index; Get then costs one ReadAt plus decode, front-ended by a small
-// LRU cache.
+// present, the ingest log) once, verifying every frame as LoadDataset
+// does, to build an in-memory (ID → file location) index; Get then costs
+// one ReadAt plus decode, front-ended by a small LRU cache.
 //
 // Frames index in storage order — base citations table first, then the
 // ingest log's batches — and a later frame for an already-seen citation
@@ -28,7 +29,8 @@ import (
 // on: re-ingesting a citation ID supersedes the stored record without
 // rewriting the base table, and a reader opened afterwards serves the
 // newest version. Torn tails (crash artifacts mid-append) end the scan
-// and are counted by bionav_store_torn_tails_total.
+// and are counted by bionav_store_torn_tails_total. The scans only read:
+// a reader may open while Live appends to the ingest log.
 //
 // CitationReader is safe for concurrent use. The location index is fixed
 // at open: batches ingested later are served only by a reader reopened
@@ -50,7 +52,8 @@ type recordLoc struct {
 }
 
 // OpenCitationReader indexes dir's citation table plus its ingest log.
-// cacheSize bounds the decoded-citation LRU (0 disables caching).
+// cacheSize bounds the decoded-citation LRU (0 disables caching). A
+// corrupt frame in either file fails the open with ErrCorrupt.
 func OpenCitationReader(dir string, cacheSize int) (*CitationReader, error) {
 	path := filepath.Join(dir, tableCitations+tableSuffix)
 	f, err := os.Open(path)
@@ -62,140 +65,47 @@ func OpenCitationReader(dir string, cacheSize int) (*CitationReader, error) {
 		offsets: make(map[corpus.CitationID]recordLoc),
 		cache:   newLRU(cacheSize),
 	}
-	if err := r.buildIndex(); err != nil {
+	if err := r.buildIndex(dir); err != nil {
 		r.Close()
 		return nil, err
 	}
 	return r, nil
 }
 
-// buildIndex scans record frames, decoding only the leading citation-ID
-// varint of each payload. CRCs are stored and verified lazily on Get, so
-// the scan is one sequential pass reading 8+10 bytes per record.
-func (r *CitationReader) buildIndex() error {
-	var magic [4]byte
-	if _, err := io.ReadFull(r.f, magic[:]); err != nil || magic != tableMagic {
-		return fmt.Errorf("%w: citations table: bad magic", ErrCorrupt)
-	}
-	fi, err := r.f.Stat()
-	if err != nil {
-		return fmt.Errorf("store: index citations: %w", err)
-	}
-	size := fi.Size()
-	offset := int64(len(magic))
-	var hdr [8]byte
-	var lead [binary.MaxVarintLen64]byte
-	for offset < size {
-		if size-offset < 8 {
-			storeTornTails.Inc() // partial header at the tail
-			break
-		}
-		if _, err := r.f.ReadAt(hdr[:], offset); err != nil {
-			return fmt.Errorf("store: index citations: %w", err)
-		}
-		length := binary.LittleEndian.Uint32(hdr[0:4])
-		crc := binary.LittleEndian.Uint32(hdr[4:8])
-		if length > maxRecordSize {
-			return fmt.Errorf("%w: citations table: record claims %d bytes", ErrCorrupt, length)
-		}
-		if offset+8+int64(length) > size {
-			storeTornTails.Inc() // record torn mid-payload
-			break
-		}
-		n := int(length)
-		if n > len(lead) {
-			n = len(lead)
-		}
-		if _, err := r.f.ReadAt(lead[:n], offset+8); err != nil {
-			return fmt.Errorf("store: index citations: %w", err)
-		}
-		id, vn := binary.Varint(lead[:n])
+// buildIndex records each citation's location and checksum, decoding only
+// the leading citation-ID varint of each base record. Get re-verifies the
+// checksum against the bytes it reads.
+func (r *CitationReader) buildIndex(dir string) error {
+	_, err := readLog(r.f.Name(), false, func(off int64, payload []byte) error {
+		id, vn := binary.Varint(payload)
 		if vn <= 0 {
-			return fmt.Errorf("%w: citations table: record at %d has no ID", ErrCorrupt, offset)
+			return fmt.Errorf("%w: citations table: record at %d has no ID", ErrCorrupt, off)
 		}
 		// Duplicate IDs last-win (upsert): a later frame supersedes.
-		r.offsets[corpus.CitationID(id)] = recordLoc{offset: offset + 8, length: length, crc: crc}
-		offset += 8 + int64(length)
-	}
-	return r.indexIngestLog(filepath.Dir(r.f.Name()))
-}
-
-// indexIngestLog overlays the ingest log's citations onto the offset
-// index, so point lookups serve the ingested (and upserted) records. Each
-// log frame is one batch: a citation count followed by length-prefixed
-// sub-records. The frame CRC is verified during the scan; per-citation
-// CRCs are computed here and re-verified lazily on Get like base records.
-func (r *CitationReader) indexIngestLog(dir string) error {
-	path := filepath.Join(dir, tableIngest+tableSuffix)
-	f, err := os.Open(path)
+		r.offsets[corpus.CitationID(id)] = recordLoc{offset: off, length: uint32(len(payload)), crc: wal.Checksum(payload)}
+		return nil
+	})
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
+		return err
+	}
+	ing, err := os.Open(filepath.Join(dir, tableIngest+tableSuffix))
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
 		return fmt.Errorf("store: open ingest log: %w", err)
 	}
-	r.ing = f
-	var magic [4]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil // freshly created, magic not yet flushed: no batches
-		}
-		return fmt.Errorf("store: index ingest log: %w", err)
-	}
-	if magic != tableMagic {
-		return fmt.Errorf("%w: ingest log: bad magic", ErrCorrupt)
-	}
-	fi, err := f.Stat()
-	if err != nil {
-		return fmt.Errorf("store: index ingest log: %w", err)
-	}
-	size := fi.Size()
-	offset := int64(len(magic))
-	var hdr [8]byte
-	var buf []byte
-	for offset < size {
-		if size-offset < 8 {
-			storeTornTails.Inc()
-			break
-		}
-		if _, err := f.ReadAt(hdr[:], offset); err != nil {
-			return fmt.Errorf("store: index ingest log: %w", err)
-		}
-		length := binary.LittleEndian.Uint32(hdr[0:4])
-		want := binary.LittleEndian.Uint32(hdr[4:8])
-		if length > maxRecordSize {
-			return fmt.Errorf("%w: ingest log: record claims %d bytes", ErrCorrupt, length)
-		}
-		if offset+8+int64(length) > size {
-			storeTornTails.Inc()
-			break
-		}
-		if cap(buf) < int(length) {
-			buf = make([]byte, length)
-		}
-		buf = buf[:length]
-		if _, err := f.ReadAt(buf, offset+8); err != nil {
-			return fmt.Errorf("store: index ingest log: %w", err)
-		}
-		if got := crc32.Checksum(buf, castagnoli); got != want {
-			if offset+8+int64(length) == size {
-				storeTornTails.Inc() // torn final frame
-				break
-			}
-			return fmt.Errorf("%w: ingest log: frame at %d checksum %08x != %08x", ErrCorrupt, offset, got, want)
-		}
-		if err := r.indexBatchFrame(buf, offset+8); err != nil {
-			return err
-		}
-		offset += 8 + int64(length)
-	}
-	return nil
+	r.ing = ing
+	_, err = readLog(ing.Name(), true, r.indexBatchFrame)
+	return err
 }
 
-// indexBatchFrame walks one CRC-verified batch payload, registering each
-// sub-record's absolute location. payloadOff is the payload's offset in
-// the ingest log file.
-func (r *CitationReader) indexBatchFrame(payload []byte, payloadOff int64) error {
+// indexBatchFrame overlays one ingest-log batch onto the offset index, so
+// point lookups serve the ingested (and upserted) records. A batch payload
+// is a citation count followed by length-prefixed sub-records; payloadOff
+// is the payload's offset in the ingest log file. Per-citation checksums
+// are computed here and re-verified on Get like base records.
+func (r *CitationReader) indexBatchFrame(payloadOff int64, payload []byte) error {
 	pos := 0
 	cnt, n := binary.Uvarint(payload)
 	if n <= 0 {
@@ -216,7 +126,7 @@ func (r *CitationReader) indexBatchFrame(payload []byte, payloadOff int64) error
 		r.offsets[corpus.CitationID(id)] = recordLoc{
 			offset: payloadOff + int64(pos),
 			length: uint32(slen),
-			crc:    crc32.Checksum(rec, castagnoli),
+			crc:    wal.Checksum(rec),
 			ing:    true,
 		}
 		pos += int(slen)
@@ -257,7 +167,7 @@ func (r *CitationReader) Get(id corpus.CitationID) (*corpus.Citation, error) {
 	if _, err := src.ReadAt(buf, loc.offset); err != nil {
 		return nil, fmt.Errorf("store: read citation %d: %w", id, err)
 	}
-	if got := crc32.Checksum(buf, castagnoli); got != loc.crc {
+	if got := wal.Checksum(buf); got != loc.crc {
 		return nil, fmt.Errorf("%w: citation %d checksum %08x != %08x", ErrCorrupt, id, got, loc.crc)
 	}
 	c, err := decodeCitation(buf)

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"bionav/internal/wal"
 )
 
 func lazyFixture(t *testing.T) (string, *Dataset) {
@@ -100,23 +102,48 @@ func TestCitationReaderZeroCache(t *testing.T) {
 	}
 }
 
+// flipCitationByte flips a byte beyond the leading varint of the first
+// citation record's payload.
+func flipCitationByte(t *testing.T, dir string) {
+	t.Helper()
+	f, err := os.OpenFile(filepath.Join(dir, "citations.tbl"), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	b := make([]byte, 1)
+	if _, err := f.ReadAt(b, 4+8+6); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0xff
+	if _, err := f.WriteAt(b, 4+8+6); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCitationReaderOpenDetectsCorruption: the open scan verifies every
+// frame, as LoadDataset does over the same file.
+func TestCitationReaderOpenDetectsCorruption(t *testing.T) {
+	dir, _ := lazyFixture(t)
+	flipCitationByte(t, dir)
+	if r, err := OpenCitationReader(dir, 4); !errors.Is(err, ErrCorrupt) {
+		if err == nil {
+			r.Close()
+		}
+		t.Fatalf("open over a corrupted record: %v, want ErrCorrupt", err)
+	}
+}
+
+// TestCitationReaderDetectsCorruption: a record corrupted after the open
+// fails its own Get; the others stay readable.
 func TestCitationReaderDetectsCorruption(t *testing.T) {
 	dir, ds := lazyFixture(t)
-	path := filepath.Join(dir, "citations.tbl")
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Flip a byte beyond the leading varint of the first record's payload.
-	data[4+8+6] ^= 0xff
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
 	r, err := OpenCitationReader(dir, 4)
 	if err != nil {
-		t.Fatal(err) // index build skips CRC; corruption surfaces on Get
+		t.Fatal(err)
 	}
 	defer r.Close()
+	flipCitationByte(t, dir)
 	if _, err := r.Get(ds.Corpus.At(0).ID); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Get on corrupted record: %v", err)
 	}
@@ -166,7 +193,11 @@ func TestCitationReaderDuplicateFramesLastWin(t *testing.T) {
 	updated := *first
 	updated.Title = "superseded title, version two"
 
-	w, err := OpenLogAppend(path)
+	end, _, err := wal.Scan(path, func(int64, []byte) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := wal.OpenWriter(path, end)
 	if err != nil {
 		t.Fatal(err)
 	}

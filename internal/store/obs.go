@@ -16,7 +16,7 @@ var (
 	citationCacheMisses = obs.Default.Counter("bionav_citation_cache_misses_total",
 		"CitationReader point lookups that read and decoded from disk.")
 	storeTornTails = obs.Default.Counter("bionav_store_torn_tails_total",
-		"Torn table-log tails (crash artifacts) truncated while scanning store files.")
+		"Torn tails (crash artifacts) found while scanning store logs: base tables, ingest log.")
 	ingestBatches = obs.Default.CounterVec("bionav_ingest_batches_total",
 		"Ingest batches by outcome (ok, error).", "outcome")
 	ingestCitations = obs.Default.Counter("bionav_ingest_citations_total",

@@ -2,11 +2,14 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 	"testing/quick"
+
+	"bionav/internal/wal"
 )
 
 func TestCodecRoundTrip(t *testing.T) {
@@ -96,27 +99,40 @@ func TestDecoderFinishDetectsTrailing(t *testing.T) {
 	}
 }
 
-func TestLogRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "x.tbl")
-	w, err := CreateLog(path)
+// createLog writes a store log holding payloads, as a table Writer does.
+func createLog(t testing.TB, path string, payloads ...[]byte) {
+	t.Helper()
+	w, err := wal.OpenWriter(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := [][]byte{[]byte("alpha"), {}, []byte("gamma with a longer payload")}
-	for _, rec := range want {
-		if err := w.Append(rec); err != nil {
+	for _, p := range payloads {
+		if err := w.Append(p); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if w.Records() != 3 {
-		t.Fatalf("Records = %d", w.Records())
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// readTable reads a base table through the store's recovery policy.
+func readTable(path string, fn func(payload []byte) error) error {
+	_, err := readLog(path, false, func(_ int64, p []byte) error { return fn(p) })
+	return err
+}
+
+func TestLogRoundTrip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "x.tbl")
+	want := [][]byte{[]byte("alpha"), {}, []byte("gamma with a longer payload")}
+	createLog(t, path, want...)
+	n := 0
+	if _, st, err := wal.Scan(path, func(int64, []byte) error { n++; return nil }); err != nil || st != wal.Clean || n != 3 {
+		t.Fatalf("Scan = %d records, %v, %v", n, st, err)
+	}
 
 	var got [][]byte
-	err = ReadLog(path, func(p []byte) error {
+	err := readTable(path, func(p []byte) error {
 		got = append(got, append([]byte(nil), p...))
 		return nil
 	})
@@ -135,75 +151,72 @@ func TestLogRoundTrip(t *testing.T) {
 
 func TestLogTornTailRecovered(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "x.tbl")
-	w, err := CreateLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var recs [][]byte
 	for i := 0; i < 5; i++ {
-		if err := w.Append([]byte("record-payload-0123456789")); err != nil {
-			t.Fatal(err)
-		}
+		recs = append(recs, []byte("record-payload-0123456789"))
 	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
+	createLog(t, path, recs...)
 	full, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Truncate at every possible byte boundary inside the last record; the
-	// reader must always recover the first four records and never error.
+	// reader must always recover the first four records, never error, and
+	// count each torn tail.
 	recSize := (len(full) - 4) / 5
 	for cut := len(full) - recSize + 1; cut < len(full); cut++ {
 		if err := os.WriteFile(path, full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
 		n := 0
-		if err := ReadLog(path, func([]byte) error { n++; return nil }); err != nil {
+		before := storeTornTails.Value()
+		if err := readTable(path, func([]byte) error { n++; return nil }); err != nil {
 			t.Fatalf("cut=%d: %v", cut, err)
 		}
 		if n != 4 {
 			t.Fatalf("cut=%d: recovered %d records, want 4", cut, n)
+		}
+		if got := storeTornTails.Value(); got != before+1 {
+			t.Fatalf("cut=%d: torn-tail counter %d, want %d", cut, got, before+1)
 		}
 	}
 }
 
 func TestLogMidFileCorruptionDetected(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "x.tbl")
-	w, err := CreateLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if err := w.Append(bytes.Repeat([]byte{byte(i + 1)}, 32)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
+	createLog(t, path, bytes.Repeat([]byte{1}, 32), bytes.Repeat([]byte{2}, 32), bytes.Repeat([]byte{3}, 32))
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Flip a payload byte of the first record (after magic + header).
-	data[4+8+3] ^= 0xff
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	err = ReadLog(path, func([]byte) error { return nil })
-	if !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("err = %v, want ErrCorrupt", err)
+	flipped := append([]byte(nil), data...)
+	flipped[4+8+3] ^= 0xff
+	// A length above the record bound is corruption even in the final
+	// frame: a crash never writes one.
+	huge := append([]byte(nil), data...)
+	binary.LittleEndian.PutUint32(huge[len(data)-32-8:], wal.MaxRecord+1)
+	for _, bad := range [][]byte{flipped, huge} {
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		err = readTable(path, func([]byte) error { return nil })
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("err = %v, want ErrCorrupt", err)
+		}
 	}
 }
 
 func TestLogBadMagic(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "x.tbl")
-	if err := os.WriteFile(path, []byte("XXXXjunk"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := ReadLog(path, func([]byte) error { return nil }); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("err = %v, want ErrCorrupt", err)
+	// A wrong magic, and one a table never outgrew: both are corrupt.
+	for _, data := range []string{"XXXXjunk", "BN", ""} {
+		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := readTable(path, func([]byte) error { return nil }); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%q: err = %v, want ErrCorrupt", data, err)
+		}
 	}
 }
 
