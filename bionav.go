@@ -26,7 +26,7 @@ type (
 	// Citation is one bibliographic record.
 	Citation = corpus.Citation
 	// Dataset bundles hierarchy, corpus and search index.
-	Dataset = store.Dataset
+	Dataset = store.Snapshot
 	// Cost is the paper's navigation-cost breakdown.
 	Cost = navigate.Cost
 	// Policy chooses the EdgeCut applied by each EXPAND.

@@ -22,8 +22,9 @@
 // Files whose first line carries `"schema":"bionav-load/v1"` (the
 // capacity curves bionav-loadgen emits) are additionally validated
 // against that schema: >= 3 step records with strictly increasing
-// offered rates, client quantiles, server counter deltas, full outcome
-// accounting, and exactly one knee record.
+// offered rates, client quantiles in order (p50 <= p95 <= p99 <= p99.9
+// <= max, mean <= max), server counter deltas, full outcome accounting,
+// and exactly one knee record.
 package main
 
 import (
@@ -127,9 +128,9 @@ func isLoadReport(objs []map[string]json.RawMessage) bool {
 }
 
 // checkLoadV1 validates the shape of a bionav-load/v1 capacity curve: at
-// least three step records carrying client quantiles, server deltas, and
-// full outcome accounting, offered rates strictly increasing, and exactly
-// one knee record.
+// least three step records carrying ordered client quantiles, server
+// deltas, and full outcome accounting, offered rates strictly increasing,
+// and exactly one knee record.
 func checkLoadV1(objs []map[string]json.RawMessage) []error {
 	var errs []error
 	steps, knees := 0, 0
@@ -144,7 +145,7 @@ func checkLoadV1(objs []map[string]json.RawMessage) []error {
 			var step struct {
 				OfferedRate float64                     `json:"offeredRate"`
 				Requests    map[string]json.RawMessage  `json:"requests"`
-				Client      map[string]*json.RawMessage `json:"client"`
+				Client      map[string]float64          `json:"client"`
 				Server      map[string]*json.RawMessage `json:"server"`
 			}
 			if err := json.Unmarshal(mustMarshal(obj), &step); err != nil {
@@ -160,9 +161,20 @@ func checkLoadV1(objs []map[string]json.RawMessage) []error {
 					errs = append(errs, fmt.Errorf("line %d: step record missing requests.%s", lineno, k))
 				}
 			}
-			for _, k := range []string{"p50Ms", "p95Ms", "p99Ms", "p999Ms", "achievedRps"} {
+			for _, k := range []string{"p50Ms", "p95Ms", "p99Ms", "p999Ms", "maxMs", "meanMs", "achievedRps"} {
 				if _, ok := step.Client[k]; !ok {
 					errs = append(errs, fmt.Errorf("line %d: step record missing client.%s", lineno, k))
+				}
+			}
+			// Latency figures that cannot all be true at once: an estimate
+			// above the largest observation, or quantiles out of order.
+			c := step.Client
+			for _, pair := range [][2]string{
+				{"p50Ms", "p95Ms"}, {"p95Ms", "p99Ms"}, {"p99Ms", "p999Ms"}, {"p999Ms", "maxMs"}, {"meanMs", "maxMs"},
+			} {
+				if c[pair[0]] > c[pair[1]] {
+					errs = append(errs, fmt.Errorf("line %d: client.%s %v above client.%s %v",
+						lineno, pair[0], c[pair[0]], pair[1], c[pair[1]]))
 				}
 			}
 			for _, k := range []string{"apiRequests", "shed", "p99Ms"} {

@@ -155,6 +155,33 @@ func TestLoadSchemaMissingQuantile(t *testing.T) {
 	}
 }
 
+// A step whose client figures cannot all hold is rejected. The first
+// step line is the one a loadgen that reported bucket upper bounds
+// committed: p99 4.849663 ms above the largest observation, 4.817472 ms.
+func TestLoadSchemaQuantileOrder(t *testing.T) {
+	const upperBoundStep = `{"record":"step","step":0,"offeredRate":4,"sessions":9,"aborted":0,"elapsedMs":2172.396231,` +
+		`"requests":{"total":54,"ok":54,"degraded":0,"shed":0,"timeout":0,"error":0},` +
+		`"client":{"p50Ms":0.638975,"p95Ms":2.949119,"p99Ms":4.849663,"p999Ms":4.849663,"maxMs":4.817472,"meanMs":1.014294,"achievedRps":24.857343807461245},` +
+		`"server":{"apiRequests":54,"shed":0,"degraded":0,"timeouts":0,"p99Ms":3.65}}`
+	for _, c := range []struct{ name, from, to, want string }{
+		{"committed step 0", fmt.Sprintf(loadStepTmpl, 0, 2.0), upperBoundStep, "client.p999Ms 4.849663 above client.maxMs 4.817472"},
+		{"p95 above p99", `"p95Ms":2,"p99Ms":3`, `"p95Ms":3.5,"p99Ms":3`, "client.p95Ms 3.5 above client.p99Ms 3"},
+		{"mean above max", `"meanMs":1.5`, `"meanMs":6`, "client.meanMs 6 above client.maxMs 5"},
+	} {
+		bad := strings.Replace(loadReport(t, 3, true), c.from, c.to, 1)
+		if bad == loadReport(t, 3, true) {
+			t.Fatalf("%s: fixture did not change", c.name)
+		}
+		var out bytes.Buffer
+		if err := run([]string{writeFile(t, "load.json", bad)}, &out); err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
+		if !strings.Contains(out.String(), c.want) {
+			t.Errorf("%s: output = %q, want %q", c.name, out.String(), c.want)
+		}
+	}
+}
+
 // Plain go-test JSONL must not be mistaken for a load report.
 func TestPlainJSONLUntouchedBySchemaCheck(t *testing.T) {
 	p := writeFile(t, "core.json", `{"Action":"pass","Package":"x"}`+"\n")

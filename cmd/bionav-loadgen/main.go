@@ -1,9 +1,10 @@
 // Command bionav-loadgen is the closed-loop load harness: it drives a
 // bionav server with Poisson-arriving simulated TOPDOWN users, sweeps the
 // offered load across geometric steps, and reports a capacity curve with
-// exact client-side latency quantiles, full outcome accounting, and the
-// matching server-side counter deltas (BENCH_load.json, schema
-// bionav-load/v1 — see docs/LOADGEN.md).
+// client-side latency quantiles (interpolated within the histogram's
+// bucket, within 12.5% of exact) and the exact maximum, full outcome
+// accounting, and the matching server-side counter deltas
+// (BENCH_load.json, schema bionav-load/v1 — see docs/LOADGEN.md).
 //
 // With no -addr it self-hosts: the Table I workload corpus is synthesized
 // in process, a real bionav server is started on a loopback port, and the
@@ -135,7 +136,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stderr, "step %d: offered %.3g/s, %d sessions, %d requests (ok %d, shed %d, err %d), client p99 %v\n",
 			s.Step, s.Result.OfferedRate, s.Result.Sessions, s.Result.Requests.Total,
 			s.Result.Requests.OK, s.Result.Requests.Shed, s.Result.Requests.Error,
-			s.Result.Latency.Quantile(0.99).Round(time.Microsecond))
+			s.Result.Quantile(0.99).Round(time.Microsecond))
 	}
 	if rep.Knee.Found {
 		fmt.Fprintf(stderr, "knee: %.3g sessions/s (step %d, p99 %v, shed %.2g%%)\n",

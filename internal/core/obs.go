@@ -18,16 +18,14 @@ var (
 	dpScratchGets = obs.Default.Counter("bionav_dp_scratch_gets_total",
 		"Bitset scratch buffers borrowed from the shared pool.")
 	dpReducedNodes = obs.Default.Histogram("bionav_dp_reduced_nodes",
-		"Reduced-tree size |T_R| per Heuristic-ReducedOpt reduction (k histogram).",
-		obs.LinearBuckets(2, 2, 8)) // 2,4,…,16 supernodes; +Inf beyond
+		"Reduced-tree size |T_R| per Heuristic-ReducedOpt reduction (k histogram).")
 )
 
 // PolyCut anytime-driver metrics: how deep the deepening got, how often
 // a round beat the incumbent, and the grade ladder every solve lands on.
 var (
 	anytimeRounds = obs.Default.Histogram("bionav_anytime_rounds",
-		"Deepening rounds completed per PolyCut anytime solve.",
-		obs.LinearBuckets(1, 1, 8)) // 1,2,…,8 rounds; +Inf beyond
+		"Deepening rounds completed per PolyCut anytime solve.")
 	anytimeImprovements = obs.Default.Counter("bionav_anytime_improvements_total",
 		"PolyCut rounds whose candidate cut displaced the incumbent.")
 	cutGrades = obs.Default.CounterVec("bionav_cut_grade_total",
@@ -45,6 +43,5 @@ var (
 	poolQueueDepth = obs.Default.Gauge("bionav_pool_queue_depth",
 		"Component solves waiting for a free pool worker.")
 	solveSeconds = obs.Default.Histogram("bionav_solve_component_seconds",
-		"Wall time of one component's EdgeCut solve (k-partition + DP).",
-		obs.ExponentialBuckets(1e-5, 4, 10)) // 10µs … ~2.6s
+		"Wall time of one component's EdgeCut solve (k-partition + DP).")
 )

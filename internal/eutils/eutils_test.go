@@ -15,16 +15,16 @@ import (
 	"bionav/internal/store"
 )
 
-func testDataset(t *testing.T) *store.Dataset {
+func testDataset(t *testing.T) *store.Snapshot {
 	t.Helper()
 	tree := hierarchy.Generate(hierarchy.GenConfig{Seed: 81, Nodes: 400, TopLevel: 8, MaxDepth: 7})
 	corp := corpus.Generate(tree, corpus.GenConfig{
 		Seed: 82, Citations: 200, MeanConcepts: 15, FirstID: 900, YearLo: 2000, YearHi: 2008,
 	})
-	return &store.Dataset{Tree: tree, Corpus: corp, Index: index.Build(corp)}
+	return &store.Snapshot{Tree: tree, Corpus: corp, Index: index.Build(corp)}
 }
 
-func testEndpoint(t *testing.T, cfg ServerConfig) (*store.Dataset, *Client) {
+func testEndpoint(t *testing.T, cfg ServerConfig) (*store.Snapshot, *Client) {
 	t.Helper()
 	ds := testDataset(t)
 	ts := httptest.NewServer(NewServer(ds, cfg).Handler())

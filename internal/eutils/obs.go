@@ -10,6 +10,5 @@ var (
 	eutilsRequests = obs.Default.CounterVec("bionav_eutils_requests_total",
 		"Eutils HTTP attempts by outcome (ok, retry, error).", "outcome")
 	eutilsBackoffSeconds = obs.Default.Histogram("bionav_eutils_backoff_seconds",
-		"Backoff waits before eutils retries (jitter or server Retry-After).",
-		obs.ExponentialBuckets(0.01, 4, 6)) // 10ms … ~10s, then +Inf
+		"Backoff waits before eutils retries (jitter or server Retry-After).")
 )

@@ -44,7 +44,7 @@ func (c *ServerConfig) fill() {
 
 // Server is the simulated eutils service over one dataset.
 type Server struct {
-	ds        *store.Dataset
+	ds        *store.Snapshot
 	cfg       ServerConfig
 	byConcept map[hierarchy.ConceptID][]corpus.CitationID
 
@@ -54,7 +54,7 @@ type Server struct {
 }
 
 // NewServer indexes the dataset for concept lookups.
-func NewServer(ds *store.Dataset, cfg ServerConfig) *Server {
+func NewServer(ds *store.Snapshot, cfg ServerConfig) *Server {
 	cfg.fill()
 	s := &Server{
 		ds:        ds,

@@ -1,8 +1,8 @@
 // Package loadgen is the closed-loop load harness for the bionav server:
 // it drives the real HTTP API with simulated TOPDOWN users arriving in an
 // open-loop Poisson process, measures per-request latency into an
-// HDR-style histogram, and classifies every response (ok / degraded /
-// shed / timeout / error) against the server's overload contract.
+// obs.Histogram, and classifies every response (ok / degraded / shed /
+// timeout / error) against the server's overload contract.
 //
 // The arrival process is open-loop on purpose: sessions are launched on
 // the offered schedule whether or not earlier requests have completed, so
@@ -21,10 +21,12 @@ package loadgen
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"bionav/internal/obs"
 	"bionav/internal/rng"
 )
 
@@ -84,13 +86,13 @@ type Counts struct {
 // collector aggregates one step's measurements; all fields are safe for
 // concurrent update from every session goroutine.
 type collector struct {
-	hist     Hist
+	hist     *obs.Histogram // seconds
 	outcomes [numOutcomes]atomic.Uint64
 	aborted  atomic.Uint64
 }
 
 func (c *collector) record(call Call) {
-	c.hist.Record(call.Latency)
+	c.hist.Observe(call.Latency.Seconds())
 	c.outcomes[call.Outcome].Add(1)
 }
 
@@ -108,12 +110,27 @@ func (c *collector) counts() Counts {
 
 // StepResult is the client-side view of one offered-load step.
 type StepResult struct {
-	OfferedRate float64       // sessions/second offered
-	Sessions    int           // sessions launched
-	Aborted     int           // sessions cut short by shed/timeout/error
-	Requests    Counts        // per-outcome request accounting
-	Latency     *Hist         // merged request-latency histogram
-	Elapsed     time.Duration // wall time from first launch to last completion
+	OfferedRate float64        // sessions/second offered
+	Sessions    int            // sessions launched
+	Aborted     int            // sessions cut short by shed/timeout/error
+	Requests    Counts         // per-outcome request accounting
+	Latency     *obs.Histogram // request latency in seconds, every session's
+	Elapsed     time.Duration  // wall time from first launch to last completion
+}
+
+// Quantile estimates the step's q-quantile request latency (0 when no
+// request completed).
+func (s *StepResult) Quantile(q float64) time.Duration {
+	return duration(s.Latency.Quantile(q))
+}
+
+// duration converts a histogram estimate in seconds, mapping the NaN of
+// an empty histogram to 0.
+func duration(sec float64) time.Duration {
+	if math.IsNaN(sec) || math.IsInf(sec, 0) {
+		return 0
+	}
+	return time.Duration(math.Round(sec * float64(time.Second)))
 }
 
 // AchievedRPS reports the measured request throughput of the step.
@@ -160,7 +177,7 @@ func (r *Runner) RunStep(ctx context.Context, step int, rate float64) (*StepResu
 	if rate <= 0 {
 		return nil, fmt.Errorf("loadgen: non-positive offered rate %v", rate)
 	}
-	col := &collector{}
+	col := &collector{hist: obs.NewHistogram()}
 	arrivals := r.sessionSource(step, -1) // the arrival process has its own stream
 	start := r.clock.Now()
 	stop := start.Add(r.cfg.StepDuration)
@@ -200,7 +217,7 @@ func (r *Runner) RunStep(ctx context.Context, step int, rate float64) (*StepResu
 		Sessions:    launched,
 		Aborted:     int(col.aborted.Load()),
 		Requests:    col.counts(),
-		Latency:     &col.hist,
+		Latency:     col.hist,
 		Elapsed:     elapsed,
 	}
 	if err := ctx.Err(); err != nil && launched == 0 {
@@ -213,7 +230,7 @@ func (r *Runner) RunStep(ctx context.Context, step int, rate float64) (*StepResu
 // its action trace and request accounting — the determinism probe: equal
 // sources against equal servers yield equal traces.
 func (r *Runner) SessionTrace(ctx context.Context, src *rng.Source) ([]string, Counts) {
-	col := &collector{}
+	col := &collector{hist: obs.NewHistogram()}
 	var trace []string
 	u := r.newUser(src)
 	u.run(ctx, col, &trace)

@@ -44,7 +44,7 @@ func testTarget(t *testing.T, scfg server.Config, lcfg loadgen.Config) (*server.
 	corp := corpus.Generate(tree, corpus.GenConfig{
 		Seed: 72, Citations: 300, MeanConcepts: 30, FirstID: 500, YearLo: 2000, YearHi: 2008,
 	})
-	ds := &store.Dataset{Tree: tree, Corpus: corp, Index: index.Build(corp)}
+	ds := &store.Snapshot{Tree: tree, Corpus: corp, Index: index.Build(corp)}
 	if scfg.MaxSessions == 0 {
 		scfg.MaxSessions = 10000 // LRU eviction mid-run would read as spurious 404s
 	}

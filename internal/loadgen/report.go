@@ -98,12 +98,12 @@ func (r *Runner) WriteReport(w io.Writer, sc SweepConfig, rep *SweepReport) erro
 			ElapsedMs:   ms(s.Result.Elapsed),
 			Requests:    s.Result.Requests,
 			Client: reportClient{
-				P50Ms:       ms(h.Quantile(0.50)),
-				P95Ms:       ms(h.Quantile(0.95)),
-				P99Ms:       ms(h.Quantile(0.99)),
-				P999Ms:      ms(h.Quantile(0.999)),
-				MaxMs:       ms(h.Max()),
-				MeanMs:      ms(h.Mean()),
+				P50Ms:       ms(s.Result.Quantile(0.50)),
+				P95Ms:       ms(s.Result.Quantile(0.95)),
+				P99Ms:       ms(s.Result.Quantile(0.99)),
+				P999Ms:      ms(s.Result.Quantile(0.999)),
+				MaxMs:       ms(duration(h.Max())),
+				MeanMs:      ms(duration(h.Mean())),
 				AchievedRps: s.Result.AchievedRPS(),
 			},
 			Server: reportServer{

@@ -3,9 +3,6 @@ package loadgen
 import (
 	"context"
 	"fmt"
-	"math"
-	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -126,36 +123,18 @@ func (r *Runner) Sweep(ctx context.Context, sc SweepConfig) (*SweepReport, error
 // serverDeltas extracts the step's server-side accounting from a scrape
 // delta.
 func serverDeltas(d *obs.MetricsSnapshot) ServerDeltas {
-	out := ServerDeltas{
-		Shed:     d.Total("bionav_requests_shed_total"),
-		Degraded: d.Total("bionav_expand_degraded_total"),
-		Timeouts: d.Total("bionav_expand_timeouts_total"),
+	// Requests and p99 over the /api/ routes only — the probe and scrape
+	// traffic the harness itself generates must not dilute them.
+	api := d.Where(func(labels map[string]string) bool {
+		return strings.HasPrefix(labels["route"], "/api/")
+	})
+	return ServerDeltas{
+		APIRequests: api.Total("bionav_http_requests_total"),
+		Shed:        d.Total("bionav_requests_shed_total"),
+		Degraded:    d.Total("bionav_expand_degraded_total"),
+		Timeouts:    d.Total("bionav_expand_timeouts_total"),
+		P99:         duration(api.Quantile("bionav_http_request_seconds", 0.99)),
 	}
-	for _, s := range d.Series("bionav_http_requests_total") {
-		if strings.HasPrefix(s.Labels["route"], "/api/") {
-			out.APIRequests += s.Value
-		}
-	}
-	// Interval p99 over the /api/ routes only — the probe and scrape
-	// traffic the harness itself generates must not dilute the estimate.
-	byLe := make(map[float64]float64)
-	for _, s := range d.Series("bionav_http_request_seconds_bucket") {
-		if !strings.HasPrefix(s.Labels["route"], "/api/") {
-			continue
-		}
-		if le, err := strconv.ParseFloat(s.Labels["le"], 64); err == nil {
-			byLe[le] += s.Value
-		}
-	}
-	buckets := make([]obs.Bucket, 0, len(byLe))
-	for le, count := range byLe {
-		buckets = append(buckets, obs.Bucket{Upper: le, Count: count})
-	}
-	sort.Slice(buckets, func(i, j int) bool { return buckets[i].Upper < buckets[j].Upper })
-	if p99 := obs.BucketQuantile(0.99, buckets); !math.IsNaN(p99) && !math.IsInf(p99, 0) {
-		out.P99 = time.Duration(p99 * float64(time.Second))
-	}
-	return out
 }
 
 // findKnee returns the highest-rate step meeting the SLO criteria.
@@ -167,7 +146,7 @@ func findKnee(steps []StepReport, sc SweepConfig) Knee {
 	knee := Knee{}
 	for i := range steps {
 		s := &steps[i]
-		p99 := s.Result.Latency.Quantile(0.99)
+		p99 := s.Result.Quantile(0.99)
 		if s.Result.Requests.Total == 0 || p99 > sc.SLOp99 ||
 			s.ShedRate() > sc.MaxShedRate || s.ErrorRate() > sc.MaxShedRate {
 			continue

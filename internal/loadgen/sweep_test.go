@@ -3,15 +3,17 @@ package loadgen
 import (
 	"testing"
 	"time"
+
+	"bionav/internal/obs"
 )
 
 // step fabricates a StepReport at the given offered rate whose histogram
 // holds one sample per request, all at latency lat.
 func step(t *testing.T, n int, rate float64, lat time.Duration, counts Counts) StepReport {
 	t.Helper()
-	h := &Hist{}
+	h := obs.NewHistogram()
 	for i := uint64(0); i < counts.Total; i++ {
-		h.Record(lat)
+		h.Observe(lat.Seconds())
 	}
 	return StepReport{
 		Step:   n,

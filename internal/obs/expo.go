@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -240,18 +239,9 @@ func (m *MetricsSnapshot) Total(name string) float64 {
 func (m *MetricsSnapshot) Quantile(name string, q float64) float64 {
 	byLe := make(map[float64]float64)
 	for _, s := range m.Series(name + "_bucket") {
-		le, ok := s.Labels["le"]
-		if !ok {
-			continue
+		if bound, ok := leBound(s); ok {
+			byLe[bound] += s.Value
 		}
-		bound, err := strconv.ParseFloat(le, 64)
-		if err != nil {
-			continue
-		}
-		byLe[bound] += s.Value
-	}
-	if len(byLe) == 0 {
-		return math.NaN()
 	}
 	buckets := make([]Bucket, 0, len(byLe))
 	for bound, count := range byLe {
@@ -267,6 +257,18 @@ func (m *MetricsSnapshot) HistogramCount(name string) float64 {
 	return m.Total(name + "_count")
 }
 
+// Where returns the samples whose labels satisfy keep as a snapshot of
+// their own, e.g. the series of one set of routes across every family.
+func (m *MetricsSnapshot) Where(keep func(labels map[string]string) bool) *MetricsSnapshot {
+	out := &MetricsSnapshot{byKey: make(map[string]int), byName: make(map[string][]int)}
+	for _, s := range m.samples {
+		if keep(s.Labels) {
+			out.add(s)
+		}
+	}
+	return out
+}
+
 // Delta returns a snapshot holding, for every sample in m, its value
 // minus the matching sample's value in before (a sample absent from
 // before contributes its full value — it was born in the interval).
@@ -275,19 +277,54 @@ func (m *MetricsSnapshot) HistogramCount(name string) float64 {
 // result is the interval view — counter increments, histogram-bucket
 // increments (Quantile over it estimates the interval's latency
 // distribution), and gauge drift.
+//
+// A histogram's le set only widens between scrapes. A bucket absent from
+// before stands for its series' earlier cumulative count at the greatest
+// bound below it there, or 0 when there is none.
 func (m *MetricsSnapshot) Delta(before *MetricsSnapshot) *MetricsSnapshot {
 	out := &MetricsSnapshot{
 		byKey:  make(map[string]int, len(m.samples)),
 		byName: make(map[string][]int, len(m.byName)),
 	}
 	for _, s := range m.samples {
-		d := Sample{Name: s.Name, Labels: s.Labels, Value: s.Value}
+		d := s
 		if before != nil {
 			if prev, ok := before.Value(s.Name, s.Labels); ok {
+				d.Value -= prev
+			} else if bound, ok := leBound(s); ok {
+				// Cumulative counts: the one at the greatest bound below is
+				// the largest below.
+				prev := 0.0
+				for _, i := range before.byName[s.Name] {
+					p := before.samples[i]
+					if le, ok := leBound(p); ok && le < bound && sameSeries(p.Labels, s.Labels) {
+						prev = max(prev, p.Value)
+					}
+				}
 				d.Value -= prev
 			}
 		}
 		out.add(d)
 	}
 	return out
+}
+
+// sameSeries reports whether two bucket label sets differ only in le.
+func sameSeries(a, b map[string]string) bool {
+	for k, v := range a {
+		if w, ok := b[k]; k != "le" && (!ok || w != v) {
+			return false
+		}
+	}
+	return len(a) == len(b)
+}
+
+// leBound parses the le label of a histogram bucket sample.
+func leBound(s Sample) (float64, bool) {
+	le, ok := s.Labels["le"]
+	if !ok || !strings.HasSuffix(s.Name, "_bucket") {
+		return 0, false
+	}
+	bound, err := strconv.ParseFloat(le, 64)
+	return bound, err == nil
 }

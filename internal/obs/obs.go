@@ -6,9 +6,9 @@
 // The package is deliberately dependency-free (standard library only) and
 // cheap when idle:
 //
-//   - Counters and gauges are single atomics; histograms are a fixed
-//     bucket array of atomics. Disarmed instrumentation costs one atomic
-//     add per event.
+//   - Counters and gauges are single atomics; histograms are an array of
+//     atomics over one log-linear bucket layout that every histogram
+//     shares. Disarmed instrumentation costs one atomic add per event.
 //   - Tracing is off unless a request carries a span in its context.
 //     FromContext on a bare context returns nil, and every *Span method
 //     is nil-safe, so instrumented code calls through without branching —

@@ -8,51 +8,10 @@ import (
 // Bucket is one cumulative histogram bucket: Count observations fell at or
 // below Upper. A bucket slice is ascending in Upper and cumulative in
 // Count, with an explicit +Inf terminal bucket — exactly the shape of a
-// Prometheus histogram's `le` series and of Histogram.Buckets.
+// Prometheus histogram's `le` series.
 type Bucket struct {
 	Upper float64 // upper bound; math.Inf(1) for the terminal bucket
 	Count float64 // cumulative count of observations <= Upper
-}
-
-// Buckets snapshots the histogram's cumulative bucket counts, terminal
-// +Inf bucket included. The snapshot is not atomic with respect to
-// concurrent Observe calls, but every bucket count it reports was true at
-// some instant during the call.
-func (h *Histogram) Buckets() []Bucket {
-	out := make([]Bucket, len(h.upper)+1)
-	cum := uint64(0)
-	for i, b := range h.upper {
-		cum += h.counts[i].Load()
-		out[i] = Bucket{Upper: b, Count: float64(cum)}
-	}
-	cum += h.counts[len(h.upper)].Load()
-	out[len(h.upper)] = Bucket{Upper: math.Inf(1), Count: float64(cum)}
-	return out
-}
-
-// MergedBuckets sums the cumulative bucket counts of every series in the
-// family — the all-labels aggregate a single latency quantile is computed
-// from. All series of a family share one bucket layout, so the merge is
-// positionwise. An empty family yields the layout with zero counts.
-func (v *HistogramVec) MergedBuckets() []Bucket {
-	v.f.mu.Lock()
-	series := make([]*Histogram, 0, len(v.f.series))
-	for _, s := range v.f.series {
-		series = append(series, s.(*Histogram))
-	}
-	v.f.mu.Unlock()
-
-	out := make([]Bucket, len(v.f.buckets)+1)
-	for i, b := range v.f.buckets {
-		out[i] = Bucket{Upper: b}
-	}
-	out[len(v.f.buckets)] = Bucket{Upper: math.Inf(1)}
-	for _, h := range series {
-		for i, b := range h.Buckets() {
-			out[i].Count += b.Count
-		}
-	}
-	return out
 }
 
 // BucketQuantile estimates the q-quantile of a bucketed distribution,
@@ -89,14 +48,12 @@ func BucketQuantile(q float64, buckets []Bucket) float64 {
 		idx-- // q == 1 with trailing equal counts
 	}
 	if math.IsInf(buckets[idx].Upper, 1) {
-		// Walk back to the largest finite bound; observations beyond it are
-		// unresolvable by this layout.
-		for i := idx - 1; i >= 0; i-- {
-			if !math.IsInf(buckets[i].Upper, 1) {
-				return buckets[i].Upper
-			}
+		// Observations beyond the largest finite bound are unresolvable by
+		// this layout: report that bound.
+		if idx == 0 {
+			return math.Inf(1)
 		}
-		return math.Inf(1)
+		return buckets[idx-1].Upper
 	}
 	lower, below := 0.0, 0.0
 	if idx > 0 {

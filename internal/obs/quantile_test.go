@@ -2,7 +2,10 @@ package obs
 
 import (
 	"math"
+	"sort"
 	"testing"
+
+	"bionav/internal/rng"
 )
 
 // cumulative builds a Bucket slice from bounds and per-bucket counts
@@ -76,48 +79,125 @@ func TestBucketQuantileEmpty(t *testing.T) {
 
 func TestHistogramCumulativeBuckets(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("t_lat", "", []float64{0.1, 1, 10})
+	h := r.Histogram("t_lat", "")
 	for _, v := range []float64{0.05, 0.5, 0.5, 5, 50} {
 		h.Observe(v)
 	}
-	b := h.Buckets()
-	want := []Bucket{{0.1, 1}, {1, 3}, {10, 4}, {math.Inf(1), 5}}
-	if len(b) != len(want) {
-		t.Fatalf("got %d buckets, want %d", len(b), len(want))
+	// The window runs from the lower bound of 0.05's bucket (0.046875,
+	// 0.05078125] to 50's bucket (48, 52], then +Inf.
+	b := buckets(h)
+	first, last := b[0], b[len(b)-2]
+	if first != (Bucket{0.046875, 0}) || last != (Bucket{52, 5}) || b[len(b)-1] != (Bucket{math.Inf(1), 5}) {
+		t.Fatalf("window = %+v … %+v, %+v", first, last, b[len(b)-1])
 	}
-	for i := range want {
-		if b[i] != want[i] {
-			t.Errorf("bucket %d = %+v, want %+v", i, b[i], want[i])
+	want := map[float64]float64{0.05078125: 1, 0.46875: 1, 0.5: 3, 4.5: 3, 5: 4, 48: 4}
+	for i, bk := range b {
+		if i > 0 && !(bk.Upper > b[i-1].Upper && bk.Count >= b[i-1].Count) {
+			t.Fatalf("bucket %d = %+v after %+v: not ascending and cumulative", i, bk, b[i-1])
+		}
+		if w, ok := want[bk.Upper]; ok && bk.Count != w {
+			t.Errorf("le=%v: count %v, want %v", bk.Upper, bk.Count, w)
 		}
 	}
-	// rank 2.5 of 5: 1.5 of the 2 in (0.1,1] → 0.1 + 0.9*0.75 = 0.775
-	if got := BucketQuantile(0.5, b); math.Abs(got-0.775) > 1e-9 {
-		t.Errorf("median = %v, want 0.775", got)
+	// rank 2.5 of 5: 1.5 of the 2 in (0.46875,0.5] → 0.46875 + 0.03125*0.75
+	if got := BucketQuantile(0.5, b); got != 0.4921875 {
+		t.Errorf("median = %v, want 0.4921875", got)
+	}
+	if got := h.Quantile(0.5); got != 0.4921875 {
+		t.Errorf("Quantile(0.5) = %v, want the BucketQuantile estimate", got)
 	}
 }
 
-func TestHistogramVecMergedBuckets(t *testing.T) {
+// buckets returns h's cumulative buckets over its own exposition window.
+func buckets(h *Histogram) []Bucket {
+	var c counts
+	c.add(h)
+	return c.buckets(c.window())
+}
+
+// TestHistogramVecQuantile: the family quantile merges every series and
+// equals the quantile of one histogram holding all their observations.
+func TestHistogramVecQuantile(t *testing.T) {
 	r := NewRegistry()
-	v := r.HistogramVec("t_routes", "", []float64{1, 2}, "route")
-	v.With("/a").Observe(0.5)
-	v.With("/a").Observe(1.5)
-	v.With("/b").Observe(1.5)
-	v.With("/b").Observe(99)
-	b := v.MergedBuckets()
-	want := []Bucket{{1, 1}, {2, 3}, {math.Inf(1), 4}}
-	for i := range want {
-		if b[i] != want[i] {
-			t.Errorf("merged bucket %d = %+v, want %+v", i, b[i], want[i])
+	v := r.HistogramVec("t_routes", "", "route")
+	all := NewHistogram()
+	for _, o := range []struct {
+		route string
+		v     float64
+	}{{"/a", 0.5}, {"/a", 1.5}, {"/b", 1.5}, {"/b", 99}} {
+		v.With(o.route).Observe(o.v)
+		all.Observe(o.v)
+	}
+	for _, q := range []float64{0.25, 0.5, 0.75, 0.99, 1} {
+		if got, want := v.Quantile(q), all.Quantile(q); got != want {
+			t.Errorf("q=%v: family %v, one histogram %v", q, got, want)
 		}
 	}
-	// An empty family still reports its layout, and quantiles over it are
-	// NaN rather than garbage.
-	emptyVec := r.HistogramVec("t_empty", "", []float64{1, 2}, "route")
-	eb := emptyVec.MergedBuckets()
-	if len(eb) != 3 || eb[2].Count != 0 {
-		t.Fatalf("empty family buckets = %+v", eb)
+	// rank 2 of 4: 1 of the 2 in (1.375,1.5] → 1.4375; the top clamps to
+	// the maximum, not the bound 104.
+	if got := v.Quantile(0.5); got != 1.4375 {
+		t.Errorf("median = %v, want 1.4375", got)
 	}
-	if got := BucketQuantile(0.99, eb); !math.IsNaN(got) {
+	if got := v.Quantile(1); got != 99 {
+		t.Errorf("q=1: %v, want the maximum 99", got)
+	}
+	// An empty series does not disturb the clamp; an empty family is NaN.
+	v.With("/idle")
+	if got := v.Quantile(1); got != 99 {
+		t.Errorf("q=1 with an empty series: %v, want 99", got)
+	}
+	if got := r.HistogramVec("t_empty", "", "route").Quantile(0.99); !math.IsNaN(got) {
 		t.Errorf("quantile of empty family = %v, want NaN", got)
+	}
+}
+
+// TestHistogramQuantileAccuracy compares in-process quantiles with the
+// exact nearest-rank order statistics. Every estimate must lie in [min,
+// max] and within 1/8 of the exact value, the layout's bucket width.
+// The single value is the largest client latency of a recorded load
+// step; an estimate reporting bucket upper bounds exceeds it, and a
+// layout whose first bound is 0.5 ms cannot place the microsecond cases.
+func TestHistogramQuantileAccuracy(t *testing.T) {
+	src := rng.New(17)
+	uniform := make([]float64, 5000)
+	for i := range uniform {
+		uniform[i] = 50e-6 + 100e-6*src.Float64()
+	}
+	lognormal := make([]float64, 5000)
+	for i := range lognormal {
+		v := math.Exp(math.Log(316e-6) + 1.15*src.NormFloat64())
+		lognormal[i] = math.Max(10e-6, math.Min(10e-3, v))
+	}
+	var ints []float64
+	for n := 2; n <= 16; n++ {
+		ints = append(ints, float64(n))
+	}
+	for _, c := range []struct {
+		name string
+		vals []float64
+	}{
+		{"single 4.817472ms", []float64{4817472e-9}},
+		{"uniform 50-150us", uniform},
+		{"lognormal 10us-10ms", lognormal},
+		{"integers 2-16", ints},
+	} {
+		h := NewHistogram()
+		for _, v := range c.vals {
+			h.Observe(v)
+		}
+		sorted := append([]float64(nil), c.vals...)
+		sort.Float64s(sorted)
+		lo, hi := sorted[0], sorted[len(sorted)-1]
+		if h.Quantile(0) != lo || h.Max() != hi {
+			t.Errorf("%s: q=0, max = %v, %v, want %v, %v", c.name, h.Quantile(0), h.Max(), lo, hi)
+		}
+		for _, q := range []float64{0.5, 0.95, 0.99, 0.999, 1} {
+			rank := int(math.Ceil(q * float64(len(sorted))))
+			exact := sorted[max(rank, 1)-1]
+			got := h.Quantile(q)
+			if got < lo || got > hi || math.Abs(got-exact) > exact/8 {
+				t.Errorf("%s: q=%v: estimate %.6g, exact %.6g, range [%.6g, %.6g]", c.name, q, got, exact, lo, hi)
+			}
+		}
 	}
 }

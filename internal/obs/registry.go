@@ -11,7 +11,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Default is the process-wide registry. Package-level instrumentation
@@ -54,11 +53,10 @@ func (k metricKind) String() string {
 // family is one named metric with a fixed label schema and one series per
 // distinct label-value tuple.
 type family struct {
-	name    string
-	help    string
-	kind    metricKind
-	labels  []string
-	buckets []float64 // histogram upper bounds, ascending, +Inf implicit
+	name   string
+	help   string
+	kind   metricKind
+	labels []string
 
 	mu     sync.Mutex
 	series map[string]any // joined label values → *Counter | *Gauge | *Histogram
@@ -70,7 +68,7 @@ var nameRE = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
 // lookup returns the family, creating it on first use. A second
 // registration with a different type or label schema panics: two call
 // sites disagree about what the metric is.
-func (r *Registry) lookup(name, help string, kind metricKind, labels []string, buckets []float64) *family {
+func (r *Registry) lookup(name, help string, kind metricKind, labels []string) *family {
 	if !nameRE.MatchString(name) {
 		panic(fmt.Sprintf("obs: invalid metric name %q", name))
 	}
@@ -90,9 +88,8 @@ func (r *Registry) lookup(name, help string, kind metricKind, labels []string, b
 	}
 	f := &family{
 		name: name, help: help, kind: kind,
-		labels:  append([]string(nil), labels...),
-		buckets: append([]float64(nil), buckets...),
-		series:  make(map[string]any),
+		labels: append([]string(nil), labels...),
+		series: make(map[string]any),
 	}
 	r.families[name] = f
 	return f
@@ -160,7 +157,7 @@ func (r *Registry) Counter(name, help string) *Counter {
 
 // CounterVec registers (or returns) a labeled counter family.
 func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
-	return &CounterVec{r.lookup(name, help, kindCounter, labels, nil)}
+	return &CounterVec{r.lookup(name, help, kindCounter, labels)}
 }
 
 // --- Gauge ---
@@ -179,7 +176,7 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // Gauge registers (or returns) an unlabeled gauge.
 func (r *Registry) Gauge(name, help string) *Gauge {
-	f := r.lookup(name, help, kindGauge, nil, nil)
+	f := r.lookup(name, help, kindGauge, nil)
 	return f.with(nil, func() any { return &Gauge{} }).(*Gauge)
 }
 
@@ -194,107 +191,16 @@ func (v *GaugeVec) With(values ...string) *Gauge {
 // GaugeVec registers (or returns) a labeled gauge family — e.g. the
 // build-info idiom: a constant-1 gauge whose labels carry the metadata.
 func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	return &GaugeVec{r.lookup(name, help, kindGauge, labels, nil)}
+	return &GaugeVec{r.lookup(name, help, kindGauge, labels)}
 }
 
 // GaugeFunc registers a gauge whose value is computed at scrape time.
 // Re-registering replaces the callback (the newest instance wins).
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	f := r.lookup(name, help, kindGaugeFunc, nil, nil)
+	f := r.lookup(name, help, kindGaugeFunc, nil)
 	f.mu.Lock()
 	f.fn = fn
 	f.mu.Unlock()
-}
-
-// --- Histogram ---
-
-// Histogram counts observations into fixed buckets. Observation of a
-// value equal to an upper bound lands in that bucket (Prometheus `le`
-// semantics).
-type Histogram struct {
-	upper  []float64
-	counts []atomic.Uint64 // len(upper)+1; the extra slot is the +Inf bucket
-	sum    atomic.Uint64   // float64 bits, CAS-accumulated
-	count  atomic.Uint64
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	i := sort.SearchFloat64s(h.upper, v) // first bound >= v
-	h.counts[i].Add(1)
-	h.count.Add(1)
-	for {
-		old := h.sum.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sum.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
-// Sum returns the sum of observed values.
-func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
-
-// HistogramVec is a labeled histogram family.
-type HistogramVec struct{ f *family }
-
-// With returns the histogram for the label values (created on first use).
-func (v *HistogramVec) With(values ...string) *Histogram {
-	return v.f.with(values, func() any { return newHistogram(v.f.buckets) }).(*Histogram)
-}
-
-func newHistogram(buckets []float64) *Histogram {
-	return &Histogram{upper: buckets, counts: make([]atomic.Uint64, len(buckets)+1)}
-}
-
-// Histogram registers (or returns) an unlabeled histogram with the given
-// ascending bucket upper bounds (+Inf is implicit).
-func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
-	return r.HistogramVec(name, help, buckets).With()
-}
-
-// HistogramVec registers (or returns) a labeled histogram family.
-func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...string) *HistogramVec {
-	if len(buckets) == 0 {
-		buckets = DefBuckets
-	}
-	if !sort.Float64sAreSorted(buckets) {
-		panic(fmt.Sprintf("obs: histogram %q buckets are not ascending", name))
-	}
-	return &HistogramVec{r.lookup(name, help, kindHistogram, labels, buckets)}
-}
-
-// DefBuckets are latency-shaped default buckets, in seconds.
-var DefBuckets = []float64{.0005, .001, .0025, .005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10}
-
-// LinearBuckets returns count buckets: start, start+width, …
-func LinearBuckets(start, width float64, count int) []float64 {
-	out := make([]float64, count)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
-}
-
-// ExponentialBuckets returns count buckets: start, start·factor, …
-func ExponentialBuckets(start, factor float64, count int) []float64 {
-	out := make([]float64, count)
-	for i := range out {
-		out[i] = start
-		start *= factor
-	}
-	return out
-}
-
-// Time starts a latency measurement; the returned stop function observes
-// the elapsed seconds into h. Callers outside the wall-clock allowlist use
-// it instead of touching time directly.
-func Time(h *Histogram) func() {
-	start := time.Now()
-	return func() { h.Observe(time.Since(start).Seconds()) }
 }
 
 // --- exposition ---
@@ -349,6 +255,10 @@ func (f *family) write(b *strings.Builder) {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
+	if f.kind == kindHistogram {
+		f.writeHistograms(b, keys)
+		return
+	}
 	for _, key := range keys {
 		values := splitSeriesKey(key, len(f.labels))
 		switch s := f.series[key].(type) {
@@ -356,21 +266,35 @@ func (f *family) write(b *strings.Builder) {
 			fmt.Fprintf(b, "%s%s %d\n", f.name, renderLabels(f.labels, values, "", ""), s.Value())
 		case *Gauge:
 			fmt.Fprintf(b, "%s%s %d\n", f.name, renderLabels(f.labels, values, "", ""), s.Value())
-		case *Histogram:
-			cum := uint64(0)
-			for i, bound := range s.upper {
-				cum += s.counts[i].Load()
-				fmt.Fprintf(b, "%s_bucket%s %d\n", f.name,
-					renderLabels(f.labels, values, "le", formatFloat(bound)), cum)
-			}
-			cum += s.counts[len(s.upper)].Load()
-			fmt.Fprintf(b, "%s_bucket%s %d\n", f.name,
-				renderLabels(f.labels, values, "le", "+Inf"), cum)
-			fmt.Fprintf(b, "%s_sum%s %s\n", f.name,
-				renderLabels(f.labels, values, "", ""), formatFloat(s.Sum()))
-			fmt.Fprintf(b, "%s_count%s %d\n", f.name,
-				renderLabels(f.labels, values, "", ""), s.Count())
 		}
+	}
+}
+
+// writeHistograms renders a histogram family's series, sorted by key.
+// Every series emits the same le set, the family's window over the
+// summed counts, so merging series by le stays correct. Each series is
+// copied once, so its +Inf bucket and _count agree.
+func (f *family) writeHistograms(b *strings.Builder, keys []string) {
+	each := make([]counts, len(keys))
+	var all counts
+	for i, key := range keys {
+		each[i].add(f.series[key].(*Histogram))
+		for j, n := range each[i] {
+			all[j] += n
+		}
+	}
+	lo, hi := all.window()
+	for i, key := range keys {
+		values := splitSeriesKey(key, len(f.labels))
+		buckets := each[i].buckets(lo, hi)
+		for _, bk := range buckets {
+			fmt.Fprintf(b, "%s_bucket%s %s\n", f.name,
+				renderLabels(f.labels, values, "le", formatFloat(bk.Upper)), formatFloat(bk.Count))
+		}
+		fmt.Fprintf(b, "%s_sum%s %s\n", f.name,
+			renderLabels(f.labels, values, "", ""), formatFloat(f.series[key].(*Histogram).Sum()))
+		fmt.Fprintf(b, "%s_count%s %s\n", f.name,
+			renderLabels(f.labels, values, "", ""), formatFloat(buckets[len(buckets)-1].Count))
 	}
 }
 

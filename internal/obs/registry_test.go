@@ -1,15 +1,16 @@
 package obs
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
 )
 
 // TestExpositionGolden pins the exact /metrics rendering: family order,
-// series order, HELP/TYPE lines, histogram cumulative buckets, label
-// escaping. Deterministic output is the contract that makes the endpoint
-// testable at all.
+// series order, HELP/TYPE lines, histogram cumulative buckets over the
+// non-empty window of the layout, label escaping. Deterministic output is
+// the contract that makes the endpoint testable at all.
 func TestExpositionGolden(t *testing.T) {
 	r := NewRegistry()
 	c := r.CounterVec("test_requests_total", "Total requests.", "route", "code")
@@ -18,11 +19,11 @@ func TestExpositionGolden(t *testing.T) {
 	c.With("/api/query", "200").Add(2)
 	g := r.Gauge("test_sessions_live", "Live sessions.")
 	g.Set(3)
-	h := r.Histogram("test_latency_seconds", "Request latency.", []float64{0.25, 1})
-	h.Observe(0.125)
+	h := r.Histogram("test_latency_seconds", "Request latency.")
+	h.Observe(0.2)  // (0.1875, 0.203125]: the window opens at its lower bound
 	h.Observe(0.25) // boundary: lands in le="0.25"
-	h.Observe(0.5)
-	h.Observe(2)
+	h.Observe(0.3)
+	h.Observe(0x1p35) // beyond the layout: +Inf only, the window stays put
 	e := r.Counter("test_weird_total", `needs "escaping"`+"\nand newlines")
 	_ = e
 	r.GaugeFunc("test_queue_depth", "Computed at scrape time.", func() float64 { return 7 })
@@ -33,10 +34,15 @@ func TestExpositionGolden(t *testing.T) {
 	}
 	want := `# HELP test_latency_seconds Request latency.
 # TYPE test_latency_seconds histogram
+test_latency_seconds_bucket{le="0.1875"} 0
+test_latency_seconds_bucket{le="0.203125"} 1
+test_latency_seconds_bucket{le="0.21875"} 1
+test_latency_seconds_bucket{le="0.234375"} 1
 test_latency_seconds_bucket{le="0.25"} 2
-test_latency_seconds_bucket{le="1"} 3
+test_latency_seconds_bucket{le="0.28125"} 2
+test_latency_seconds_bucket{le="0.3125"} 3
 test_latency_seconds_bucket{le="+Inf"} 4
-test_latency_seconds_sum 2.875
+test_latency_seconds_sum 3.435973836875e+10
 test_latency_seconds_count 4
 # HELP test_queue_depth Computed at scrape time.
 # TYPE test_queue_depth gauge
@@ -61,15 +67,19 @@ test_weird_total 0
 // TestHistogramBuckets pins the le-inclusive boundary rule: an
 // observation equal to a bucket's upper bound counts into that bucket.
 func TestHistogramBuckets(t *testing.T) {
-	h := newHistogram([]float64{1, 2, 5})
-	for _, v := range []float64{0.5, 1, 1.0000001, 2, 5, 5.1, 100} {
-		h.Observe(v)
+	h := NewHistogram()
+	// Each value and the upper bound of the bucket it must land in.
+	cases := []struct{ v, upper float64 }{
+		{0.5, 0.5}, {1, 1}, {1.0000001, 1.125}, {2, 2}, {5, 5}, {5.1, 5.5}, {100, 104},
 	}
-	// Raw (non-cumulative) slots: (-inf,1]=2, (1,2]=2, (2,5]=1, (5,inf)=2.
-	wantRaw := []uint64{2, 2, 1, 2}
-	for i, w := range wantRaw {
-		if got := h.counts[i].Load(); got != w {
-			t.Errorf("bucket %d = %d, want %d", i, got, w)
+	for _, c := range cases {
+		h.Observe(c.v)
+		i := bucketOf(c.v)
+		if upper(i) != c.upper || upper(i-1) >= c.v {
+			t.Errorf("%v: bucket (%v, %v], want upper bound %v", c.v, upper(i-1), upper(i), c.upper)
+		}
+		if h.counts[i].Load() == 0 {
+			t.Errorf("%v: not counted in its bucket", c.v)
 		}
 	}
 	if h.Count() != 7 {
@@ -77,6 +87,45 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 	if got, want := h.Sum(), 114.6; got < want-1e-6 || got > want+1e-6 {
 		t.Errorf("sum = %v, want ≈%v", got, want)
+	}
+	if h.Quantile(0) != 0.5 || h.Max() != 100 {
+		t.Errorf("q=0, max = %v, %v, want 0.5, 100", h.Quantile(0), h.Max())
+	}
+}
+
+// TestHistogramLayout pins the one bucket layout: 8 sub-buckets per
+// octave, each at most 1/8 of its lower bound wide; 2^-30 … 2^34 with the
+// values outside in the end buckets; one bucket per integer 1–16.
+func TestHistogramLayout(t *testing.T) {
+	if upper(0) != 0x1p-30 || upper(numBounds-1) != 0x1p34 {
+		t.Fatalf("range = %v … %v", upper(0), upper(numBounds-1))
+	}
+	for i := 1; i < numBounds; i++ {
+		lo, hi := upper(i-1), upper(i)
+		if !(hi > lo) || hi-lo > lo/8 {
+			t.Fatalf("bucket %d = (%v, %v]: not ascending or wider than 1/8", i, lo, hi)
+		}
+		if bucketOf(hi) != i || bucketOf(math.Nextafter(hi, 0)) != i || bucketOf(math.Nextafter(lo, hi)) != i {
+			t.Fatalf("bucket %d = (%v, %v]: its bound or interior maps elsewhere", i, lo, hi)
+		}
+		if octave := (i - 1) / 8; upper(octave*8) != math.Ldexp(1, octave-30) {
+			t.Fatalf("bucket %d: octave %d does not start at a power of two", i, octave)
+		}
+	}
+	for _, v := range []float64{0x1p-30, 1e-12, 0, -1, math.Inf(-1), math.NaN()} {
+		if bucketOf(v) != 0 {
+			t.Errorf("%v: bucket %d, want the lowest", v, bucketOf(v))
+		}
+	}
+	for _, v := range []float64{math.Nextafter(0x1p34, math.Inf(1)), 1e12, math.Inf(1)} {
+		if bucketOf(v) != numBounds {
+			t.Errorf("%v: bucket %d, want +Inf", v, bucketOf(v))
+		}
+	}
+	for n := 1; n <= 16; n++ {
+		if upper(bucketOf(float64(n))) != float64(n) || bucketOf(float64(n)) == bucketOf(float64(n+1)) {
+			t.Errorf("integer %d does not have a bucket of its own", n)
+		}
 	}
 }
 
@@ -87,7 +136,7 @@ func TestConcurrentIncrements(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("test_total", "t")
 	g := r.Gauge("test_gauge", "t")
-	h := r.Histogram("test_hist", "t", []float64{0.5})
+	h := r.Histogram("test_hist", "t")
 	const workers, per = 16, 1000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -113,6 +162,9 @@ func TestConcurrentIncrements(t *testing.T) {
 	}
 	if got, want := h.Sum(), 0.25*workers*per; got != want {
 		t.Errorf("histogram sum = %v, want %v", got, want)
+	}
+	if h.Quantile(0) != 0.25 || h.Max() != 0.25 {
+		t.Errorf("histogram q=0, max = %v, %v, want 0.25", h.Quantile(0), h.Max())
 	}
 }
 
@@ -144,30 +196,6 @@ func assertPanics(t *testing.T, name string, fn func()) {
 		}
 	}()
 	fn()
-}
-
-// TestBucketHelpers covers the two generator shapes.
-func TestBucketHelpers(t *testing.T) {
-	lin := LinearBuckets(2, 2, 4)
-	if want := []float64{2, 4, 6, 8}; !equalF(lin, want) {
-		t.Errorf("LinearBuckets = %v, want %v", lin, want)
-	}
-	exp := ExponentialBuckets(1, 10, 3)
-	if want := []float64{1, 10, 100}; !equalF(exp, want) {
-		t.Errorf("ExponentialBuckets = %v, want %v", exp, want)
-	}
-}
-
-func equalF(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // TestMergedExposition: the server merges its registry with Default; the

@@ -38,7 +38,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 		requests: r.CounterVec("bionav_http_requests_total",
 			"HTTP requests served, by route and status code.", "route", "code"),
 		latency: r.HistogramVec("bionav_http_request_seconds",
-			"HTTP request latency, by route.", obs.DefBuckets, "route"),
+			"HTTP request latency, by route.", "route"),
 		degraded: r.Counter("bionav_expand_degraded_total",
 			"EXPANDs that fell back to the static all-children cut."),
 		shed: r.Counter("bionav_requests_shed_total",

@@ -172,10 +172,10 @@ type session struct {
 	journaled int
 }
 
-// New builds a server over a static dataset: a memory-only live corpus
+// New builds a server over a static snapshot: a memory-only live corpus
 // wraps it, so /api/admin/ingest works but ingested batches do not persist.
-func New(ds *store.Dataset, cfg Config) *Server {
-	return NewLive(store.NewLive(ds), cfg)
+func New(sn *store.Snapshot, cfg Config) *Server {
+	return NewLive(store.NewLive(sn), cfg)
 }
 
 // NewLive builds a server over a live corpus. New queries run against
@@ -774,10 +774,9 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	// Request-latency quantiles, estimated from the same histogram /metrics
 	// exposes (bionav_http_request_seconds, all routes merged) — a JSON
 	// read-through for dashboards that do not run a Prometheus.
-	lat := s.met.latency.MergedBuckets()
-	stats["latencyP50Ms"] = quantileMs(lat, 0.50)
-	stats["latencyP95Ms"] = quantileMs(lat, 0.95)
-	stats["latencyP99Ms"] = quantileMs(lat, 0.99)
+	stats["latencyP50Ms"] = quantileMs(s.met.latency, 0.50)
+	stats["latencyP95Ms"] = quantileMs(s.met.latency, 0.95)
+	stats["latencyP99Ms"] = quantileMs(s.met.latency, 0.99)
 	stats["recoveredSessions"] = s.met.recovered.Value()
 	stats["recoveryErrors"] = s.met.recoveryErrors.Value()
 	if s.cfg.Journal != nil {
@@ -971,11 +970,11 @@ func (s *Server) buildView(st *snapState, nav *navtree.Tree, vis map[navtree.Nod
 	return out
 }
 
-// quantileMs renders a bucket-quantile estimate in milliseconds. NaN (no
+// quantileMs renders a latency-quantile estimate in milliseconds. NaN (no
 // observations yet) and ±Inf collapse to 0: they are not representable in
 // JSON and would make the whole stats encode fail.
-func quantileMs(buckets []obs.Bucket, q float64) float64 {
-	v := obs.BucketQuantile(q, buckets)
+func quantileMs(lat *obs.HistogramVec, q float64) float64 {
+	v := lat.Quantile(q)
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		return 0
 	}

@@ -20,12 +20,12 @@ import (
 
 // testDataset builds the deterministic corpus every server test — and the
 // chaos harness's server subprocess — runs against. Same seeds, same data.
-func testDataset() *store.Dataset {
+func testDataset() *store.Snapshot {
 	tree := hierarchy.Generate(hierarchy.GenConfig{Seed: 71, Nodes: 1000, TopLevel: 12, MaxDepth: 8})
 	corp := corpus.Generate(tree, corpus.GenConfig{
 		Seed: 72, Citations: 300, MeanConcepts: 30, FirstID: 500, YearLo: 2000, YearHi: 2008,
 	})
-	return &store.Dataset{Tree: tree, Corpus: corp, Index: index.Build(corp)}
+	return &store.Snapshot{Tree: tree, Corpus: corp, Index: index.Build(corp)}
 }
 
 func testServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -604,7 +604,7 @@ func BenchmarkQueryNavCache(b *testing.B) {
 	corp := corpus.Generate(tree, corpus.GenConfig{
 		Seed: 72, Citations: 300, MeanConcepts: 30, FirstID: 500, YearLo: 2000, YearHi: 2008,
 	})
-	ds := &store.Dataset{Tree: tree, Corpus: corp, Index: index.Build(corp)}
+	ds := &store.Snapshot{Tree: tree, Corpus: corp, Index: index.Build(corp)}
 
 	run := func(b *testing.B, cfg Config) {
 		srv := New(ds, cfg)

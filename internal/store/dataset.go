@@ -11,15 +11,9 @@ import (
 	"bionav/internal/obs"
 )
 
-// Dataset bundles everything BioNav's on-line subsystem needs: the concept
-// hierarchy with global counts, the citation corpus with its denormalized
-// concept associations, and the prebuilt keyword index. This mirrors the
-// off-line pre-processing output of §VII.
-type Dataset struct {
-	Tree   *hierarchy.Tree
-	Corpus *corpus.Corpus
-	Index  *index.Index
-}
+// Dataset is the older name of Snapshot. servebench still names it; drop
+// the alias with the next change to that harness.
+type Dataset = Snapshot
 
 // Table names of the BioNav schema.
 const (
@@ -28,20 +22,21 @@ const (
 	tableIndex     = "searchindex"
 )
 
-// Save writes the dataset to a fresh database directory.
-func (ds *Dataset) Save(dir string) error {
-	return ds.SaveWith(dir, nil)
+// Save writes the snapshot's dataset to a fresh database directory. The
+// epoch is not written: LoadDataset reads it back as epoch 0.
+func (sn *Snapshot) Save(dir string) error {
+	return sn.SaveWith(dir, nil)
 }
 
 // SaveWith writes the dataset plus any extra tables produced by extra;
 // callers (e.g. the workload package) use it to persist sidecar metadata
 // in the same database directory.
-func (ds *Dataset) SaveWith(dir string, extra func(*Writer) error) error {
+func (sn *Snapshot) SaveWith(dir string, extra func(*Writer) error) error {
 	w, err := NewWriter(dir)
 	if err != nil {
 		return err
 	}
-	err = ds.save(w)
+	err = sn.save(w)
 	if err == nil && extra != nil {
 		err = extra(w)
 	}
@@ -52,19 +47,19 @@ func (ds *Dataset) SaveWith(dir string, extra func(*Writer) error) error {
 	return w.Close()
 }
 
-func (ds *Dataset) save(w *Writer) error {
+func (sn *Snapshot) save(w *Writer) error {
 	var enc Encoder
 
 	ct, err := w.CreateTable(tableConcepts)
 	if err != nil {
 		return err
 	}
-	for i := 0; i < ds.Tree.Len(); i++ {
-		n := ds.Tree.Node(hierarchy.ConceptID(i))
+	for i := 0; i < sn.Tree.Len(); i++ {
+		n := sn.Tree.Node(hierarchy.ConceptID(i))
 		enc.Reset()
 		enc.PutVarint(int64(n.Parent))
 		enc.PutString(n.Label)
-		enc.PutUvarint(uint64(ds.Corpus.GlobalCount(n.ID)))
+		enc.PutUvarint(uint64(sn.Corpus.GlobalCount(n.ID)))
 		if err := ct.Append(enc.Bytes()); err != nil {
 			return err
 		}
@@ -74,9 +69,9 @@ func (ds *Dataset) save(w *Writer) error {
 	if err != nil {
 		return err
 	}
-	for i := 0; i < ds.Corpus.Len(); i++ {
+	for i := 0; i < sn.Corpus.Len(); i++ {
 		enc.Reset()
-		if err := encodeCitation(&enc, ds.Corpus.At(i)); err != nil {
+		if err := encodeCitation(&enc, sn.Corpus.At(i)); err != nil {
 			return err
 		}
 		if err := cit.Append(enc.Bytes()); err != nil {
@@ -89,17 +84,17 @@ func (ds *Dataset) save(w *Writer) error {
 		return err
 	}
 	var buf bytes.Buffer
-	if err := index.Encode(&buf, ds.Index); err != nil {
+	if err := index.Encode(&buf, sn.Index); err != nil {
 		return err
 	}
 	return it.Append(buf.Bytes())
 }
 
-// LoadDataset reads a dataset previously written by Save. The
-// faults.SiteStoreLoad failpoint fires before any file is opened, so an
-// injected failure exercises the caller's error path without touching
-// state.
-func LoadDataset(dir string) (ds *Dataset, err error) {
+// LoadDataset reads a dataset previously written by Save, as the epoch-0
+// snapshot. The faults.SiteStoreLoad failpoint fires before any file is
+// opened, so an injected failure exercises the caller's error path without
+// touching state.
+func LoadDataset(dir string) (sn *Snapshot, err error) {
 	defer obs.Time(storeLoadSeconds)()
 	defer func() {
 		if err != nil {
@@ -203,5 +198,5 @@ func LoadDataset(dir string) (ds *Dataset, err error) {
 		return nil, fmt.Errorf("%w: missing index record", ErrCorrupt)
 	}
 
-	return &Dataset{Tree: tree, Corpus: corp, Index: ix}, nil
+	return &Snapshot{Tree: tree, Corpus: corp, Index: ix}, nil
 }

@@ -10,16 +10,16 @@ import (
 	"bionav/internal/index"
 )
 
-func testDataset(tb testing.TB) *Dataset {
+func testDataset(tb testing.TB) *Snapshot {
 	tb.Helper()
 	return testDatasetSized(tb, 300, 120)
 }
 
-func testDatasetSized(tb testing.TB, concepts, citations int) *Dataset {
+func testDatasetSized(tb testing.TB, concepts, citations int) *Snapshot {
 	tb.Helper()
 	tree := hierarchy.Generate(hierarchy.GenConfig{Seed: 21, Nodes: concepts, TopLevel: 8, MaxDepth: 7})
 	c := corpus.Generate(tree, corpus.GenConfig{Seed: 4, Citations: citations, MeanConcepts: 12, FirstID: 7000, YearLo: 1999, YearHi: 2008})
-	return &Dataset{Tree: tree, Corpus: c, Index: index.Build(c)}
+	return &Snapshot{Tree: tree, Corpus: c, Index: index.Build(c)}
 }
 
 func TestDatasetSaveLoadRoundTrip(t *testing.T) {
@@ -123,7 +123,7 @@ func TestSaveOverwritesExisting(t *testing.T) {
 func BenchmarkDatasetSaveLoad(b *testing.B) {
 	tree := hierarchy.Generate(hierarchy.GenConfig{Seed: 21, Nodes: 2000, TopLevel: 16, MaxDepth: 9})
 	c := corpus.Generate(tree, corpus.GenConfig{Seed: 4, Citations: 1000, MeanConcepts: 40, FirstID: 1, YearLo: 1999, YearHi: 2008})
-	ds := &Dataset{Tree: tree, Corpus: c, Index: index.Build(c)}
+	ds := &Snapshot{Tree: tree, Corpus: c, Index: index.Build(c)}
 	dir := b.TempDir()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -31,8 +31,7 @@ func ingestCitation(id int64, term string, concepts ...int) corpus.Citation {
 }
 
 func TestSnapshotIngestFreshCitation(t *testing.T) {
-	ds := testDataset(t)
-	base := ds.Snapshot()
+	base := testDataset(t)
 	if base.Epoch != 0 {
 		t.Fatalf("base epoch = %d, want 0", base.Epoch)
 	}
@@ -68,8 +67,7 @@ func TestSnapshotIngestFreshCitation(t *testing.T) {
 }
 
 func TestSnapshotIngestUpsertRetractsStalePostings(t *testing.T) {
-	ds := testDataset(t)
-	base := ds.Snapshot()
+	base := testDataset(t)
 	s1, _, err := base.Ingest([]corpus.Citation{ingestCitation(900001, "axolotl", 3, 4)})
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +103,7 @@ func TestSnapshotIngestUpsertRetractsStalePostings(t *testing.T) {
 }
 
 func TestSnapshotIngestWithinBatchLastWins(t *testing.T) {
-	base := testDataset(t).Snapshot()
+	base := testDataset(t)
 	next, stats, err := base.Ingest([]corpus.Citation{
 		ingestCitation(900007, "firstversion", 1),
 		ingestCitation(900007, "secondversion", 2),
@@ -129,7 +127,7 @@ func TestSnapshotIngestWithinBatchLastWins(t *testing.T) {
 }
 
 func TestSnapshotIngestRejectsBadBatches(t *testing.T) {
-	base := testDataset(t).Snapshot()
+	base := testDataset(t)
 	if _, _, err := base.Ingest(nil); err == nil {
 		t.Fatal("empty batch accepted")
 	}

@@ -33,12 +33,12 @@ type Live struct {
 	cur atomic.Pointer[Snapshot]
 }
 
-// NewLive wraps an in-memory dataset as a live corpus without
+// NewLive wraps an in-memory snapshot as a live corpus without
 // persistence: ingested batches update the current snapshot but are not
 // written anywhere (the demo-server mode).
-func NewLive(ds *Dataset) *Live {
+func NewLive(sn *Snapshot) *Live {
 	l := &Live{}
-	l.cur.Store(ds.Snapshot())
+	l.cur.Store(sn)
 	return l
 }
 
@@ -48,11 +48,10 @@ func NewLive(ds *Dataset) *Live {
 // its valid prefix, which truncates a torn tail left by a crash
 // mid-ingest. One scan does both.
 func OpenLive(dir string) (*Live, error) {
-	ds, err := LoadDataset(dir)
+	snap, err := LoadDataset(dir)
 	if err != nil {
 		return nil, err
 	}
-	snap := ds.Snapshot()
 	path := filepath.Join(dir, tableIngest+tableSuffix)
 	end, err := readLog(path, true, func(_ int64, payload []byte) error {
 		batch, derr := decodeIngestBatch(payload)

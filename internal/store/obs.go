@@ -9,8 +9,7 @@ var (
 	storeLoads = obs.Default.CounterVec("bionav_store_loads_total",
 		"Dataset loads by outcome (ok, error).", "outcome")
 	storeLoadSeconds = obs.Default.Histogram("bionav_store_load_seconds",
-		"Wall time to load a dataset from disk.",
-		obs.ExponentialBuckets(0.01, 4, 6)) // 10ms … ~10s, then +Inf
+		"Wall time to load a dataset from disk.")
 	citationCacheHits = obs.Default.Counter("bionav_citation_cache_hits_total",
 		"CitationReader point lookups served from the decoded-citation LRU.")
 	citationCacheMisses = obs.Default.Counter("bionav_citation_cache_misses_total",
@@ -22,6 +21,5 @@ var (
 	ingestCitations = obs.Default.Counter("bionav_ingest_citations_total",
 		"Citations applied by ingest batches (fresh and upserted).")
 	ingestSeconds = obs.Default.Histogram("bionav_ingest_seconds",
-		"Wall time to apply one ingest batch (log append + snapshot build).",
-		obs.ExponentialBuckets(0.0001, 4, 8)) // 100µs … ~1.6s, then +Inf
+		"Wall time to apply one ingest batch (log append + snapshot build).")
 )

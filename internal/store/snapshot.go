@@ -9,8 +9,12 @@ import (
 )
 
 // Snapshot is one immutable version of the dataset, stamped with a
-// monotonically increasing epoch. Epoch 0 is the dataset as loaded (or
-// built); every applied ingest batch produces the next epoch. Snapshots
+// monotonically increasing epoch. The dataset is everything BioNav's
+// on-line subsystem needs: the concept hierarchy with global counts, the
+// citation corpus with its denormalized concept associations, and the
+// prebuilt keyword index — the off-line pre-processing output of §VII.
+// Epoch 0 is the dataset as loaded (or built); every applied ingest batch
+// produces the next epoch. Snapshots
 // are copy-on-write: Ingest shares the hierarchy and every untouched
 // postings list with its input, so holding an old snapshot (a pinned
 // navigation session) costs only the header structures that actually
@@ -26,16 +30,6 @@ type Snapshot struct {
 type IngestStats struct {
 	Fresh   int // citations new to the corpus
 	Upserts int // citations that replaced an existing ID (last wins)
-}
-
-// Snapshot wraps the dataset as epoch 0 of a live corpus.
-func (ds *Dataset) Snapshot() *Snapshot {
-	return &Snapshot{Epoch: 0, Tree: ds.Tree, Corpus: ds.Corpus, Index: ds.Index}
-}
-
-// Dataset returns the snapshot's contents in Dataset form, e.g. for Save.
-func (sn *Snapshot) Dataset() *Dataset {
-	return &Dataset{Tree: sn.Tree, Corpus: sn.Corpus, Index: sn.Index}
 }
 
 // Ingest returns a new snapshot with batch applied — the incremental

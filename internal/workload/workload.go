@@ -62,7 +62,7 @@ type Query struct {
 
 // Workload bundles the synthesized dataset with its realized queries.
 type Workload struct {
-	Dataset *store.Dataset
+	Dataset *store.Snapshot
 	Queries []Query
 }
 
@@ -165,7 +165,7 @@ func Generate(cfg Config) (*Workload, error) {
 		return nil, fmt.Errorf("workload: assemble corpus: %w", err)
 	}
 	return &Workload{
-		Dataset: &store.Dataset{Tree: tree, Corpus: corp, Index: index.Build(corp)},
+		Dataset: &store.Snapshot{Tree: tree, Corpus: corp, Index: index.Build(corp)},
 		Queries: queries,
 	}, nil
 }
