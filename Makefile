@@ -46,11 +46,13 @@ checks-test:
 	$(GO) test -race -tags bionav_checks ./...
 
 # Behaviour goldens under testdata/golden: the TOPDOWN cut sequences of
-# every Table I query under every policy (topdown.golden) and the rendered
-# views of a fixed EXPAND/BACKTRACK script (views.golden). Regenerate with
-# -update only for an intended behaviour change.
+# every Table I query under every policy (topdown.golden), the rendered
+# views of a fixed EXPAND/BACKTRACK script (views.golden), and the HTTP
+# transcript of a fixed API script on the -demo corpus (http.golden).
+# Regenerate with -update only for an intended behaviour change.
 golden-test:
 	$(GO) test -count=1 -run 'BehaviourGolden|ViewGolden' ./internal/experiments
+	$(GO) test -count=1 -run 'TranscriptGolden' ./internal/server
 
 # Short fuzz runs of the differential Opt-EdgeCut, PolyCut, k-partition,
 # active-tree and navigation-tree build targets and the hierarchy

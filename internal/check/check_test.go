@@ -99,11 +99,15 @@ func TestValidateActiveTree(t *testing.T) {
 	if err := check.ValidateActiveTree(at); err != nil {
 		t.Fatalf("fresh active tree invalid: %v", err)
 	}
-	if _, err := at.ExpandAll(nav.Root()); err != nil {
+	cut, err := core.StaticAll{}.ChooseCut(context.Background(), at, nav.Root())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := at.Expand(nav.Root(), cut); err != nil {
 		t.Fatal(err)
 	}
 	if err := check.ValidateActiveTree(at); err != nil {
-		t.Fatalf("active tree invalid after ExpandAll: %v", err)
+		t.Fatalf("active tree invalid after a static EXPAND: %v", err)
 	}
 }
 

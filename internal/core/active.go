@@ -375,22 +375,6 @@ func (at *ActiveTree) tally(root, top navtree.NodeID, whole bool, u bitset) comp
 	return c
 }
 
-// ExpandAll applies the static-navigation expansion: it cuts every edge
-// from root to its children within the component, revealing all children —
-// the behaviour of GoPubMed-style interfaces the paper compares against.
-func (at *ActiveTree) ExpandAll(root navtree.NodeID) ([]navtree.NodeID, error) {
-	var cut []Edge
-	for _, c := range at.nav.Children(root) {
-		if at.compOf[c] == root {
-			cut = append(cut, Edge{Parent: root, Child: c})
-		}
-	}
-	if len(cut) == 0 {
-		return nil, fmt.Errorf("core: expand-all: component %d has no internal edges", root)
-	}
-	return at.Expand(root, cut)
-}
-
 // CanBacktrack reports whether an EXPAND can be undone.
 func (at *ActiveTree) CanBacktrack() bool { return len(at.undo) > 0 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -227,11 +228,22 @@ func TestExpandRejectsInvalidCuts(t *testing.T) {
 	reject("repeated edge", f.nodes["phys"], []Edge{death, f.edge(t, "growth"), death})
 }
 
+// expandStatic applies the static-navigation cut to root's component: it
+// cuts every edge from root to its children within the component,
+// revealing all children.
+func expandStatic(at *ActiveTree, root navtree.NodeID) ([]navtree.NodeID, error) {
+	cut, err := StaticAll{}.ChooseCut(context.Background(), at, root)
+	if err != nil {
+		return nil, err
+	}
+	return at.Expand(root, cut)
+}
+
 func TestExpandAllMatchesStaticSemantics(t *testing.T) {
 	f := newPaperFixture(t)
 	at := f.at
 	// Static expansion of the root reveals its only child (bio).
-	lower, err := at.ExpandAll(f.nodes["root"])
+	lower, err := expandStatic(at, f.nodes["root"])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +251,7 @@ func TestExpandAllMatchesStaticSemantics(t *testing.T) {
 		t.Fatalf("lower = %v", lower)
 	}
 	// Then bio reveals phys and gen.
-	lower, err = at.ExpandAll(f.nodes["bio"])
+	lower, err = expandStatic(at, f.nodes["bio"])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,8 +262,8 @@ func TestExpandAllMatchesStaticSemantics(t *testing.T) {
 	if got := at.ComponentSize(f.nodes["bio"]); got != 1 {
 		t.Fatalf("upper size = %d", got)
 	}
-	if _, err := at.ExpandAll(f.nodes["bio"]); err == nil {
-		t.Fatal("ExpandAll on singleton succeeded")
+	if _, err := expandStatic(at, f.nodes["bio"]); err == nil {
+		t.Fatal("static EXPAND on singleton succeeded")
 	}
 	if err := at.CheckInvariants(); err != nil {
 		t.Fatal(err)

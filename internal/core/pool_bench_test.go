@@ -43,7 +43,7 @@ func poolBench(b *testing.B) *poolBenchState {
 	})
 	nav := navtree.Build(corp, corp.IDs())
 	at := NewActiveTree(nav)
-	if _, err := at.ExpandAll(nav.Root()); err != nil {
+	if _, err := expandStatic(at, nav.Root()); err != nil {
 		b.Fatal(err)
 	}
 	var roots []navtree.NodeID

@@ -14,7 +14,7 @@ import (
 // multi-node component — the fan-out a batch EXPAND would solve.
 func expandableRoots(t *testing.T, at *ActiveTree) []navtree.NodeID {
 	t.Helper()
-	if _, err := at.ExpandAll(at.Nav().Root()); err != nil {
+	if _, err := expandStatic(at, at.Nav().Root()); err != nil {
 		t.Fatal(err)
 	}
 	var roots []navtree.NodeID

@@ -151,14 +151,7 @@ func TestFaultBatchExpandWorkerFailure(t *testing.T) {
 		if _, err := probe.ExpandBatchContext(context.Background(), nil, roots); err != nil {
 			t.Fatal(err)
 		}
-		static := NewSession(nav, core.NewHeuristicReducedOpt())
-		if _, err := static.Expand(nav.Root()); err != nil {
-			t.Fatal(err)
-		}
-		allChildren, err := static.Active().ExpandAll(target)
-		if err != nil {
-			t.Fatal(err)
-		}
+		allChildren := staticReveal(t, nav, target)
 
 		for _, cr := range res {
 			if cr.Node == target {
@@ -178,11 +171,46 @@ func TestFaultBatchExpandWorkerFailure(t *testing.T) {
 			t.Fatalf("%s: invariants broken after degraded batch: %v", name, err)
 		}
 	}
+
+	// A single EXPAND of the failing component falls back the same way.
+	_, roots := openedSession(t, nav, core.NewHeuristicReducedOpt())
+	target := roots[len(roots)/2]
+	s, _ := openedSession(t, nav, failOnRoot{inner: core.NewHeuristicReducedOpt(), target: target})
+	res, err := s.ExpandContext(context.Background(), target)
+	if err != nil {
+		t.Fatalf("single EXPAND failed outright: %v", err)
+	}
+	if !res.Degraded || res.Grade != core.GradeStatic || res.Reason == "" {
+		t.Fatalf("single EXPAND of the failed component = %+v, want a static fallback with a reason", res)
+	}
+	if want := staticReveal(t, nav, target); fmt.Sprint(res.Revealed) != fmt.Sprint(want) {
+		t.Fatalf("single EXPAND revealed %v, want static %v", res.Revealed, want)
+	}
+}
+
+// staticReveal returns what the static all-children cut reveals of
+// target's component, after the opening EXPAND of the root.
+func staticReveal(t *testing.T, nav *navtree.Tree, target navtree.NodeID) []navtree.NodeID {
+	t.Helper()
+	static := NewSession(nav, core.NewHeuristicReducedOpt())
+	if _, err := static.Expand(nav.Root()); err != nil {
+		t.Fatal(err)
+	}
+	cut, err := core.StaticAll{}.ChooseCut(context.Background(), static.Active(), target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	revealed, err := static.Active().Expand(target, cut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return revealed
 }
 
 // TestExpandBatchPanicDegradesComponent routes a policy panic through the
 // batch path: the pool contains it, the component degrades, the rest of
-// the batch lands.
+// the batch lands. A single EXPAND of that component, solved inline,
+// degrades the same way.
 func TestExpandBatchPanicDegradesComponent(t *testing.T) {
 	nav := buildNav(t, 227, 200, 30)
 	_, roots := openedSession(t, nav, core.NewHeuristicReducedOpt())
@@ -201,6 +229,18 @@ func TestExpandBatchPanicDegradesComponent(t *testing.T) {
 		if (cr.Node == target) != cr.Degraded {
 			t.Fatalf("degradation mismatch on %d: %+v", cr.Node, cr)
 		}
+	}
+
+	single, _ := openedSession(t, nav, panickyPolicy{inner: core.NewHeuristicReducedOpt(), target: target})
+	one, err := single.ExpandContext(context.Background(), target)
+	if err != nil {
+		t.Fatalf("single EXPAND: panic was not degraded: %v", err)
+	}
+	if !one.Degraded || one.Grade != core.GradeStatic || !strings.Contains(one.Reason, "panicked") {
+		t.Fatalf("single EXPAND of the panicking component = %+v, want a static fallback citing the panic", one)
+	}
+	if want := staticReveal(t, nav, target); fmt.Sprint(one.Revealed) != fmt.Sprint(want) {
+		t.Fatalf("single EXPAND revealed %v, want static %v", one.Revealed, want)
 	}
 }
 

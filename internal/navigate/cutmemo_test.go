@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"bionav/internal/check"
 	"bionav/internal/core"
 	"bionav/internal/corpus"
 	"bionav/internal/hierarchy"
@@ -258,9 +257,6 @@ func TestCutMemoBadCutFallsBack(t *testing.T) {
 	policy := countingPolicy{core.NewHeuristicReducedOpt(), &solves}
 
 	t.Run("expand", func(t *testing.T) {
-		if check.Enabled {
-			t.Skip("deep-assertion builds panic on an invalid memo hit")
-		}
 		nav := buildNav(t, 307, 180, 30)
 		s := NewSession(nav, policy)
 		want, err := freshCut(s, nav.Root())

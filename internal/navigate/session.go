@@ -6,7 +6,6 @@ package navigate
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 
@@ -129,97 +128,13 @@ type ExpandResult struct {
 	// all-children fallback.
 	Grade core.CutGrade
 	// Degraded is true when the applied cut is anything less than
-	// GradeFull — the deadline or an injected fault cut the optimization
-	// short. The expansion is still a valid navigation step — only its
-	// cost optimality is lost.
+	// GradeFull — the deadline, an injected fault or a solve panic cut the
+	// optimization short. The expansion is still a valid navigation step —
+	// only its cost optimality is lost.
 	Degraded bool
-	// Reason is the ctx/fault error that forced the degradation ("context
-	// deadline exceeded", "context canceled"); empty when not degraded.
+	// Reason is the error that forced the degradation ("context deadline
+	// exceeded", "context canceled", …); empty when not degraded.
 	Reason string
-}
-
-// ExpandContext is Expand with a computation bound: the context caps the
-// policy's EdgeCut optimization (the Opt-EdgeCut DP checks it
-// mid-search). If the policy is cancelled or runs out its deadline, the
-// expansion degrades gracefully to the static all-children EdgeCut — the
-// paper's §VIII baseline, always valid and O(children) — instead of
-// failing, and the result is flagged Degraded. The session's tree and
-// cost state are mutated only after a cut (optimal or fallback) is in
-// hand, so a degraded EXPAND leaves the session exactly as consistent as
-// a normal one.
-func (s *Session) ExpandContext(ctx context.Context, node navtree.NodeID) (ExpandResult, error) {
-	if node < 0 || node >= s.at.Nav().Len() {
-		return ExpandResult{}, fmt.Errorf("navigate: EXPAND on unknown node %d", node)
-	}
-	var sp *obs.Span
-	ctx, sp = obs.StartChild(ctx, "expand")
-	defer sp.End()
-	sp.SetAttr("node", int64(node))
-	sp.SetAttr("policy", s.policy.Name())
-
-	// Fast path: a cut some EXPAND of this exact component already solved,
-	// in this session or another on the tree (core's cut memo). It goes
-	// through check.EdgeCut like a solved cut; if it does not apply, it is
-	// dropped and the policy runs.
-	key, shared := s.at.MemoKey(s.policy, node)
-	if shared {
-		if cut, ok := s.at.MemoCut(key); ok {
-			check.EdgeCut(s.at, node, cut)
-			if revealed, err := s.at.Expand(node, cut); err == nil {
-				memoHits.Inc()
-				s.expanded(node, revealed)
-				sp.SetAttr("solver_cache", "hit")
-				sp.SetAttr("grade", core.GradeFull.String())
-				sp.SetAttr("revealed", len(revealed))
-				return ExpandResult{Revealed: revealed}, nil
-			}
-			s.at.Forget(key)
-		}
-		memoMisses.Inc()
-		sp.SetAttr("solver_cache", "miss")
-	}
-
-	// Each EXPAND gets its own GradeReport holder: grading policies
-	// (PolyCutPolicy) absorb deadline expiry into the grade instead of
-	// erroring, and the holder carries that outcome back.
-	var res ExpandResult
-	sctx, rep := core.WithGradeReport(ctx)
-	cut, err := s.policy.ChooseCut(sctx, s.at, node)
-	if err != nil {
-		if !isContextErr(ctx, err) {
-			return ExpandResult{}, err // logical failure: degradation can't help
-		}
-		res.Grade = core.GradeStatic
-		res.Degraded = true
-		res.Reason = reasonFor(ctx, err)
-		// The fallback runs without the expired ctx: StaticAll is a plain
-		// child-list walk and must not itself be cancelled.
-		//lint:ignore CTX01 degradation path must not inherit the expired deadline that triggered it
-		cut, err = core.StaticAll{}.ChooseCut(context.Background(), s.at, node)
-		if err != nil {
-			return ExpandResult{}, fmt.Errorf("navigate: degraded EXPAND fallback: %w", err)
-		}
-	} else if res.Grade = rep.Grade; rep.Grade != core.GradeFull {
-		res.Degraded = true
-		res.Reason = rep.Reason
-	}
-	check.EdgeCut(s.at, node, cut)
-	revealed, err := s.at.Expand(node, cut)
-	if err != nil {
-		return ExpandResult{}, err
-	}
-	if shared && res.Grade == core.GradeFull {
-		s.at.Memoize(key, cut)
-	}
-	s.expanded(node, revealed)
-	res.Revealed = revealed
-	sp.SetAttr("grade", res.Grade.String())
-	sp.SetAttr("revealed", len(revealed))
-	if res.Degraded {
-		sp.SetAttr("degraded", true)
-		sp.SetAttr("reason", res.Reason)
-	}
-	return res, nil
 }
 
 // expanded accounts for one applied EXPAND of node: it charges
@@ -229,21 +144,6 @@ func (s *Session) expanded(node navtree.NodeID, revealed []navtree.NodeID) {
 	s.cost.Expands++
 	s.cost.ConceptsRevealed += len(revealed)
 	s.log = append(s.log, Action{Kind: ActionExpand, Node: node, Revealed: revealed})
-}
-
-// isContextErr reports whether a ChooseCut failure is a cancellation —
-// the only failure class the static fallback can repair.
-func isContextErr(ctx context.Context, err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) || ctx.Err() != nil
-}
-
-// reasonFor prefers the ctx's own error for the degradation reason: a
-// policy may surface a wrapped or foreign error after its deadline fired.
-func reasonFor(ctx context.Context, err error) string {
-	if cerr := ctx.Err(); cerr != nil {
-		return cerr.Error()
-	}
-	return err.Error()
 }
 
 // ShowResults lists the distinct citations of node's component, sorted by

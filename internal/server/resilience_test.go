@@ -7,12 +7,14 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"bionav/internal/faults"
+	"bionav/internal/journal"
 )
 
 // startSession runs a query and returns the session ID and the root node.
@@ -103,12 +105,19 @@ func TestFaultExpandDegradesWithinBudget(t *testing.T) {
 
 // TestFaultPanicReleasesSessionLock: a panic while a handler holds the
 // session lock becomes a 500 in the recovery middleware, and the session
-// stays usable, because every handler releases the lock by defer. The DP
-// panics on its first checkpoint only; the next EXPAND and SHOWRESULTS
-// on the same session must answer within a 5 s client deadline.
+// stays usable, because every handler releases the lock by defer. The
+// journal append after an EXPAND panics once, under the session lock;
+// the next BACKTRACK and SHOWRESULTS on the same session must answer
+// within a 5 s client deadline. A panicking DP never gets that far: the
+// EXPAND falls back to the static cut and answers 200, degraded.
 func TestFaultPanicReleasesSessionLock(t *testing.T) {
 	t.Cleanup(faults.Reset)
-	srv := New(testDataset(), Config{})
+	j, err := journal.Open(t.TempDir(), journal.Options{Fsync: journal.FsyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { j.Close() })
+	srv := New(testDataset(), Config{Journal: j})
 	ts := httptest.NewServer(Middleware(srv.Handler(), nil))
 	// Close waits for every handler to return, and a handler blocked on a
 	// leaked session lock never does: a failing run leaves the server up
@@ -120,15 +129,19 @@ func TestFaultPanicReleasesSessionLock(t *testing.T) {
 	})
 	id, root := startSession(t, srv, ts.URL)
 
-	var fired atomic.Bool
-	faults.Arm(faults.SiteDP, faults.Always(), func(context.Context) error {
-		if fired.CompareAndSwap(false, true) {
-			panic("injected DP panic")
-		}
-		return nil
-	})
+	// panicOnce arms site with an action that panics on its first firing.
+	panicOnce := func(site, msg string) *atomic.Bool {
+		var fired atomic.Bool
+		faults.Arm(site, faults.Always(), func(context.Context) error {
+			if fired.CompareAndSwap(false, true) {
+				panic(msg)
+			}
+			return nil
+		})
+		return &fired
+	}
 	client := &http.Client{Timeout: 5 * time.Second}
-	do := func(method, url string, body any) int {
+	do := func(method, url string, body any) (int, map[string]any) {
 		t.Helper()
 		b, err := json.Marshal(body)
 		if err != nil {
@@ -142,21 +155,42 @@ func TestFaultPanicReleasesSessionLock(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s %s: %v", method, url, err)
 		}
-		resp.Body.Close()
-		return resp.StatusCode
+		defer resp.Body.Close()
+		var out map[string]any
+		_ = json.NewDecoder(resp.Body).Decode(&out)
+		return resp.StatusCode, out
 	}
 	expand := map[string]any{"session": id, "node": root}
-	if code := do(http.MethodPost, ts.URL+"/api/expand", expand); code != http.StatusInternalServerError {
-		t.Fatalf("EXPAND with a panicking DP answered %d, want 500", code)
-	}
+	backtrack := map[string]any{"session": id}
+
+	fired := panicOnce(faults.SiteDP, "injected DP panic")
+	code, state := do(http.MethodPost, ts.URL+"/api/expand", expand)
 	if !fired.Load() {
 		t.Fatal("the DP failpoint never fired")
 	}
-	if code := do(http.MethodPost, ts.URL+"/api/expand", expand); code != http.StatusOK {
-		t.Fatalf("EXPAND after the panic answered %d, want 200", code)
+	if reason, _ := state["degradedReason"].(string); code != http.StatusOK || state["degraded"] != true || !strings.Contains(reason, "panicked") {
+		t.Fatalf("EXPAND with a panicking DP answered %d %v, want 200, degraded by the panic", code, state)
+	}
+	if st := getStats(t, ts.URL); st["degradedExpands"] != 1 {
+		t.Fatalf("stats = %v, want 1 degraded EXPAND", st)
+	}
+	faults.Disarm(faults.SiteDP)
+	if code, _ := do(http.MethodPost, ts.URL+"/api/backtrack", backtrack); code != http.StatusOK {
+		t.Fatalf("BACKTRACK of the degraded EXPAND answered %d, want 200", code)
+	}
+
+	fired = panicOnce(journal.SiteAppend, "injected journal panic")
+	if code, _ := do(http.MethodPost, ts.URL+"/api/expand", expand); code != http.StatusInternalServerError {
+		t.Fatalf("EXPAND with a panicking journal append answered %d, want 500", code)
+	}
+	if !fired.Load() {
+		t.Fatal("the journal append failpoint never fired")
+	}
+	if code, _ := do(http.MethodPost, ts.URL+"/api/backtrack", backtrack); code != http.StatusOK {
+		t.Fatalf("BACKTRACK after the panic answered %d, want 200", code)
 	}
 	url := fmt.Sprintf("%s/api/results?session=%s&node=%d", ts.URL, id, root)
-	if code := do(http.MethodGet, url, nil); code != http.StatusOK {
+	if code, _ := do(http.MethodGet, url, nil); code != http.StatusOK {
 		t.Fatalf("SHOWRESULTS after the panic answered %d, want 200", code)
 	}
 }

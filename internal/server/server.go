@@ -312,7 +312,7 @@ func (s *Server) Handler() http.Handler {
 	api := http.NewServeMux()
 	api.HandleFunc("POST /api/query", s.handleQuery)
 	api.HandleFunc("POST /api/expand", s.handleExpand)
-	api.HandleFunc("POST /api/expandall", s.handleExpandAll)
+	api.HandleFunc("POST /api/expandall", s.handleExpand)
 	api.HandleFunc("POST /api/backtrack", s.handleBacktrack)
 	api.HandleFunc("POST /api/ignore", s.handleIgnore)
 	api.HandleFunc("GET /api/results", s.handleResults)
@@ -382,16 +382,17 @@ type stateResponse struct {
 	Results  int      `json:"results"`
 	Cost     costView `json:"cost"`
 	Tree     nodeView `json:"tree"`
-	// Degraded is set on an EXPAND response whose EdgeCut optimization ran
-	// out its budget and fell back to a lesser cut; Reason carries the
-	// context error ("context deadline exceeded", …). Grade names the rung
-	// of the degradation ladder the applied cut sits on ("full", "anytime",
-	// "static") — for a batch, the worst rung across its components.
+	// Degraded is set on an EXPAND response when the EdgeCut optimization
+	// of some component was cut short (budget, injected fault, solve
+	// panic) and a lesser cut applied; Reason carries the first
+	// component's cause ("context deadline exceeded", …). Grade names the
+	// rung of the degradation ladder the applied cut sits on ("full",
+	// "anytime", "static") — the worst rung across the components.
 	Degraded       bool   `json:"degraded,omitempty"`
 	DegradedReason string `json:"degradedReason,omitempty"`
 	Grade          string `json:"grade,omitempty"`
-	// DegradedComponents counts the components of a batch EXPAND
-	// (/api/expandall) that fell back to the static cut.
+	// DegradedComponents counts the degraded components of an EXPAND:
+	// at most 1 on /api/expand, up to every one on /api/expandall.
 	DegradedComponents int `json:"degradedComponents,omitempty"`
 	// Trace is the request's span tree, attached when the client asked
 	// for it with ?debug=trace.
@@ -449,6 +450,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.writeState(w, r, id, sess)
 }
 
+// handleExpand serves /api/expand, the EXPAND of the component at the
+// request's node, solved on the request goroutine, and /api/expandall,
+// the EXPAND of every expandable visible component, fanned across the
+// solve pool (serial without one). Both answer the usual state view; the
+// response counts the degraded components, surfaces the first
+// degradation reason and reports the worst grade.
 func (s *Server) handleExpand(w http.ResponseWriter, r *http.Request) {
 	var req actionRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -461,68 +468,21 @@ func (s *Server) handleExpand(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The optimization budget nests inside the request context, so both
-	// the per-EXPAND deadline and a client disconnect bound the DP.
+	// the per-EXPAND deadline and a client disconnect bound the solves;
+	// any component cut short degrades alone.
 	ctx := r.Context()
 	if s.cfg.ExpandBudget > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.ExpandBudget)
 		defer cancel()
 	}
-	var res navigate.ExpandResult
-	resp, status, err := s.act(req.Session, sess, func(nav *navigate.Session) (err error) {
-		res, err = nav.ExpandContext(ctx, req.Node)
-		return err
-	})
-	if err != nil {
-		httpError(w, status, err)
-		return
-	}
-	resp.Grade = res.Grade.String()
-	if res.Degraded {
-		s.met.degraded.Inc()
-		markDegraded(ctx)
-		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			s.met.timeouts.Inc()
-		}
-		resp.Degraded = true
-		resp.DegradedReason = res.Reason
-	}
-	if r.URL.Query().Get("debug") == "trace" {
-		resp.Trace = obs.FromContext(ctx).Summary()
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-type expandAllRequest struct {
-	Session string `json:"session"`
-}
-
-// handleExpandAll performs EXPAND on every expandable visible component
-// in one action, fanning the per-component EdgeCut solves across the
-// solve pool (serial without one). The response is the usual state view;
-// degraded components are counted and the first degradation reason is
-// surfaced, mirroring the single-EXPAND contract.
-func (s *Server) handleExpandAll(w http.ResponseWriter, r *http.Request) {
-	var req expandAllRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-		return
-	}
-	sess, err := s.lookup(req.Session)
-	if err != nil {
-		httpError(w, http.StatusNotFound, err)
-		return
-	}
-	// One optimization budget bounds the whole batch: the solves share the
-	// deadline, and any component cut short degrades alone.
-	ctx := r.Context()
-	if s.cfg.ExpandBudget > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.ExpandBudget)
-		defer cancel()
-	}
+	all := r.URL.Path == "/api/expandall"
 	var results []navigate.ComponentExpand
 	resp, status, err := s.act(req.Session, sess, func(nav *navigate.Session) (err error) {
+		if !all {
+			results, err = nav.ExpandBatchContext(ctx, nil, []navtree.NodeID{req.Node})
+			return err
+		}
 		at := nav.Active()
 		var roots []navtree.NodeID
 		for _, root := range at.VisibleRoots() {
@@ -542,9 +502,7 @@ func (s *Server) handleExpandAll(w http.ResponseWriter, r *http.Request) {
 	}
 	worst := core.GradeFull
 	for _, cr := range results {
-		if cr.Grade > worst {
-			worst = cr.Grade
-		}
+		worst = max(worst, cr.Grade)
 		if !cr.Degraded {
 			continue
 		}
