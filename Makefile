@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all check build test race vet fmt lint lint-fix-audit checks-test golden-test fuzz-smoke bench bench-json bench-check bench-diff anytime-test faults-test chaos-test metrics-test parallel-test ingest-test load-test load-bench experiments demo clean
+.PHONY: all check build test race vet fmt lint lint-fix-audit checks-test golden-test fuzz-smoke bench bench-json bench-check bench-diff loc anytime-test faults-test chaos-test metrics-test parallel-test ingest-test load-test load-bench experiments demo clean
 
 all: fmt vet lint test build
 
@@ -162,6 +162,15 @@ bench-check:
 # so the memo's locking is exercised under contention.
 anytime-test:
 	GOMAXPROCS=4 $(GO) test -race -run 'PolyCut|Anytime|PolyPolicy|SolverCacheReplayHit|SolverCacheBatchReplay|CutMemo|ReplayKeepsCutsOutOfMemo' ./internal/core ./internal/navigate ./internal/server
+
+# Non-test Go lines per package directory and for the whole module,
+# leaving out servebench, the linter's fixtures and build outputs: the
+# size figures ROADMAP.md and CHANGES.md quote.
+loc:
+	@find . \( -path ./servebench -o -path ./cmd/bionav-lint/testdata -o -path ./.bench_build -o -path ./.git \) -prune \
+		-o -name '*.go' ! -name '*_test.go' -print | xargs wc -l | \
+		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+			END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
 # Regenerate every table and figure of the paper's evaluation (§VIII).
 experiments:

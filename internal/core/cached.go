@@ -45,7 +45,6 @@ type plan struct {
 	idx     int    // this component's root supernode index in ct
 	mask    uint64 // this component's supernode set
 	navSize int    // expected navigation-node count (staleness check)
-	sizes   []int  // navigation-node count per supernode
 }
 
 // NewCachedHeuristic returns the caching policy with the paper's defaults.
@@ -99,9 +98,7 @@ func (h *CachedHeuristic) freshCut(ctx context.Context, sp *obs.Span, at *Active
 	if err != nil {
 		return nil, err
 	}
-	sizes := supernodeSizes(at, root, ct)
-	p := &plan{at: at, ct: ct, opt: opt, idx: 0, mask: ct.descMask[0], sizes: sizes}
-	p.navSize = at.ComponentSize(root)
+	p := &plan{at: at, ct: ct, opt: opt, idx: 0, mask: ct.descMask[0], navSize: at.ComponentSize(root)}
 	h.registerChildren(p, root, cutNodes)
 	return mapCut(ct, cutNodes), nil
 }
@@ -139,14 +136,14 @@ func (h *CachedHeuristic) registerChildren(p *plan, root navtree.NodeID, cutNode
 		}
 		h.plans[p.ct.NavEdge[c].Child] = &plan{
 			at: p.at, ct: p.ct, opt: p.opt, idx: c, mask: sub,
-			navSize: maskNavSize(p, sub), sizes: p.sizes,
+			navSize: maskNavSize(p, sub),
 		}
 	}
 	upper := p.mask &^ lowered
 	if bits.OnesCount64(upper) >= 2 {
 		h.plans[root] = &plan{
 			at: p.at, ct: p.ct, opt: p.opt, idx: p.idx, mask: upper,
-			navSize: maskNavSize(p, upper), sizes: p.sizes,
+			navSize: maskNavSize(p, upper),
 		}
 	}
 }
@@ -156,30 +153,8 @@ func maskNavSize(p *plan, mask uint64) int {
 	n := 0
 	for i := 0; i < p.ct.len(); i++ {
 		if mask&(1<<uint(i)) != 0 {
-			n += p.sizes[i]
+			n += p.ct.Size[i]
 		}
 	}
 	return n
-}
-
-// supernodeSizes recovers each supernode's navigation-node count: the
-// reduced tree does not retain member lists, but supernode subtrees
-// partition the component, so sizes follow from DistinctUnder-style scans.
-func supernodeSizes(at *ActiveTree, root navtree.NodeID, ct *compTree) []int {
-	// subtreeNavSize(i) = nodes under NavEdge[i].Child within the component;
-	// supernode size = subtree size − Σ child-supernode subtree sizes.
-	subtree := make([]int, ct.len())
-	for i := 0; i < ct.len(); i++ {
-		top := root
-		if i > 0 {
-			top = ct.NavEdge[i].Child
-		}
-		at.scan(root, top, func(navtree.NodeID) { subtree[i]++ })
-	}
-	sizes := make([]int, ct.len())
-	copy(sizes, subtree)
-	for i := 1; i < ct.len(); i++ {
-		sizes[ct.Parent[i]] -= subtree[i]
-	}
-	return sizes
 }

@@ -6,16 +6,18 @@ import (
 	"bionav/internal/navtree"
 )
 
-// compTree is the small tree Opt-EdgeCut runs on. Its nodes are either the
-// actual members of a component subtree (identity construction) or the
-// supernodes produced by the k-partition reduction (§VI-B). Node 0 is the
-// root; Parent[i] < i for all i > 0 so iteration in index order is a valid
+// compTree is the small tree Opt-EdgeCut runs on. Its nodes are the
+// partitions of a component's flat layout (compLayout.compTree): the
+// k-partition's supernodes (§VI-B), or one node per member when the
+// partition is the identity (exactCompTree). Node 0 is the root;
+// Parent[i] < i for all i > 0 so iteration in index order is a valid
 // pre-order.
 type compTree struct {
 	Parent   []int
 	Children [][]int
 	Bits     []bitset  // union of member citation bitsets
 	Own      []int     // popcount(Bits[i]): distinct citations inside node i
+	Size     []int     // navigation members in node i
 	Score    []float64 // sum of member selectivity scores
 	NavEdge  []Edge    // for i > 0: the navigation-tree edge whose cut detaches node i
 	Sum      float64   // the active tree's Σ s(m) normalizer
@@ -37,43 +39,28 @@ type compTree struct {
 // practical real-time limit the paper reports is ~10.
 const maxOptNodes = 24
 
-// identityCompTree builds a compTree with one node per member of the
-// component rooted at root. members must be at.Members(root).
-func identityCompTree(at *ActiveTree, root navtree.NodeID, members []navtree.NodeID) (*compTree, error) {
-	if len(members) > maxOptNodes {
-		return nil, fmt.Errorf("core: component of %d nodes exceeds Opt-EdgeCut limit %d", len(members), maxOptNodes)
+// exactCompTree builds the compTree with one node per member of the
+// component rooted at root, which must be a component root: the identity
+// partition of its layout.
+func exactCompTree(at *ActiveTree, root navtree.NodeID) (*compTree, error) {
+	if n := at.ComponentSize(root); n > maxOptNodes {
+		return nil, fmt.Errorf("core: component of %d nodes exceeds Opt-EdgeCut limit %d", n, maxOptNodes)
 	}
-	idx := make(map[navtree.NodeID]int, len(members))
-	for i, m := range members {
-		idx[m] = i
-	}
-	ct := newCompTree(len(members), at.SumScores())
-	for i, m := range members {
-		ct.Bits[i] = at.nodeBits(m)
-		ct.Own[i] = ct.Bits[i].count()
-		ct.Score[i] = at.nodeScore(m)
-		if i == 0 {
-			ct.Parent[i] = -1
-			continue
-		}
-		p, ok := idx[at.nav.Parent(m)]
-		if !ok {
-			return nil, fmt.Errorf("core: member %d has parent outside component", m)
-		}
-		ct.Parent[i] = p
-		ct.Children[p] = append(ct.Children[p], i)
-		ct.NavEdge[i] = Edge{Parent: at.nav.Parent(m), Child: m}
-	}
-	ct.computeDescMasks()
-	return ct, nil
+	sc := layoutPool.Get().(*compLayout)
+	defer layoutPool.Put(sc)
+	sc.load(at, root)
+	sc.split(len(sc.node))
+	return sc.compTree(at)
 }
 
 func newCompTree(n int, sum float64) *compTree {
+	counts := make([]int, 2*n) // Own and Size share one allocation
 	return &compTree{
 		Parent:   make([]int, n),
 		Children: make([][]int, n),
 		Bits:     make([]bitset, n),
-		Own:      make([]int, n),
+		Own:      counts[:n:n],
+		Size:     counts[n:],
 		Score:    make([]float64, n),
 		NavEdge:  make([]Edge, n),
 		Sum:      sum,

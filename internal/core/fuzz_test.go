@@ -97,7 +97,7 @@ func FuzzPolyCut(f *testing.F) {
 			t.Fatalf("anytime cost %v worse than its static seed %v", res.Cost, res.StaticCost)
 		}
 		validateCut(t, tree, root, res.Cut)
-		ct, err := identityCompTree(tree, root, tree.Members(root))
+		ct, err := exactCompTree(tree, root)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -120,6 +120,51 @@ func (t *memoTable) grow() {
 	}
 }
 
+// budget is a solver's cancellation state: the context and failpoint it
+// checks, the steps counted and the first error met. Opt-EdgeCut
+// (faults.SiteDP) and PolyCut (faults.SitePolyDP) each embed one, count
+// steps inline and checkpoint every dpStride or polyStride steps. ctx
+// stays nil until begin: minting a Background at construction would hide
+// a missed begin instead of failing fast.
+type budget struct {
+	ctx   context.Context
+	site  string
+	steps uint64
+	err   error
+}
+
+// begin resets the per-call cancellation state; every entry point calls
+// it, then checkpoint once so even a trivial solve observes an armed
+// failpoint or an already-expired deadline.
+func (b *budget) begin(ctx context.Context) error {
+	if ctx == nil {
+		//lint:ignore CTX01 nil means "no bound": the neutral ctx is the documented coercion, minted in exactly this one spot
+		ctx = context.Background()
+	}
+	b.ctx = ctx
+	b.err = nil
+	return b.checkpoint()
+}
+
+// checkpoint evaluates the solver's failpoint and the context, reporting
+// the first error.
+func (b *budget) checkpoint() error {
+	if err := faults.InjectCtx(b.ctx, b.site); err != nil {
+		return err
+	}
+	return b.ctx.Err()
+}
+
+// stop runs a checkpoint and records its error in b.err, reporting
+// whether the solve must unwind.
+func (b *budget) stop() bool {
+	if err := b.checkpoint(); err != nil {
+		b.err = err
+		return true
+	}
+	return false
+}
+
 type optimizer struct {
 	ct    *compTree
 	model CostModel
@@ -136,9 +181,7 @@ type optimizer struct {
 	// (and the faults.SiteDP failpoint) once on entry and then every
 	// dpStride steps; abort sets err and the recursion unwinds without
 	// touching the memo, leaving completed entries valid for reuse.
-	ctx   context.Context
-	steps uint64
-	err   error
+	budget
 
 	// Local observability tallies, cumulative over the optimizer's life.
 	// Entry points snapshot them before the search and publish the deltas
@@ -184,13 +227,11 @@ const dpStride = 256
 // across calls, which the CachedHeuristic policy exploits for subsequent
 // expansions of the same reduced tree (§VI-B).
 func newOptimizer(ct *compTree, model CostModel) *optimizer {
-	// ctx stays nil until begin: every entry point calls begin before the
-	// first checkpoint, and minting a Background here would hide a missed
-	// begin instead of failing fast.
 	return &optimizer{
-		ct:    ct,
-		model: model,
-		memo:  make([]memoTable, ct.len()),
+		ct:     ct,
+		model:  model,
+		memo:   make([]memoTable, ct.len()),
+		budget: budget{site: faults.SiteDP},
 	}
 }
 
@@ -206,28 +247,6 @@ func (o *optimizer) borrowScratch() func() {
 		putScratch(o.scratch)
 		o.scratch = nil
 	}
-}
-
-// begin resets the per-call cancellation state; every entry point calls
-// it, then checkpoint once so even a trivial DP observes an armed
-// failpoint or an already-expired deadline.
-func (o *optimizer) begin(ctx context.Context) error {
-	if ctx == nil {
-		//lint:ignore CTX01 nil means "no bound": the neutral ctx is the documented coercion, minted in exactly this one spot
-		ctx = context.Background()
-	}
-	o.ctx = ctx
-	o.err = nil
-	return o.checkpoint()
-}
-
-// checkpoint evaluates the DP failpoint and the context. It reports the
-// first error; callers record it in o.err to unwind the fold.
-func (o *optimizer) checkpoint() error {
-	if err := faults.InjectCtx(o.ctx, faults.SiteDP); err != nil {
-		return err
-	}
-	return o.ctx.Err()
 }
 
 // cutFor returns the argmin cut for the component state (r, mask). The
@@ -359,11 +378,8 @@ func (s *cutSearch) fold(pos, end int, sum float64, lowered uint64) {
 	if o.err != nil {
 		return // aborted: unwind without extending the incumbent
 	}
-	if o.steps++; o.steps%dpStride == 0 {
-		if err := o.checkpoint(); err != nil {
-			o.err = err
-			return
-		}
+	if o.steps++; o.steps%dpStride == 0 && o.stop() {
+		return
 	}
 	if s.best != nil && sum >= s.bestCost {
 		return // every remaining term is ≥ 0: this branch cannot win

@@ -24,12 +24,17 @@ import (
 // O(n) plus O(f log f) for each detaching node of fanout f. Once the
 // roots are final, a slot → partition array built in one forward pass
 // yields the reduced tree.
+//
+// This layout is the one way internal/core lays a component out for a
+// solver: the exact tree Opt-EdgeCut runs on is the layout's identity
+// partition (exactCompTree), and PolyCut's member tree is the layout
+// itself.
 
-// kpScratch is the flat layout of one component plus the sweep state. It
-// is taken per call from kpPool rather than kept on the ActiveTree,
+// compLayout is the flat layout of one component plus the sweep state. It
+// is taken per call from layoutPool rather than kept on the ActiveTree,
 // because SolveComponents runs ChooseCut on one ActiveTree from several
 // goroutines at once.
-type kpScratch struct {
+type compLayout struct {
 	node   []navtree.NodeID // slot → NodeID, in pre-order
 	par    []int32          // slot → parent slot; -1 for the component root
 	kidOff []int32          // children of slot s are kids[kidOff[s]:kidOff[s+1]]
@@ -43,11 +48,11 @@ type kpScratch struct {
 	sweeps int              // W sweeps run by the last split
 }
 
-var kpPool = sync.Pool{New: func() any { return new(kpScratch) }}
+var layoutPool = sync.Pool{New: func() any { return new(compLayout) }}
 
 // load lays out the component rooted at root, which must be a component
 // root, in pre-order (the order of ActiveTree.Members).
-func (sc *kpScratch) load(at *ActiveTree, root navtree.NodeID) {
+func (sc *compLayout) load(at *ActiveTree, root navtree.NodeID) {
 	n := at.ComponentSize(root)
 	sc.node, sc.par, sc.wt = resize(sc.node, n), resize(sc.par, n), resize(sc.wt, n)
 	sc.kidOff = resize(sc.kidOff, n+1)
@@ -91,13 +96,16 @@ func (sc *kpScratch) load(at *ActiveTree, root navtree.NodeID) {
 	sc.part = resize(sc.part, n)
 }
 
+// children returns the child slots of slot s, in navigation child order.
+func (sc *compLayout) children(s int) []int32 { return sc.kids[sc.kidOff[s]:sc.kidOff[s+1]] }
+
 // split partitions the loaded component into at most k connected clusters
 // (k < 1 counts as 1), leaving the root slots in sc.roots in partition
 // order and every slot's partition in sc.part. When the component has at
 // most k members, each member is its own partition, in pre-order.
 // Otherwise partitions are ordered by root NodeID, so the component root
 // comes first and a partition's parent always precedes it.
-func (sc *kpScratch) split(k int) {
+func (sc *compLayout) split(k int) {
 	n := len(sc.node)
 	if k < 1 {
 		k = 1
@@ -143,7 +151,7 @@ func (sc *kpScratch) split(k int) {
 
 // sweep runs one bottom-up pass with threshold w and leaves in sc.roots
 // the component root followed by every detached cluster root.
-func (sc *kpScratch) sweep(w float64) {
+func (sc *compLayout) sweep(w float64) {
 	sc.sweeps++
 	acc := sc.acc
 	copy(acc, sc.wt)
@@ -153,7 +161,7 @@ func (sc *kpScratch) sweep(w float64) {
 			// Heaviest-first detachment: children by remaining weight
 			// descending, ties by NodeID ascending (not by slot: slots
 			// follow pre-order, which is not NodeID order).
-			kids := append(sc.order[:0], sc.kids[sc.kidOff[s]:sc.kidOff[s+1]]...)
+			kids := append(sc.order[:0], sc.children(s)...)
 			slices.SortFunc(kids, func(a, b int32) int {
 				if acc[a] != acc[b] {
 					return cmp.Compare(acc[b], acc[a])
@@ -179,9 +187,9 @@ func (sc *kpScratch) sweep(w float64) {
 // heaviestChild returns the slot of the component root's child whose
 // subtree carries the most weight, the first in child order on ties. The
 // component must have a child edge.
-func (sc *kpScratch) heaviestChild() int32 {
+func (sc *compLayout) heaviestChild() int32 {
 	best, bestWeight := int32(-1), int64(-1)
-	for _, c := range sc.kids[sc.kidOff[0]:sc.kidOff[1]] {
+	for _, c := range sc.children(0) {
 		if sc.sub[c] > bestWeight {
 			best, bestWeight = c, sc.sub[c]
 		}
@@ -191,9 +199,9 @@ func (sc *kpScratch) heaviestChild() int32 {
 
 // compTree builds the reduced supernode tree T_R from the last split: a
 // supernode's bits and score are the union and the sum (in pre-order)
-// over its members, and its parent is the partition holding its root's
-// navigation parent.
-func (sc *kpScratch) compTree(at *ActiveTree) (*compTree, error) {
+// over its members, its size their count, and its parent is the
+// partition holding its root's navigation parent.
+func (sc *compLayout) compTree(at *ActiveTree) (*compTree, error) {
 	np := len(sc.roots)
 	if np > maxOptNodes {
 		return nil, fmt.Errorf("core: %d partitions exceed Opt-EdgeCut limit %d", np, maxOptNodes)
@@ -208,6 +216,7 @@ func (sc *kpScratch) compTree(at *ActiveTree) (*compTree, error) {
 		p := sc.part[s]
 		ct.Bits[p].orInto(at.nodeBits(n))
 		ct.Score[p] += at.nodeScore(n)
+		ct.Size[p]++
 	}
 	for i, r := range sc.roots {
 		ct.Own[i] = ct.Bits[i].count()

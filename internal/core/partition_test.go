@@ -24,8 +24,8 @@ type partition struct {
 // root and materializes it: partitions in order, each with its parent
 // partition and its members in pre-order.
 func kPartition(at *ActiveTree, root navtree.NodeID, k int) []partition {
-	sc := kpPool.Get().(*kpScratch)
-	defer kpPool.Put(sc)
+	sc := layoutPool.Get().(*compLayout)
+	defer layoutPool.Put(sc)
 	sc.load(at, root)
 	sc.split(k)
 	parts := make([]partition, len(sc.roots))
@@ -54,11 +54,10 @@ func kPartition(at *ActiveTree, root navtree.NodeID, k int) []partition {
 }
 
 // partitionCompTree k-partitions the component rooted at root and builds
-// its reduced supernode tree, as HeuristicReducedOpt does for components
-// larger than k.
+// its reduced supernode tree, as HeuristicReducedOpt does.
 func partitionCompTree(at *ActiveTree, root navtree.NodeID, k int) (*compTree, error) {
-	sc := kpPool.Get().(*kpScratch)
-	defer kpPool.Put(sc)
+	sc := layoutPool.Get().(*compLayout)
+	defer layoutPool.Put(sc)
 	sc.load(at, root)
 	sc.split(k)
 	return sc.compTree(at)
@@ -230,18 +229,18 @@ func TestPartitionCompTreeStructure(t *testing.T) {
 func TestIdentityCompTreeTooLarge(t *testing.T) {
 	at := bigActiveTree(t, 55, 200)
 	root := at.Nav().Root()
-	members := at.Members(root)
-	if len(members) <= maxOptNodes {
+	if at.ComponentSize(root) <= maxOptNodes {
 		t.Skip("component unexpectedly small")
 	}
-	if _, err := identityCompTree(at, root, members); err == nil {
-		t.Fatal("identityCompTree accepted oversized component")
+	if _, err := exactCompTree(at, root); err == nil {
+		t.Fatal("exactCompTree accepted oversized component")
 	}
 }
 
 // diffPartition checks kPartition and the reduced tree built from it
 // against the oracle: the same partitions in the same order, with the
-// same parents and member lists, and a bit-identical supernode tree.
+// same parents and member lists, and a bit-identical supernode tree whose
+// nodes count the oracle partitions' members.
 func diffPartition(t *testing.T, at *ActiveTree, root navtree.NodeID, k int) {
 	t.Helper()
 	got, want := kPartition(at, root, k), oracleKPartition(at, root, k)
@@ -269,7 +268,8 @@ func diffPartition(t *testing.T, at *ActiveTree, root navtree.NodeID, k int) {
 	for i := 0; i < wct.len(); i++ {
 		if gct.Parent[i] != wct.Parent[i] || gct.NavEdge[i] != wct.NavEdge[i] || gct.Own[i] != wct.Own[i] ||
 			math.Float64bits(gct.Score[i]) != math.Float64bits(wct.Score[i]) ||
-			fmt.Sprint(gct.Bits[i]) != fmt.Sprint(wct.Bits[i]) || fmt.Sprint(gct.Children[i]) != fmt.Sprint(wct.Children[i]) {
+			fmt.Sprint(gct.Bits[i]) != fmt.Sprint(wct.Bits[i]) || fmt.Sprint(gct.Children[i]) != fmt.Sprint(wct.Children[i]) ||
+			gct.Size[i] != len(want[i].members) {
 			t.Fatalf("root %d k=%d: supernode %d differs from the oracle's", root, k, i)
 		}
 	}

@@ -95,17 +95,18 @@ func (h *HeuristicReducedOpt) LastReducedSize(at *ActiveTree, root navtree.NodeI
 }
 
 // reduce lays the component out once and builds the tree Opt-EdgeCut runs
-// on: the component itself when it fits within K nodes, else its
-// k-partition's supernode tree. It records a k_partition span under sp
-// (nil: untraced) and returns the reduced tree's size.
+// on: its k-partition's supernode tree, which is the component itself
+// (the identity partition) when it fits within K nodes. It records a
+// k_partition span under sp (nil: untraced) and returns the reduced
+// tree's size.
 func (h *HeuristicReducedOpt) reduce(sp *obs.Span, at *ActiveTree, root navtree.NodeID) (*compTree, int, error) {
 	if at.ComponentOf(root) != root {
 		return nil, 0, fmt.Errorf("core: %s: node %d is not a component root", h.Name(), root)
 	}
 	ksp := sp.StartChild("k_partition")
 	defer ksp.End()
-	sc := kpPool.Get().(*kpScratch)
-	defer kpPool.Put(sc)
+	sc := layoutPool.Get().(*compLayout)
+	defer layoutPool.Put(sc)
 	sc.load(at, root)
 	n := len(sc.node)
 	ksp.SetAttr("members", n)
@@ -115,12 +116,6 @@ func (h *HeuristicReducedOpt) reduce(sp *obs.Span, at *ActiveTree, root navtree.
 	k := h.K
 	if k < 2 {
 		k = 2
-	}
-	if n <= k {
-		ksp.SetAttr("sweeps", 0)
-		ksp.SetAttr("partitions", n)
-		ct, err := identityCompTree(at, root, sc.node)
-		return ct, n, err
 	}
 	sc.split(k)
 	ksp.SetAttr("sweeps", sc.sweeps)
@@ -147,11 +142,10 @@ func (o *OptEdgeCutPolicy) ChooseCut(ctx context.Context, at *ActiveTree, root n
 	sp := obs.FromContext(ctx).StartChild("choose_cut")
 	defer sp.End()
 	sp.SetAttr("policy", o.Name())
-	members := at.Members(root)
-	if len(members) < 2 {
+	if at.ComponentSize(root) < 2 {
 		return nil, fmt.Errorf("core: %s: component %d has no internal edges", o.Name(), root)
 	}
-	ct, err := identityCompTree(at, root, members)
+	ct, err := exactCompTree(at, root)
 	if err != nil {
 		return nil, err
 	}
@@ -165,8 +159,10 @@ func (o *OptEdgeCutPolicy) ChooseCut(ctx context.Context, at *ActiveTree, root n
 // ExpectedCost evaluates the optimal expected TOPDOWN cost of exploring
 // the component; exposed for optimality tests and ablations.
 func (o *OptEdgeCutPolicy) ExpectedCost(at *ActiveTree, root navtree.NodeID) (float64, error) {
-	members := at.Members(root)
-	ct, err := identityCompTree(at, root, members)
+	if at.ComponentOf(root) != root {
+		return 0, fmt.Errorf("core: %s: node %d is not a component root", o.Name(), root)
+	}
+	ct, err := exactCompTree(at, root)
 	if err != nil {
 		return 0, err
 	}

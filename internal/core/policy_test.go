@@ -162,8 +162,7 @@ func TestOptPolicyExpectedCostNotWorseThanStaticPlay(t *testing.T) {
 	f := newPaperFixture(t)
 	model := CostModel{ExpandCost: 1, Thi: 8, Tlo: 2, UseEntropy: true}
 	root := f.nodes["root"]
-	members := f.at.Members(root)
-	ct, err := identityCompTree(f.at, root, members)
+	ct, err := exactCompTree(f.at, root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,6 +173,28 @@ func TestOptPolicyExpectedCostNotWorseThanStaticPlay(t *testing.T) {
 	ref := refCost(ct, model, 0, ct.descMask[0])
 	if math.Abs(optCost-ref) > 1e-9 {
 		t.Fatalf("opt %v != reference %v", optCost, ref)
+	}
+}
+
+// TestExpectedCostRejectsHiddenNode checks that every policy's
+// ExpectedCost answers a node that is not a component root with an
+// error, as ChooseCut does, instead of evaluating or panicking.
+func TestExpectedCostRejectsHiddenNode(t *testing.T) {
+	f := newPaperFixture(t)
+	if _, err := expandStatic(f.at, f.nodes["root"]); err != nil {
+		t.Fatal(err)
+	}
+	hidden := f.nodes["phys"]
+	if f.at.IsVisible(hidden) {
+		t.Fatalf("node %d is visible after the root's static EXPAND", hidden)
+	}
+	for _, p := range []interface {
+		Name() string
+		ExpectedCost(*ActiveTree, navtree.NodeID) (float64, error)
+	}{NewHeuristicReducedOpt(), &OptEdgeCutPolicy{Model: DefaultCostModel()}, NewPolyCutPolicy()} {
+		if c, err := p.ExpectedCost(f.at, hidden); err == nil {
+			t.Errorf("%s: ExpectedCost of hidden node %d = %v, want an error", p.Name(), hidden, c)
+		}
 	}
 }
 

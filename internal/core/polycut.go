@@ -82,13 +82,10 @@ type polySolver struct {
 	model CostModel
 	k     int
 
-	// Member tree, in slot space: members[i] is the nav node of slot i,
-	// slot 0 the component root. Members() yields a DFS pre-order of the
-	// component, so slot order is itself a pre-order with contiguous
-	// subtrees: subtree(v) = slots [v, preEnd[v]).
-	members  []navtree.NodeID
-	parent   []int
-	kids     [][]int
+	// Member tree: the component's flat layout (partition.go), laid out
+	// by buildStats. Slot 0 is the component root and slot order is a
+	// pre-order with contiguous subtrees: subtree(v) = slots [v, preEnd[v]).
+	lay      *compLayout
 	depth    []int
 	maxDepth int
 	preEnd   []int
@@ -112,60 +109,33 @@ type polySolver struct {
 	mAny, mNe []float64 // grouped-knapsack merge buffers, len k+1
 	markBuf   []bool    // evalCut cut-subtree marks, len n
 
-	// Cancellation state, mirroring optedgecut's optimizer.
-	ctx   context.Context
-	steps uint64
-	err   error
+	budget // cancellation state (optedgecut.go), checked every polyStride steps
 }
 
 func newPolySolver(at *ActiveTree, root navtree.NodeID, k int, model CostModel) *polySolver {
-	// ctx stays nil until begin, for the same fail-fast reason as
-	// newOptimizer: a missed begin must not silently run unbounded.
-	return &polySolver{at: at, root: root, k: k, model: model}
-}
-
-func (s *polySolver) begin(ctx context.Context) error {
-	if ctx == nil {
-		//lint:ignore CTX01 nil means "no bound": the neutral ctx is the documented coercion, minted in exactly this one spot
-		ctx = context.Background()
-	}
-	s.ctx = ctx
-	s.err = nil
-	return s.checkpoint()
-}
-
-// checkpoint evaluates the PolyCut failpoint and the context; the caller
-// records the first error in s.err and unwinds to the anytime driver.
-func (s *polySolver) checkpoint() error {
-	if err := faults.InjectCtx(s.ctx, faults.SitePolyDP); err != nil {
-		return err
-	}
-	return s.ctx.Err()
+	return &polySolver{at: at, root: root, k: k, model: model, budget: budget{site: faults.SitePolyDP}}
 }
 
 // tick is the strided checkpoint used inside loops.
 func (s *polySolver) tick() error {
-	if s.steps++; s.steps%polyStride == 0 {
-		if err := s.checkpoint(); err != nil {
-			s.err = err
-			return err
-		}
+	if s.steps++; s.steps%polyStride == 0 && s.stop() {
+		return s.err
 	}
 	return nil
 }
 
-// buildStats materializes the member tree and every per-subtree
+// buildStats lays out the member tree and materializes every per-subtree
 // aggregate the DP reads: O(n·words) for the citation unions (skipped
 // entirely when the component is full and the active tree's precomputed
 // subtree bitsets apply), O(occurrences + citations·depth) for the
 // exclusive-citation counts via per-citation LCAs, O(n) for the rest.
+// The layout has no checkpoints; the loops after it do.
 func (s *polySolver) buildStats() error {
 	at, nav := s.at, s.at.nav
-	members := at.Members(s.root)
+	s.lay = new(compLayout)
+	s.lay.load(at, s.root)
+	members, parent := s.lay.node, s.lay.par
 	n := len(members)
-	s.members = members
-	s.parent = make([]int, n)
-	s.kids = make([][]int, n)
 	s.depth = make([]int, n)
 	s.preEnd = make([]int, n)
 	s.size = make([]int, n)
@@ -187,36 +157,9 @@ func (s *polySolver) buildStats() error {
 	s.mNe = make([]float64, s.k+1)
 	s.markBuf = make([]bool, n)
 
-	// Parent slots: Members() is a pre-order, so every parent appears
-	// before its children and a map resolves each parent's slot.
-	slot := make(map[navtree.NodeID]int, n)
-	for i, m := range members {
-		slot[m] = i
-	}
-	s.parent[0] = -1
 	for i := 1; i < n; i++ {
-		p := slot[nav.Parent(members[i])]
-		s.parent[i] = p
-		s.kids[p] = append(s.kids[p], i)
-		s.depth[i] = s.depth[p] + 1
-		if s.depth[i] > s.maxDepth {
-			s.maxDepth = s.depth[i]
-		}
-		if err := s.tick(); err != nil {
-			return err
-		}
-	}
-
-	// Subtree extents: pre-order contiguity means subtree(v) is the slot
-	// range [v, preEnd[v]) — the span the LCA climbs and the evalCut
-	// skip-walk rely on.
-	for i := 0; i < n; i++ {
-		s.preEnd[i] = i + 1
-	}
-	for i := n - 1; i >= 1; i-- {
-		if p := s.parent[i]; s.preEnd[i] > s.preEnd[p] {
-			s.preEnd[p] = s.preEnd[i]
-		}
+		s.depth[i] = s.depth[parent[i]] + 1
+		s.maxDepth = max(s.maxDepth, s.depth[i])
 	}
 
 	for i := 0; i < n; i++ {
@@ -231,12 +174,18 @@ func (s *polySolver) buildStats() error {
 		}
 	}
 	for i := n - 1; i >= 1; i-- {
-		p := s.parent[i]
+		p := parent[i]
 		s.size[p] += s.size[i]
 		s.score[p] += s.score[i]
 		s.ownSum[p] += s.ownSum[i]
 		s.ownLogSum[p] += s.ownLogSum[i]
 		s.nz[p] += s.nz[i]
+	}
+	// Subtree extents: pre-order contiguity means subtree(v) is the slot
+	// range [v, v+size[v]) — the span the LCA climbs and the evalCut
+	// skip-walk rely on.
+	for i := 0; i < n; i++ {
+		s.preEnd[i] = i + s.size[i]
 	}
 
 	if at.fullComponent(s.root) {
@@ -254,7 +203,7 @@ func (s *polySolver) buildStats() error {
 			copy(subs[i], at.bits[members[i]])
 		}
 		for i := n - 1; i >= 1; i-- {
-			subs[s.parent[i]].orInto(subs[i])
+			subs[parent[i]].orInto(subs[i])
 			if err := s.tick(); err != nil {
 				return err
 			}
@@ -292,7 +241,7 @@ func (s *polySolver) buildStats() error {
 		a := int(first[idx])
 		lp := int(last[idx])
 		for s.preEnd[a] <= lp {
-			a = s.parent[a]
+			a = int(parent[a])
 		}
 		lca[a]++
 		if err := s.tick(); err != nil {
@@ -301,12 +250,11 @@ func (s *polySolver) buildStats() error {
 	}
 	copy(s.lost, lca)
 	for i := n - 1; i >= 1; i-- {
-		s.lost[s.parent[i]] += s.lost[i]
+		s.lost[parent[i]] += s.lost[i]
 	}
 
-	if err := s.checkpoint(); err != nil {
-		s.err = err
-		return err
+	if s.stop() {
+		return s.err
 	}
 	return nil
 }
@@ -396,7 +344,7 @@ func (s *polySolver) foldAll(v int) {
 	for j := 0; j <= s.k; j++ {
 		s.mAny[j], s.mNe[j] = 0, inf
 	}
-	for _, c := range s.kids[v] {
+	for _, c := range s.lay.children(v) {
 		foldChild(s.mAny, s.mNe, s.nea[c], s.k)
 	}
 }
@@ -406,7 +354,7 @@ func (s *polySolver) foldAll(v int) {
 // exactly depth d scored terminally (best = L, no cuts below). Reverse
 // DFS order visits children before parents. O(n·k²) per round.
 func (s *polySolver) computeRound(d int) error {
-	for v := len(s.members) - 1; v >= 0; v-- {
+	for v := len(s.lay.node) - 1; v >= 0; v-- {
 		if s.depth[v] > d {
 			continue
 		}
@@ -445,7 +393,7 @@ func (s *polySolver) computeRound(d int) error {
 // same folds in the same order as computeRound, so every value matches
 // bit-for-bit.
 func (s *polySolver) mergeWithHist(v int) (anyH, neH [][]float64) {
-	kids := s.kids[v]
+	kids := s.lay.children(v)
 	anyH = make([][]float64, len(kids)+1)
 	neH = make([][]float64, len(kids)+1)
 	cur := make([]float64, s.k+1)
@@ -484,11 +432,11 @@ func (s *polySolver) emitChild(c, b int, out *[]int) {
 // arithmetic — preferring the child-empty split, then child-possibly-
 // empty, then prefix-empty, mirroring the fold's evaluation order.
 func (s *polySolver) walkCut(v, j int, out *[]int) {
-	kids := s.kids[v]
+	kids := s.lay.children(v)
 	anyH, neH := s.mergeWithHist(v)
 	needNe := true
 	for i := len(kids); i >= 1; i-- {
-		c := kids[i-1]
+		c := int(kids[i-1])
 		cn := s.nea[c]
 		var val float64
 		if needNe {
@@ -546,14 +494,14 @@ func (s *polySolver) evalCut(cut []int) float64 {
 	}
 	u := getScratch(s.at.nav.DistinctTotal())
 	retained := 0.0
-	n := len(s.members)
-	for v := 0; v < n; {
+	members := s.lay.node
+	for v := 0; v < len(members); {
 		if s.markBuf[v] {
 			v = s.preEnd[v]
 			continue
 		}
-		u.orInto(s.at.bits[s.members[v]])
-		retained += s.at.scores[s.members[v]]
+		u.orInto(s.at.bits[members[v]])
+		retained += s.at.scores[members[v]]
 		v++
 	}
 	lu := float64(u.count())
@@ -604,7 +552,7 @@ func (s *polySolver) staticCutRaw() []Edge {
 func (s *polySolver) slotsToEdges(slots []int) []Edge {
 	out := make([]Edge, 0, len(slots))
 	for _, v := range slots {
-		m := s.members[v]
+		m := s.lay.node[v]
 		out = append(out, Edge{Parent: s.at.nav.Parent(m), Child: m})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Child < out[j].Child })
@@ -629,14 +577,16 @@ func (s *polySolver) anytime(ctx context.Context) AnytimeResult {
 	for i := range s.best {
 		s.best[i] = float64(s.L[i])
 	}
-	seed := append([]int(nil), s.kids[0]...)
+	seed := make([]int, 0, len(s.lay.children(0)))
+	for _, c := range s.lay.children(0) {
+		seed = append(seed, int(c))
+	}
 	inc := seed
 	incCost := s.evalCut(seed)
 	res.StaticCost = incCost
 	res.Cost = incCost
 	for _, d := range s.schedule() {
-		if err := s.checkpoint(); err != nil {
-			s.err = err
+		if s.stop() {
 			break
 		}
 		if err := s.computeRound(d); err != nil {

@@ -97,7 +97,7 @@ func BenchmarkAnytimeVsStatic(b *testing.B) {
 		slots := make([]int, len(cut))
 		for i, e := range cut {
 			v := -1
-			for x, m := range s.members {
+			for x, m := range s.lay.node {
 				if m == e.Child {
 					v = x
 				}

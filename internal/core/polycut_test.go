@@ -143,10 +143,10 @@ func antichainsIncl(s *polySolver, d, v int) [][]int {
 		return out
 	}
 	combos := [][]int{nil}
-	for _, c := range s.kids[v] {
+	for _, c := range s.lay.children(v) {
 		var next [][]int
 		for _, left := range combos {
-			for _, right := range antichainsIncl(s, d, c) {
+			for _, right := range antichainsIncl(s, d, int(c)) {
 				merged := append(append([]int(nil), left...), right...)
 				next = append(next, merged)
 			}
@@ -166,10 +166,10 @@ func antichainsIncl(s *polySolver, d, v int) [][]int {
 func oracleBelow(s *polySolver, d, v, j int) float64 {
 	best := math.Inf(1)
 	combos := [][]int{nil}
-	for _, c := range s.kids[v] {
+	for _, c := range s.lay.children(v) {
 		var next [][]int
 		for _, left := range combos {
-			for _, right := range antichainsIncl(s, d, c) {
+			for _, right := range antichainsIncl(s, d, int(c)) {
 				next = append(next, append(append([]int(nil), left...), right...))
 			}
 		}
@@ -198,7 +198,7 @@ const polyEps = 1e-9
 func checkRoundAgainstOracle(t *testing.T, s *polySolver, d int) {
 	t.Helper()
 	nav := s.at.nav
-	for v := range s.members {
+	for v := range s.lay.node {
 		// Aggregates first: collect the subtree's member set (slot order
 		// is pre-order, so subtree(v) = slots [v, preEnd[v])).
 		var subtree []int
@@ -211,7 +211,7 @@ func checkRoundAgainstOracle(t *testing.T, s *polySolver, d int) {
 		for _, x := range subtree {
 			inSub[x] = true
 			ownList = append(ownList, s.own[x])
-			for _, idx := range nav.ResultIndexes(s.members[x]) {
+			for _, idx := range nav.ResultIndexes(s.lay.node[x]) {
 				seen[int(idx)] = true
 			}
 		}
@@ -221,11 +221,11 @@ func checkRoundAgainstOracle(t *testing.T, s *polySolver, d int) {
 		lost := 0
 		for bit := range seen {
 			exclusive := true
-			for x := range s.members {
+			for x := range s.lay.node {
 				if inSub[x] {
 					continue
 				}
-				for _, idx := range nav.ResultIndexes(s.members[x]) {
+				for _, idx := range nav.ResultIndexes(s.lay.node[x]) {
 					if int(idx) == bit {
 						exclusive = false
 					}
@@ -348,8 +348,7 @@ func TestPolyCutNeverWorseThanExactOptimum(t *testing.T) {
 			t.Fatalf("anytime cost %v worse than its static seed %v", res.Cost, res.StaticCost)
 		}
 		validateCut(t, at, root, res.Cut)
-		members := at.Members(root)
-		ct, err := identityCompTree(at, root, members)
+		ct, err := exactCompTree(at, root)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -369,7 +368,7 @@ func TestPolyCutNeverWorseThanExactOptimum(t *testing.T) {
 func exactCutCost(t testing.TB, at *ActiveTree, root navtree.NodeID, cut []Edge, model CostModel) float64 {
 	t.Helper()
 	members := at.Members(root)
-	ct, err := identityCompTree(at, root, members)
+	ct, err := exactCompTree(at, root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -615,7 +614,7 @@ func TestAnytimeBeatsStaticOnW8D3(t *testing.T) {
 		slots := make([]int, len(cut))
 		for i, e := range cut {
 			v := -1
-			for x, m := range s.members {
+			for x, m := range s.lay.node {
 				if m == e.Child {
 					v = x
 				}

@@ -92,6 +92,10 @@ func NewSession(nav *navtree.Tree, policy core.Policy) *Session {
 			check.Model(p.Model)
 		case *core.OptEdgeCutPolicy:
 			check.Model(p.Model)
+		case *core.PolyCutPolicy:
+			check.Model(p.Model)
+		case *core.CachedHeuristic:
+			check.Model(p.Model)
 		}
 	}
 	return &Session{at: core.NewActiveTree(nav), policy: policy}
