@@ -55,8 +55,11 @@ golden-test:
 	$(GO) test -count=1 -run 'TranscriptGolden' ./internal/server
 
 # Short fuzz runs of the differential Opt-EdgeCut, PolyCut, k-partition,
-# active-tree and navigation-tree build targets and the hierarchy
-# serialization round-trip — CI-sized smoke, not a campaign.
+# active-tree and navigation-tree build targets, the hierarchy
+# serialization round-trip, and the parsers that read outside input: the
+# /api/query keyword parser, the MeSH ASCII and MEDLINE XML readers behind
+# bionav.Import, and the frame scanner every durable file goes through —
+# CI-sized smoke, not a campaign.
 fuzz-smoke:
 	$(GO) test -run FuzzOptEdgeCut -fuzz FuzzOptEdgeCut -fuzztime 10s ./internal/core
 	$(GO) test -run FuzzPolyCut -fuzz FuzzPolyCut -fuzztime 10s ./internal/core
@@ -64,6 +67,10 @@ fuzz-smoke:
 	$(GO) test -run FuzzActiveTree -fuzz FuzzActiveTree -fuzztime 10s ./internal/core
 	$(GO) test -run FuzzBuild -fuzz FuzzBuild -fuzztime 10s ./internal/navtree
 	$(GO) test -run FuzzHierarchySerialization -fuzz FuzzHierarchySerialization -fuzztime 10s ./internal/hierarchy
+	$(GO) test -run FuzzParseQuery -fuzz FuzzParseQuery -fuzztime 10s ./internal/index
+	$(GO) test -run FuzzParseMeSHASCII -fuzz FuzzParseMeSHASCII -fuzztime 10s ./internal/hierarchy
+	$(GO) test -run FuzzParseMedlineXML -fuzz FuzzParseMedlineXML -fuzztime 10s ./internal/corpus
+	$(GO) test -run FuzzScan -fuzz FuzzScan -fuzztime 10s ./internal/wal
 
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' ./...

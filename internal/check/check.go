@@ -2,13 +2,15 @@
 // validations of the paper's structural invariants that are too costly
 // for production but cheap enough to run on every operation in tests.
 //
-// The package is split in two layers. The Validate* functions are always
-// compiled and return errors — property tests call them directly. The
-// assertion hooks (EdgeCut, ActiveTree, Model) are gated behind the
-// bionav_checks build tag: under `go test -tags bionav_checks` they panic
-// on any violation; in a default build they are empty functions and the
-// const Enabled is false, so call sites compile to nothing. See
-// docs/STATIC_ANALYSIS.md for how the tag fits the verification story.
+// The package is split in two layers. The validators are always compiled
+// and return errors — property tests call them directly: ValidateModel
+// here, and core's own ActiveTree.CheckCut and ActiveTree.CheckInvariants
+// for the EdgeCut and active-tree invariants. The assertion hooks
+// (EdgeCut, ActiveTree, Model) are gated behind the bionav_checks build
+// tag: under `go test -tags bionav_checks` they panic on any violation; in
+// a default build they are empty functions and the const Enabled is
+// false, so call sites compile to nothing. See docs/STATIC_ANALYSIS.md for
+// how the tag fits the verification story.
 package check
 
 import (
@@ -16,56 +18,7 @@ import (
 	"math"
 
 	"bionav/internal/core"
-	"bionav/internal/navtree"
 )
-
-// ValidateEdgeCut verifies that cut is a valid EdgeCut (Definition 3) of
-// the component rooted at root: root is visible, the cut is non-empty,
-// every cut edge is a navigation-tree edge inside the component, and the
-// cut children form an antichain — no two cut edges lie on one
-// root-to-leaf path. Policies must only ever return cuts that pass this.
-func ValidateEdgeCut(at *core.ActiveTree, root navtree.NodeID, cut []core.Edge) error {
-	if !at.IsVisible(root) {
-		return fmt.Errorf("check: EdgeCut root %d is not a component root", root)
-	}
-	if len(cut) == 0 {
-		return fmt.Errorf("check: empty EdgeCut for component %d", root)
-	}
-	nav := at.Nav()
-	for _, e := range cut {
-		if e.Child <= 0 || e.Child >= nav.Len() {
-			return fmt.Errorf("check: EdgeCut child %d out of range", e.Child)
-		}
-		if nav.Parent(e.Child) != e.Parent {
-			return fmt.Errorf("check: (%d→%d) is not a navigation-tree edge", e.Parent, e.Child)
-		}
-		if e.Child == root || at.ComponentOf(e.Child) != root {
-			return fmt.Errorf("check: edge (%d→%d) is not inside component %d", e.Parent, e.Child, root)
-		}
-	}
-	for i := range cut {
-		for j := range cut {
-			if i == j {
-				continue
-			}
-			if cut[i].Child == cut[j].Child {
-				return fmt.Errorf("check: EdgeCut contains edge to %d twice", cut[i].Child)
-			}
-			if nav.IsAncestor(cut[i].Child, cut[j].Child) {
-				return fmt.Errorf("check: EdgeCut not an antichain: %d is an ancestor of %d",
-					cut[i].Child, cut[j].Child)
-			}
-		}
-	}
-	return nil
-}
-
-// ValidateActiveTree verifies the active tree's Definition 4 invariants —
-// components partition the node set, each is a connected subtree, and the
-// fast-path fullness flags agree with reality.
-func ValidateActiveTree(at *core.ActiveTree) error {
-	return at.CheckInvariants()
-}
 
 // ValidateModel verifies the cost-model constants of §III–IV: a positive
 // finite EXPAND cost K and ordered, non-negative pE thresholds. A model

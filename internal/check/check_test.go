@@ -46,7 +46,7 @@ func TestValidateEdgeCutAcceptsPolicyCuts(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", policy.Name(), err)
 		}
-		if err := check.ValidateEdgeCut(at, nav.Root(), cut); err != nil {
+		if err := at.CheckCut(nav.Root(), cut); err != nil {
 			t.Errorf("%s produced an invalid cut: %v", policy.Name(), err)
 		}
 	}
@@ -63,13 +63,13 @@ func TestValidateEdgeCutRejections(t *testing.T) {
 	}{
 		{"empty cut", nav.Root(), nil, "empty EdgeCut"},
 		{"root not visible", parentEdge.Child, []core.Edge{childEdge}, "not a component root"},
-		{"child out of range", nav.Root(), []core.Edge{{Parent: 0, Child: navtree.NodeID(nav.Len())}}, "out of range"},
+		{"child out of range", nav.Root(), []core.Edge{{Parent: 0, Child: navtree.NodeID(nav.Len())}}, "not a navigation-tree edge"},
 		{"not a tree edge", nav.Root(), []core.Edge{{Parent: childEdge.Child, Child: parentEdge.Child}}, "not a navigation-tree edge"},
 		{"duplicate edge", nav.Root(), []core.Edge{parentEdge, parentEdge}, "twice"},
-		{"ancestor pair", nav.Root(), []core.Edge{parentEdge, childEdge}, "not an antichain"},
+		{"ancestor pair", nav.Root(), []core.Edge{parentEdge, childEdge}, "is an ancestor of"},
 	}
 	for _, tc := range cases {
-		err := check.ValidateEdgeCut(at, tc.root, tc.cut)
+		err := at.CheckCut(tc.root, tc.cut)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: got %v, want error containing %q", tc.name, err, tc.want)
 		}
@@ -84,19 +84,19 @@ func TestValidateEdgeCutOutsideComponent(t *testing.T) {
 	if _, err := at.Expand(nav.Root(), []core.Edge{parentEdge}); err != nil {
 		t.Fatal(err)
 	}
-	err := check.ValidateEdgeCut(at, nav.Root(), []core.Edge{childEdge})
+	err := at.CheckCut(nav.Root(), []core.Edge{childEdge})
 	if err == nil || !strings.Contains(err.Error(), "not inside component") {
 		t.Errorf("got %v, want error containing %q", err, "not inside component")
 	}
 	// But it is a valid cut of the detached lower component.
-	if err := check.ValidateEdgeCut(at, parentEdge.Child, []core.Edge{childEdge}); err != nil {
+	if err := at.CheckCut(parentEdge.Child, []core.Edge{childEdge}); err != nil {
 		t.Errorf("cut inside lower component rejected: %v", err)
 	}
 }
 
 func TestValidateActiveTree(t *testing.T) {
 	nav, at := buildActive(t, 44)
-	if err := check.ValidateActiveTree(at); err != nil {
+	if err := at.CheckInvariants(); err != nil {
 		t.Fatalf("fresh active tree invalid: %v", err)
 	}
 	cut, err := core.StaticAll{}.ChooseCut(context.Background(), at, nav.Root())
@@ -106,7 +106,7 @@ func TestValidateActiveTree(t *testing.T) {
 	if _, err := at.Expand(nav.Root(), cut); err != nil {
 		t.Fatal(err)
 	}
-	if err := check.ValidateActiveTree(at); err != nil {
+	if err := at.CheckInvariants(); err != nil {
 		t.Fatalf("active tree invalid after a static EXPAND: %v", err)
 	}
 }

@@ -12,14 +12,14 @@ const Enabled = true
 
 // EdgeCut panics if cut is not a valid EdgeCut of root's component.
 func EdgeCut(at *core.ActiveTree, root navtree.NodeID, cut []core.Edge) {
-	if err := ValidateEdgeCut(at, root, cut); err != nil {
+	if err := at.CheckCut(root, cut); err != nil {
 		panic("bionav_checks: " + err.Error())
 	}
 }
 
 // ActiveTree panics if at violates the Definition 4 invariants.
 func ActiveTree(at *core.ActiveTree) {
-	if err := ValidateActiveTree(at); err != nil {
+	if err := at.CheckInvariants(); err != nil {
 		panic("bionav_checks: " + err.Error())
 	}
 }

@@ -25,7 +25,12 @@ type ActiveTree struct {
 	// The navigation tree's per-node aggregates, shared read-only by every
 	// active tree over it (see treeAggregates).
 	*treeAggregates
-	compOf []navtree.NodeID // node → root of its component
+
+	// isRoot flags the component roots, the navigation root always among
+	// them. The flags are the partition: a node's component is that of its
+	// nearest flagged ancestor-or-self, so an EdgeCut flags its cut
+	// children and BACKTRACK unflags them, neither touching the members.
+	isRoot []bool
 
 	// comp holds the aggregates of each component, keyed by its root and
 	// kept for the component roots alone: Expand sets the entries of the
@@ -35,7 +40,7 @@ type ActiveTree struct {
 	// entry per node.
 	comp map[navtree.NodeID]compAgg
 
-	undo []undoFrame // snapshots for BACKTRACK
+	undo []undoFrame // the EXPANDs BACKTRACK can undo, newest last
 }
 
 // compAgg summarizes one component: |I(r)|, |L(I(r))| and Σ s(n) over its
@@ -74,14 +79,13 @@ type treeAggregates struct {
 	memo cutMemo // solved cuts shared by the tree's sessions (cutmemo.go)
 }
 
-// undoFrame is the state one EXPAND replaced: the component map, and the
-// expanded root's aggregates, whose entry BACKTRACK restores after
-// dropping the lower roots'.
+// undoFrame is what BACKTRACK needs to undo one EXPAND: the lower roots
+// it flagged, whose flags and entries BACKTRACK drops, and the expanded
+// root's aggregates, whose entry it restores.
 type undoFrame struct {
-	compOf []navtree.NodeID
-	root   navtree.NodeID
-	agg    compAgg
-	lower  []navtree.NodeID
+	root  navtree.NodeID
+	agg   compAgg
+	lower []navtree.NodeID
 }
 
 // NewActiveTree converts a navigation tree into its initial active tree:
@@ -95,14 +99,12 @@ func NewActiveTree(nav *navtree.Tree) *ActiveTree {
 	at := &ActiveTree{
 		nav:            nav,
 		treeAggregates: agg,
-		compOf:         make([]navtree.NodeID, n),
+		isRoot:         make([]bool, n),
 		comp: map[navtree.NodeID]compAgg{
 			root: {size: n, count: agg.subtreeBits[root].count(), score: agg.preScore},
 		},
 	}
-	for i := range at.compOf {
-		at.compOf[i] = root
-	}
+	at.isRoot[root] = true
 	return at
 }
 
@@ -173,16 +175,18 @@ func buildAggregates(nav *navtree.Tree) any {
 	return agg
 }
 
-// scan calls visit, in pre-order, on each member of root's component that
-// lies in the navigation subtree of top. It runs over top's range of the
-// pre-order layout and skips each subtree whose top lies in another
-// component: components are connected, so nothing below it is in root's.
-// visit may move the node it is given to another component.
-func (at *ActiveTree) scan(root, top navtree.NodeID, visit func(navtree.NodeID)) {
+// scan calls visit, in pre-order, on top and on each member of top's
+// component that lies below it: it runs over the rest of top's range of
+// the pre-order layout and skips the subtree of each component root
+// there, as components are connected and nothing below another root is
+// in top's. Callers that name a component root and a node must check that
+// the node lies in the root's component.
+func (at *ActiveTree) scan(top navtree.NodeID, visit func(navtree.NodeID)) {
+	visit(top)
 	end := int(at.pos[top]) + at.subtreeSize[top]
-	for i := int(at.pos[top]); i < end; {
+	for i := int(at.pos[top]) + 1; i < end; {
 		n := navtree.NodeID(at.pre[i])
-		if at.compOf[n] != root {
+		if at.isRoot[n] {
 			i += at.subtreeSize[n]
 			continue
 		}
@@ -194,14 +198,18 @@ func (at *ActiveTree) scan(root, top navtree.NodeID, visit func(navtree.NodeID))
 // Nav returns the underlying navigation tree.
 func (at *ActiveTree) Nav() *navtree.Tree { return at.nav }
 
-// ComponentOf returns the root of the component containing node.
+// ComponentOf returns the root of the component containing node: its
+// nearest ancestor-or-self that is a component root.
 func (at *ActiveTree) ComponentOf(node navtree.NodeID) navtree.NodeID {
-	return at.compOf[node]
+	for !at.isRoot[node] {
+		node = at.nav.Parent(node)
+	}
+	return node
 }
 
 // IsVisible reports whether node is a component root (shown on screen).
 func (at *ActiveTree) IsVisible(node navtree.NodeID) bool {
-	return at.compOf[node] == node
+	return at.isRoot[node]
 }
 
 // VisibleRoots returns every component root in ascending node order.
@@ -220,11 +228,11 @@ func (at *ActiveTree) VisibleRoots() []navtree.NodeID {
 // the list is not in ascending node order. It is nil when root is not a
 // component root.
 func (at *ActiveTree) Members(root navtree.NodeID) []navtree.NodeID {
-	if at.compOf[root] != root {
+	if !at.isRoot[root] {
 		return nil
 	}
 	out := make([]navtree.NodeID, 0, at.comp[root].size)
-	at.scan(root, root, func(n navtree.NodeID) { out = append(out, n) })
+	at.scan(root, func(n navtree.NodeID) { out = append(out, n) })
 	return out
 }
 
@@ -251,13 +259,17 @@ func (at *ActiveTree) Distinct(root navtree.NodeID) int {
 
 // DistinctUnder returns the number of distinct citations attached to the
 // portion of root's component that lies in the subtree of n — the count a
-// lower component would display if the edge above n were cut.
+// lower component would display if the edge above n were cut. It is 0
+// when n lies outside root's component.
 func (at *ActiveTree) DistinctUnder(root, n navtree.NodeID) int {
-	if at.fullComponent(root) && at.compOf[n] == root {
+	if at.ComponentOf(n) != root {
+		return 0
+	}
+	if at.fullComponent(root) {
 		return at.subtreeBits[n].count()
 	}
 	u := getScratch(at.nav.DistinctTotal())
-	at.scan(root, n, func(m navtree.NodeID) { u.orInto(at.bits[m]) })
+	at.scan(n, func(m navtree.NodeID) { u.orInto(at.bits[m]) })
 	c := u.count()
 	putScratch(u)
 	return c
@@ -291,47 +303,57 @@ func (at *ActiveTree) nodeBits(n navtree.NodeID) bitset { return at.bits[n] }
 // SumScores returns the active-tree normalizer Σ s(m).
 func (at *ActiveTree) SumScores() float64 { return at.sumScores }
 
-// Expand applies an EdgeCut to the component rooted at root. Each cut edge
-// detaches the child's portion of the component as a new lower component;
-// the remainder stays with root as the upper component. Expand returns the
-// roots of the new lower components. It fails if the cut is invalid: an
-// edge outside the component, a non-tree edge, an edge listed twice, or
-// two edges on one root-to-leaf path (Definition 3).
-func (at *ActiveTree) Expand(root navtree.NodeID, cut []Edge) ([]navtree.NodeID, error) {
-	if at.compOf[root] != root {
-		return nil, fmt.Errorf("core: expand: node %d is not a component root", root)
+// CheckCut reports why cut is not a valid EdgeCut (Definition 3) of the
+// component rooted at root, or nil if it is one: root is a component root,
+// the cut is non-empty, every edge is a navigation-tree edge inside the
+// component, no edge is listed twice, and no two edges lie on one
+// root-to-leaf path. Expand applies only cuts that pass it.
+func (at *ActiveTree) CheckCut(root navtree.NodeID, cut []Edge) error {
+	if !at.isRoot[root] {
+		return fmt.Errorf("core: expand: node %d is not a component root", root)
 	}
 	if len(cut) == 0 {
-		return nil, fmt.Errorf("core: expand: empty EdgeCut")
+		return fmt.Errorf("core: expand: empty EdgeCut")
 	}
 	for _, e := range cut {
 		if e.Child <= 0 || e.Child >= at.nav.Len() || at.nav.Parent(e.Child) != e.Parent {
-			return nil, fmt.Errorf("core: expand: (%d→%d) is not a navigation-tree edge", e.Parent, e.Child)
+			return fmt.Errorf("core: expand: (%d→%d) is not a navigation-tree edge", e.Parent, e.Child)
 		}
-		if at.compOf[e.Child] != root || e.Child == root {
-			return nil, fmt.Errorf("core: expand: edge (%d→%d) not inside component %d", e.Parent, e.Child, root)
+		if e.Child == root || at.ComponentOf(e.Child) != root {
+			return fmt.Errorf("core: expand: edge (%d→%d) not inside component %d", e.Parent, e.Child, root)
 		}
 	}
-	// Validity (Definition 3): the cut is a set, and no two cut edges lie
-	// on a common root-leaf path ⇔ no cut child is an ancestor of another
-	// cut child. A repeated edge would tally its child twice, and the
-	// second tally, finding no members left, would overwrite the first.
+	// The cut is a set, else Expand would report a lower root twice, and
+	// no two cut edges lie on a common root-leaf path ⇔ no cut child is an
+	// ancestor of another cut child.
 	for i := range cut {
 		for j := range cut {
 			if i == j {
 				continue
 			}
 			if cut[i].Child == cut[j].Child {
-				return nil, fmt.Errorf("core: expand: invalid EdgeCut: edge to %d listed twice", cut[i].Child)
+				return fmt.Errorf("core: expand: invalid EdgeCut: edge to %d listed twice", cut[i].Child)
 			}
 			if at.nav.IsAncestor(cut[i].Child, cut[j].Child) {
-				return nil, fmt.Errorf("core: expand: invalid EdgeCut: %d is an ancestor of %d",
+				return fmt.Errorf("core: expand: invalid EdgeCut: %d is an ancestor of %d",
 					cut[i].Child, cut[j].Child)
 			}
 		}
 	}
+	return nil
+}
 
-	f := undoFrame{compOf: slices.Clone(at.compOf), root: root, agg: at.comp[root]}
+// Expand applies an EdgeCut to the component rooted at root. Each cut edge
+// detaches the child's portion of the component as a new lower component;
+// the remainder stays with root as the upper component. Expand returns the
+// roots of the new lower components. It fails, changing nothing, if
+// CheckCut rejects the cut.
+func (at *ActiveTree) Expand(root navtree.NodeID, cut []Edge) ([]navtree.NodeID, error) {
+	if err := at.CheckCut(root, cut); err != nil {
+		return nil, err
+	}
+
+	f := undoFrame{root: root, agg: at.comp[root]}
 	// A full component hands whole subtrees to the cut children (the cut
 	// children are pairwise incomparable), so the lower components are
 	// full too and their counts are their subtree unions'.
@@ -339,11 +361,12 @@ func (at *ActiveTree) Expand(root navtree.NodeID, cut []Edge) ([]navtree.NodeID,
 	u := getScratch(at.nav.DistinctTotal())
 	lower := make([]navtree.NodeID, 0, len(cut))
 	for _, e := range cut {
-		at.comp[e.Child] = at.tally(root, e.Child, full, u)
+		at.comp[e.Child] = at.tally(e.Child, full, u)
+		at.isRoot[e.Child] = true
 		lower = append(lower, e.Child)
 	}
 	// The upper component keeps the rest, in one scan after the cuts.
-	at.comp[root] = at.tally(root, root, false, u)
+	at.comp[root] = at.tally(root, false, u)
 	putScratch(u)
 	sort.Ints(lower)
 	f.lower = slices.Clone(lower)
@@ -351,16 +374,15 @@ func (at *ActiveTree) Expand(root navtree.NodeID, cut []Edge) ([]navtree.NodeID,
 	return lower, nil
 }
 
-// tally scans the members of root's component under top, moves each to
-// the component rooted at top, and returns their aggregates. The score
-// sum adds them in pre-order. The count is the popcount of top's subtree
-// union when whole is set, as the members are then top's entire subtree,
-// and otherwise of the union of their bitsets, built in u.
-func (at *ActiveTree) tally(root, top navtree.NodeID, whole bool, u bitset) compAgg {
+// tally returns the aggregates of top and the members of its component
+// below it. The score sum adds them in pre-order. The count is the
+// popcount of top's subtree union when whole is set, as the members are
+// then top's entire subtree, and otherwise of the union of their bitsets,
+// built in u.
+func (at *ActiveTree) tally(top navtree.NodeID, whole bool, u bitset) compAgg {
 	var c compAgg
 	u.clear()
-	at.scan(root, top, func(n navtree.NodeID) {
-		at.compOf[n] = top
+	at.scan(top, func(n navtree.NodeID) {
 		c.size++
 		c.score += at.scores[n]
 		if !whole {
@@ -384,8 +406,8 @@ func (at *ActiveTree) Backtrack() error {
 		return fmt.Errorf("core: backtrack: nothing to undo")
 	}
 	f := at.undo[len(at.undo)-1]
-	at.compOf = f.compOf
 	for _, r := range f.lower {
+		at.isRoot[r] = false
 		delete(at.comp, r)
 	}
 	at.comp[f.root] = f.agg
@@ -425,7 +447,7 @@ func (at *ActiveTree) Visualize() map[navtree.NodeID]*VisibleNode {
 		if id == at.nav.Root() {
 			continue
 		}
-		p := at.compOf[at.nav.Parent(id)]
+		p := at.ComponentOf(at.nav.Parent(id))
 		v.Parent = p
 		vis[p].Children = append(vis[p].Children, id)
 	}
@@ -445,55 +467,44 @@ func (at *ActiveTree) Visualize() map[navtree.NodeID]*VisibleNode {
 	return vis
 }
 
-// CheckInvariants verifies the active-tree invariants of Definition 4:
-// components partition the node set, each component is a connected subtree
-// containing its root, and every component root's parent (if any) lies in
-// a different component. It also recomputes each component's size,
-// distinct count and score sum with navtree.Tree.PreOrder, independently
-// of the pre-order scan Expand keeps them with, and requires the kept
-// aggregates to match exactly and to exist for the component roots alone.
-// Property tests and the deep-assertion build call this after every
+// CheckInvariants verifies the active-tree invariants of Definition 4
+// that the root flags do not hold by construction: the navigation root is
+// a component root, aggregates are kept for the component roots alone,
+// and each component's kept size, distinct count and score sum equal, bit
+// for bit, those of a navtree.Tree.PreOrder walk pruned at the other
+// component roots, independent of the pre-order scan Expand keeps them
+// with. Property tests and the deep-assertion build call this after every
 // operation.
 func (at *ActiveTree) CheckInvariants() error {
-	seen, roots := 0, 0
+	if !at.isRoot[at.nav.Root()] {
+		return fmt.Errorf("core: navigation root %d is not a component root", at.nav.Root())
+	}
+	roots := 0
 	u := newBitset(at.nav.DistinctTotal())
-	for r, c := range at.compOf {
-		if c != r {
+	for r, flagged := range at.isRoot {
+		if !flagged {
 			continue
 		}
 		roots++
-		var m []navtree.NodeID
-		score := 0.0
+		size, score := 0, 0.0
 		u.clear()
 		at.nav.PreOrder(r, func(n navtree.NodeID) bool {
-			if at.compOf[n] != r {
+			if n != r && at.isRoot[n] {
 				return false
 			}
-			m = append(m, n)
+			size++
 			score += at.scores[n]
 			u.orInto(at.bits[n])
 			return true
 		})
-		seen += len(m)
-		for _, n := range m {
-			if n != r && at.compOf[at.nav.Parent(n)] != r {
-				return fmt.Errorf("core: component %d member %d disconnected from root", r, n)
-			}
-		}
-		if r != at.nav.Root() && at.compOf[at.nav.Parent(r)] == r {
-			return fmt.Errorf("core: component root %d's parent inside own component", r)
-		}
 		got, ok := at.comp[r]
-		if !ok || got.size != len(m) || got.count != u.count() || math.Float64bits(got.score) != math.Float64bits(score) {
+		if !ok || got.size != size || got.count != u.count() || math.Float64bits(got.score) != math.Float64bits(score) {
 			return fmt.Errorf("core: component %d keeps size %d, count %d, score sum %v; walk finds %d, %d, %v",
-				r, got.size, got.count, got.score, len(m), u.count(), score)
+				r, got.size, got.count, got.score, size, u.count(), score)
 		}
 	}
 	if roots != len(at.comp) {
 		return fmt.Errorf("core: aggregates kept for %d components, %d exist", len(at.comp), roots)
-	}
-	if seen != at.nav.Len() {
-		return fmt.Errorf("core: components cover %d of %d nodes", seen, at.nav.Len())
 	}
 	return nil
 }

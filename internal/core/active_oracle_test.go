@@ -22,21 +22,21 @@ import (
 
 func oracleVisibleRoots(at *ActiveTree) []navtree.NodeID {
 	var out []navtree.NodeID
-	for i, r := range at.compOf {
-		if navtree.NodeID(i) == r {
-			out = append(out, i)
+	for n := 0; n < at.nav.Len(); n++ {
+		if at.IsVisible(n) {
+			out = append(out, n)
 		}
 	}
 	return out
 }
 
 func oracleMembers(at *ActiveTree, root navtree.NodeID) []navtree.NodeID {
-	if at.compOf[root] != root {
+	if !at.IsVisible(root) {
 		return nil
 	}
 	var out []navtree.NodeID
 	at.nav.PreOrder(root, func(n navtree.NodeID) bool {
-		if at.compOf[n] != root {
+		if at.ComponentOf(n) != root {
 			return false
 		}
 		out = append(out, n)
@@ -48,7 +48,7 @@ func oracleMembers(at *ActiveTree, root navtree.NodeID) []navtree.NodeID {
 func oracleComponentSize(at *ActiveTree, root navtree.NodeID) int {
 	n := 0
 	at.nav.PreOrder(root, func(m navtree.NodeID) bool {
-		if at.compOf[m] != root {
+		if at.ComponentOf(m) != root {
 			return false
 		}
 		n++
@@ -64,7 +64,7 @@ func oracleDistinct(at *ActiveTree, root navtree.NodeID) int {
 func oracleDistinctUnder(at *ActiveTree, root, n navtree.NodeID) int {
 	u := newBitset(at.nav.DistinctTotal())
 	at.nav.PreOrder(n, func(m navtree.NodeID) bool {
-		if at.compOf[m] != root {
+		if at.ComponentOf(m) != root {
 			return false
 		}
 		u.orInto(at.bits[m])
@@ -79,7 +79,7 @@ func oracleExploreProb(at *ActiveTree, root navtree.NodeID) float64 {
 	}
 	s := 0.0
 	at.nav.PreOrder(root, func(n navtree.NodeID) bool {
-		if at.compOf[n] != root {
+		if at.ComponentOf(n) != root {
 			return false
 		}
 		s += at.scores[n]
@@ -108,7 +108,7 @@ func oracleVisualize(at *ActiveTree) map[navtree.NodeID]*VisibleNode {
 		if id == at.nav.Root() {
 			continue
 		}
-		p := at.compOf[at.nav.Parent(id)]
+		p := at.ComponentOf(at.nav.Parent(id))
 		v.Parent = p
 		vis[p].Children = append(vis[p].Children, id)
 	}
@@ -163,7 +163,7 @@ func diffActive(t *testing.T, at *ActiveTree, src *rng.Source) {
 	}
 	if len(roots) < at.nav.Len() {
 		n := src.Intn(at.nav.Len())
-		for at.compOf[n] == n {
+		for at.IsVisible(n) {
 			n = (n + 1) % at.nav.Len()
 		}
 		if at.Members(n) != nil || at.ComponentSize(n) != 0 || at.Distinct(n) != 0 || at.ExploreProb(n) != 0 {

@@ -305,21 +305,35 @@ func TestBacktrack(t *testing.T) {
 func TestDistinctUnder(t *testing.T) {
 	f := newPaperFixture(t)
 	at := f.at
-	root := f.nodes["root"]
+	root, growth, phys := f.nodes["root"], f.nodes["growth"], f.nodes["phys"]
 	// Under growth: citations 5,6,7,8,11 → 5 distinct.
-	if got := at.DistinctUnder(root, f.nodes["growth"]); got != 5 {
+	if got := at.DistinctUnder(root, growth); got != 5 {
 		t.Fatalf("DistinctUnder(growth) = %d, want 5", got)
 	}
-	// After cutting prolif out, growth's remaining portion loses only
-	// citations exclusive to prolif.
+	// Cutting prolif out leaves growth and div under growth. div's
+	// citations 7 and 8 are attached to growth too, so the count stays 5.
 	f.mustExpand(t, root, []Edge{f.edge(t, "prolif")})
-	got := at.DistinctUnder(root, f.nodes["growth"])
-	if got != 3 { // 7, 8 (div) + growth's own attachments 5,6,7,8,11 minus … growth still holds 5,6,7,8,11
-		// growth's own results: citations 5,6,7,8,11 — all still attached to
-		// growth itself, so the count stays 5.
-		if got != 5 {
-			t.Fatalf("DistinctUnder(growth) after cut = %d", got)
+	if got, want := at.DistinctUnder(root, growth), oracleDistinctUnder(at, root, growth); got != want || got != 5 {
+		t.Fatalf("DistinctUnder(growth) after cut = %d, oracle %d, want 5", got, want)
+	}
+	// A node of another component counts nothing toward root's: prolif
+	// roots its own, and once bio is cut, phys and everything under it lie
+	// in bio's, as root lies outside bio's.
+	f.mustExpand(t, root, []Edge{f.edge(t, "bio")})
+	for _, c := range []struct{ root, n navtree.NodeID }{
+		{root, f.nodes["prolif"]}, {root, phys}, {root, growth}, {f.nodes["bio"], root},
+	} {
+		if got := at.DistinctUnder(c.root, c.n); got != 0 {
+			t.Fatalf("DistinctUnder(%d, %d) across components = %d, want 0", c.root, c.n, got)
 		}
+	}
+	// BACKTRACK merges phys back into root's component: citations 1–8, 11
+	// and 12 lie under it once prolif's subtree is left out.
+	if err := at.Backtrack(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := at.DistinctUnder(root, phys), oracleDistinctUnder(at, root, phys); got != want || got != 10 {
+		t.Fatalf("DistinctUnder(phys) after BACKTRACK = %d, oracle %d, want 10", got, want)
 	}
 }
 

@@ -52,7 +52,7 @@ type cutMemo struct {
 // component, and when root is not a component root.
 func (at *ActiveTree) MemoKey(p Policy, root navtree.NodeID) (MemoKey, bool) {
 	pk := p.CutKey()
-	if pk == nil || at.compOf[root] != root {
+	if pk == nil || !at.isRoot[root] {
 		return MemoKey{}, false
 	}
 	// The visible roots are few, so reading them all is cheaper than
@@ -61,7 +61,7 @@ func (at *ActiveTree) MemoKey(p Policy, root navtree.NodeID) (MemoKey, bool) {
 	var belowBuf [16]int32
 	below := belowBuf[:0]
 	for r := range at.comp {
-		if up := at.nav.Parent(r); up >= 0 && r != root && at.compOf[up] == root {
+		if up := at.nav.Parent(r); up >= 0 && r != root && at.ComponentOf(up) == root {
 			below = append(below, int32(r))
 		}
 	}

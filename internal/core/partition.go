@@ -59,7 +59,7 @@ func (sc *compLayout) load(at *ActiveTree, root navtree.NodeID) {
 	clear(sc.kidOff)
 	sc.roots, sc.sweeps = sc.roots[:0], 0
 	var s int32
-	at.scan(root, root, func(m navtree.NodeID) {
+	at.scan(root, func(m navtree.NodeID) {
 		// In pre-order, m's parent is the last slot laid out or one of
 		// its ancestors.
 		p, pm := s-1, at.nav.Parent(m)

@@ -66,7 +66,7 @@ func oracleSweepWeight(at *ActiveTree, compRoot, n navtree.NodeID, w float64, ro
 	var kids []kid
 	acc := own
 	for _, c := range at.nav.Children(n) {
-		if at.compOf[c] != compRoot {
+		if at.ComponentOf(c) != compRoot {
 			continue
 		}
 		kw := oracleSweepWeight(at, compRoot, c, w, roots)
@@ -93,12 +93,12 @@ func oracleHeaviestChildSubtree(at *ActiveTree, root navtree.NodeID) navtree.Nod
 	var best navtree.NodeID = -1
 	bestWeight := -1.0
 	for _, c := range at.nav.Children(root) {
-		if at.compOf[c] != root {
+		if at.ComponentOf(c) != root {
 			continue
 		}
 		w := 0.0
 		at.nav.PreOrder(c, func(n navtree.NodeID) bool {
-			if at.compOf[n] != root {
+			if at.ComponentOf(n) != root {
 				return false
 			}
 			w += oracleWeight(at, n)
@@ -125,7 +125,7 @@ func oracleCollectPartitions(at *ActiveTree, root navtree.NodeID, roots []navtre
 	for i, r := range sorted {
 		p := partition{root: r}
 		at.nav.PreOrder(r, func(n navtree.NodeID) bool {
-			if at.compOf[n] != root || (n != r && isRoot[n]) {
+			if at.ComponentOf(n) != root || (n != r && isRoot[n]) {
 				return false
 			}
 			p.members = append(p.members, n)

@@ -100,7 +100,7 @@ func (h *HeuristicReducedOpt) LastReducedSize(at *ActiveTree, root navtree.NodeI
 // k_partition span under sp (nil: untraced) and returns the reduced
 // tree's size.
 func (h *HeuristicReducedOpt) reduce(sp *obs.Span, at *ActiveTree, root navtree.NodeID) (*compTree, int, error) {
-	if at.ComponentOf(root) != root {
+	if !at.IsVisible(root) {
 		return nil, 0, fmt.Errorf("core: %s: node %d is not a component root", h.Name(), root)
 	}
 	ksp := sp.StartChild("k_partition")
@@ -159,7 +159,7 @@ func (o *OptEdgeCutPolicy) ChooseCut(ctx context.Context, at *ActiveTree, root n
 // ExpectedCost evaluates the optimal expected TOPDOWN cost of exploring
 // the component; exposed for optimality tests and ablations.
 func (o *OptEdgeCutPolicy) ExpectedCost(at *ActiveTree, root navtree.NodeID) (float64, error) {
-	if at.ComponentOf(root) != root {
+	if !at.IsVisible(root) {
 		return 0, fmt.Errorf("core: %s: node %d is not a component root", o.Name(), root)
 	}
 	ct, err := exactCompTree(at, root)

@@ -635,7 +635,7 @@ func (s *polySolver) anytime(ctx context.Context) AnytimeResult {
 // the returned cut (full → anytime → static). Errors are logical only
 // (not a component root, singleton component).
 func AnytimeSolve(ctx context.Context, at *ActiveTree, root navtree.NodeID, k int, model CostModel) (AnytimeResult, error) {
-	if at.ComponentOf(root) != root {
+	if !at.IsVisible(root) {
 		return AnytimeResult{}, fmt.Errorf("core: PolyCut: node %d is not a component root", root)
 	}
 	if at.ComponentSize(root) < 2 {
@@ -695,7 +695,7 @@ func (p *PolyCutPolicy) ChooseCut(ctx context.Context, at *ActiveTree, root navt
 // ExpectedCost evaluates the component's expected TOPDOWN cost under the
 // PolyCut surrogate at the full horizon; used by experiments and tests.
 func (p *PolyCutPolicy) ExpectedCost(at *ActiveTree, root navtree.NodeID) (float64, error) {
-	if at.ComponentOf(root) != root {
+	if !at.IsVisible(root) {
 		return 0, fmt.Errorf("core: PolyCut: node %d is not a component root", root)
 	}
 	if at.ComponentSize(root) < 2 {

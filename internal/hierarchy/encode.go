@@ -35,7 +35,8 @@ func Encode(w io.Writer, t *Tree) error {
 
 // Decode reads a tree previously written by Encode. Input is validated
 // structurally: IDs must be dense, parents must precede children, and
-// labels must be unique.
+// labels must be unique. A label may not end in a carriage return: line
+// splitting strips one before a newline, so Encode could not write it back.
 func Decode(r io.Reader) (*Tree, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
@@ -61,6 +62,9 @@ func Decode(r io.Reader) (*Tree, error) {
 		parentStr, label, ok := strings.Cut(line, "\t")
 		if !ok {
 			return nil, fmt.Errorf("hierarchy: node %d: malformed line %q", i, line)
+		}
+		if strings.HasSuffix(label, "\r") {
+			return nil, fmt.Errorf("hierarchy: node %d: label %q ends in a carriage return", i, label)
 		}
 		parent, err := strconv.Atoi(parentStr)
 		if err != nil {

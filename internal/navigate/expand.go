@@ -117,7 +117,7 @@ func (s *Session) expand(ctx context.Context, pool *core.Pool, comps []compExpan
 		c := &comps[i]
 		if c.key, c.shared = s.at.MemoKey(s.policy, c.Node); c.shared {
 			cut, ok := s.at.MemoCut(c.key)
-			if ok && check.ValidateEdgeCut(s.at, c.Node, cut) == nil {
+			if ok && s.at.CheckCut(c.Node, cut) == nil {
 				memoHits.Inc()
 				c.cut, c.hit = cut, true
 				continue

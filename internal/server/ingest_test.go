@@ -123,8 +123,7 @@ func TestIngestMidSession(t *testing.T) {
 	// End every session; the next publish may then retire old epochs.
 	srv.mu.Lock()
 	for id, sess := range srv.sessions {
-		sess.expired.Store(true)
-		delete(srv.sessions, id)
+		srv.dropLocked(id, sess)
 	}
 	srv.mu.Unlock()
 

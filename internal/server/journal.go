@@ -1,9 +1,11 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -146,11 +148,16 @@ func (s *Server) Recover(ctx context.Context) (int, error) {
 			p.last = r.At
 		}
 	}
+	// Least recently used first: each recovered session goes to the front
+	// of the session table's LRU list, which then holds them in
+	// journaled last-use order for the eviction below.
 	ids := make([]string, 0, len(byID))
 	for id := range byID {
 		ids = append(ids, id)
 	}
-	sort.Strings(ids)
+	slices.SortFunc(ids, func(a, b string) int {
+		return cmp.Or(cmp.Compare(byID[a].last, byID[b].last), strings.Compare(a, b))
+	})
 
 	now := time.Now()
 	recovered := 0
@@ -225,7 +232,7 @@ func (s *Server) recoverSession(ctx context.Context, id string, p *pendingSessio
 		journaled: len(restored.Log()),
 	}
 	s.mu.Lock()
-	s.sessions[id] = sess
+	s.insertLocked(id, sess)
 	s.mu.Unlock()
 	return nil
 }

@@ -182,6 +182,62 @@ func TestFaultJournalRecoverMiss(t *testing.T) {
 	}
 }
 
+// TestRecoverMaxSessionsKeepsMostRecentlyUsed: when the journal holds
+// more live sessions than MaxSessions, recovery keeps the ones used last
+// before the crash, whatever their IDs, and journals the others closed,
+// so the next recovery skips them too.
+func TestRecoverMaxSessionsKeepsMostRecentlyUsed(t *testing.T) {
+	dir := t.TempDir()
+	j, err := journal.Open(dir, journal.Options{Fsync: journal.FsyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kw := testDataset().Corpus.At(0).Terms[0] // queryTerm's keyword
+	now := time.Now()
+	// Seconds since each session's last use: neither ascending nor
+	// descending in ID order.
+	for _, c := range []struct {
+		id  string
+		ago int
+	}{{"s00000001", 2}, {"s00000002", 5}, {"s00000003", 1}, {"s00000004", 4}, {"s00000005", 3}} {
+		at := now.Add(-time.Duration(c.ago) * time.Second).UnixNano()
+		if err := j.Append(journal.Record{Type: journal.TypeCreate, Session: c.id, At: at, Keywords: kw, Policy: "heuristic"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j.Close()
+
+	srv, ts, j2 := journaledServer(t, dir, Config{MaxSessions: 2})
+	if n, err := srv.Recover(context.Background()); err != nil || n != 5 {
+		t.Fatalf("recover: n=%d err=%v, want 5 rebuilt", n, err)
+	}
+	if got := srv.met.evicted.Value(); got != 3 {
+		t.Fatalf("bionav_sessions_evicted_total = %v, want 3", got)
+	}
+	live := map[string]bool{"s00000001": true, "s00000003": true}
+	for _, id := range []string{"s00000001", "s00000002", "s00000003", "s00000004", "s00000005"} {
+		want := http.StatusNotFound
+		if live[id] {
+			want = http.StatusOK
+		}
+		if code, _ := exportSession(t, ts.URL, id); code != want {
+			t.Fatalf("export %s after recovery: %d, want %d", id, code, want)
+		}
+	}
+	j2.Close()
+	ts.Close()
+
+	srv3, ts3, _ := journaledServer(t, dir, Config{})
+	if n, err := srv3.Recover(context.Background()); err != nil || n != 2 {
+		t.Fatalf("second recover: n=%d err=%v, want the 2 survivors", n, err)
+	}
+	for id := range live {
+		if code, _ := exportSession(t, ts3.URL, id); code != http.StatusOK {
+			t.Fatalf("export %s after second recovery: %d", id, code)
+		}
+	}
+}
+
 // TestFaultJournalAppendDoesNotFailRequest: availability over durability
 // — with the journal's append site armed, navigation actions still
 // succeed; once the fault clears, the next mutation re-journals the

@@ -23,6 +23,7 @@ package server
 
 import (
 	"bytes"
+	"container/list"
 	"context"
 	"encoding/json"
 	"errors"
@@ -146,6 +147,7 @@ type Server struct {
 
 	mu       sync.Mutex
 	sessions map[string]*session // guarded by mu
+	lru      *list.List          // guarded by mu; the session IDs, most recently used first
 	nextID   uint64              // guarded by mu
 }
 
@@ -165,6 +167,7 @@ type session struct {
 	st       *snapState        // immutable: the epoch the session started on, pinned for its lifetime
 	keywords string            // immutable after construction
 	lastUsed time.Time         // guarded by Server.mu: the TTL clock belongs to the session table
+	elem     *list.Element     // guarded by Server.mu: the session's place in Server.lru
 	expired  atomic.Bool
 	// journaled counts the log entries already appended to the journal
 	// (guarded by mu); the suffix beyond it is the not-yet-durable part a
@@ -187,6 +190,7 @@ func NewLive(live *store.Live, cfg Config) *Server {
 		live:     live,
 		cfg:      cfg,
 		sessions: make(map[string]*session),
+		lru:      list.New(),
 		drainCh:  make(chan struct{}),
 	}
 	s.cur.Store(newSnapState(live.Current()))
@@ -444,7 +448,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, err)
 		return
 	}
-	sess := &session{nav: navigate.NewSession(nav, s.newPolicy()), st: st, keywords: req.Keywords, lastUsed: time.Now()}
+	sess := &session{nav: navigate.NewSession(nav, s.newPolicy()), st: st, keywords: req.Keywords}
 	id := s.register(sess)
 	s.journalCreate(id, req.Keywords, st.snap.Epoch)
 	s.writeState(w, r, id, sess)
@@ -641,7 +645,7 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
-	sess := &session{nav: restored, st: st, keywords: req.Keywords, lastUsed: time.Now()}
+	sess := &session{nav: restored, st: st, keywords: req.Keywords}
 	id := s.register(sess)
 	s.journalCreate(id, req.Keywords, st.snap.Epoch)
 	s.journalActions(id, sess) // the imported history is this session's log
@@ -752,11 +756,14 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 
 // --- session bookkeeping ---
 
+// register adds sess to the session table under a fresh ID, last used
+// now, and evicts what the table then holds beyond its TTL and capacity.
 func (s *Server) register(sess *session) string {
 	s.mu.Lock()
 	s.nextID++
 	id := fmt.Sprintf("s%08x", s.nextID)
-	s.sessions[id] = sess
+	sess.lastUsed = time.Now()
+	s.insertLocked(id, sess)
 	closed := s.evictLocked()
 	s.mu.Unlock()
 	s.journalClose(closed...)
@@ -773,9 +780,7 @@ func (s *Server) lookup(id string) (*session, error) {
 		return nil, errNoSession
 	}
 	if time.Since(sess.lastUsed) > s.cfg.SessionTTL {
-		sess.expired.Store(true)
-		delete(s.sessions, id)
-		s.met.evicted.Inc()
+		s.dropLocked(id, sess)
 		s.mu.Unlock()
 		s.journalClose(id)
 		return nil, errNoSession
@@ -791,34 +796,42 @@ func (s *Server) lookup(id string) (*session, error) {
 // not expire out from under them. Caller holds s.mu.
 func (s *Server) touchLocked(sess *session) {
 	sess.lastUsed = time.Now()
+	s.lru.MoveToFront(sess.elem)
+}
+
+// insertLocked adds sess to the session table as id. Its lastUsed must be
+// no earlier than any other session's, as it goes to the front of s.lru.
+// Caller holds s.mu.
+func (s *Server) insertLocked(id string, sess *session) {
+	s.sessions[id] = sess
+	sess.elem = s.lru.PushFront(id)
+}
+
+// dropLocked removes session id from the table and marks it expired.
+// Caller holds s.mu.
+func (s *Server) dropLocked(id string, sess *session) {
+	sess.expired.Store(true)
+	delete(s.sessions, id)
+	s.lru.Remove(sess.elem)
+	s.met.evicted.Inc()
 }
 
 // evictLocked drops expired sessions and, if still over capacity, the
 // least recently used ones, returning the dropped IDs so the caller can
-// journal their close records outside the lock. Caller holds s.mu.
+// journal their close records outside the lock. s.lru holds the sessions
+// in lastUsed order, so both kinds are popped off its back. Caller holds
+// s.mu.
 func (s *Server) evictLocked() []string {
 	var closed []string
 	now := time.Now()
-	for id, sess := range s.sessions {
-		if now.Sub(sess.lastUsed) > s.cfg.SessionTTL {
-			sess.expired.Store(true)
-			delete(s.sessions, id)
-			s.met.evicted.Inc()
-			closed = append(closed, id)
+	for e := s.lru.Back(); e != nil; e = s.lru.Back() {
+		id := e.Value.(string)
+		sess := s.sessions[id]
+		if len(s.sessions) <= s.cfg.MaxSessions && now.Sub(sess.lastUsed) <= s.cfg.SessionTTL {
+			break
 		}
-	}
-	for len(s.sessions) > s.cfg.MaxSessions {
-		oldestID := ""
-		var oldest time.Time
-		for id, sess := range s.sessions {
-			if oldestID == "" || sess.lastUsed.Before(oldest) {
-				oldestID, oldest = id, sess.lastUsed
-			}
-		}
-		s.sessions[oldestID].expired.Store(true)
-		delete(s.sessions, oldestID)
-		s.met.evicted.Inc()
-		closed = append(closed, oldestID)
+		s.dropLocked(id, sess)
+		closed = append(closed, id)
 	}
 	return closed
 }
