@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all check build test race vet fmt lint lint-fix-audit checks-test golden-test fuzz-smoke bench bench-json bench-check bench-diff loc anytime-test faults-test chaos-test metrics-test parallel-test ingest-test load-test load-bench experiments demo clean
+.PHONY: all check build test race vet fmt lint lint-fix-audit checks-test golden-test fuzz-smoke bench bench-smoke bench-json bench-check bench-diff loc anytime-test faults-test chaos-test metrics-test parallel-test ingest-test load-test load-bench experiments demo clean
 
 all: fmt vet lint test build
 
@@ -47,11 +47,13 @@ checks-test:
 
 # Behaviour goldens under testdata/golden: the TOPDOWN cut sequences of
 # every Table I query under every policy (topdown.golden), the rendered
-# views of a fixed EXPAND/BACKTRACK script (views.golden), and the HTTP
-# transcript of a fixed API script on the -demo corpus (http.golden).
-# Regenerate with -update only for an intended behaviour change.
+# views of a fixed EXPAND/BACKTRACK script (views.golden), the DP's
+# expected cost and |T_R| before every oracle EXPAND under hro-default and
+# hro-discup (dpcost.golden), and the HTTP transcript of a fixed API
+# script on the -demo corpus (http.golden). Regenerate with -update only
+# for an intended behaviour change.
 golden-test:
-	$(GO) test -count=1 -run 'BehaviourGolden|ViewGolden' ./internal/experiments
+	$(GO) test -count=1 -run 'BehaviourGolden|ViewGolden|DPCostGolden' ./internal/experiments
 	$(GO) test -count=1 -run 'TranscriptGolden' ./internal/server
 
 # Short fuzz runs of the differential Opt-EdgeCut, PolyCut, k-partition,
@@ -74,6 +76,13 @@ fuzz-smoke:
 
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' ./...
+
+# Every benchmark in the module, run once: a benchmark that fails or
+# b.Fatals (BenchmarkSessionReplay asserts cut-memo hits) fails the
+# target. Checks that the benchmarks perf claims rest on still run, not
+# how fast they are.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # Fault-injection suite: every TestFault* arms internal/faults failpoints
 # to prove the degradation paths fire (see docs/RESILIENCE.md) — including

@@ -63,6 +63,9 @@ func TestBuildFlagValidation(t *testing.T) {
 	if _, err := build([]string{"-demo", "-journal", t.TempDir(), "-fsync", "sometimes"}, &out, nil); err == nil {
 		t.Fatal("bad -fsync accepted")
 	}
+	if _, err := build([]string{"-demo", "-k", "36"}, &out, nil); err == nil {
+		t.Fatal("heuristic -k above the Opt-EdgeCut limit accepted")
+	}
 }
 
 // TestBuildJournalRecovery wires the -journal flag end to end: a session

@@ -28,6 +28,7 @@ import (
 	"strings"
 
 	"bionav"
+	"bionav/internal/core"
 )
 
 func main() {
@@ -51,6 +52,9 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	fs.SetOutput(stdout)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if _, err := core.PolicyByName("heuristic", *policyK); err != nil {
+		return fmt.Errorf("-k: %w", err)
 	}
 
 	engine, err := openEngine(*dbDir, *demo, stdout)

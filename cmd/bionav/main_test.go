@@ -66,6 +66,9 @@ func TestFlagsValidation(t *testing.T) {
 	if err := run([]string{"-db", "/nonexistent-dir-xyz"}, strings.NewReader(""), &out); err == nil {
 		t.Fatal("bad db dir accepted")
 	}
+	if err := run([]string{"-demo", "-k", "36"}, strings.NewReader(""), &out); err == nil {
+		t.Fatal("-k above the Opt-EdgeCut limit accepted")
+	}
 }
 
 func TestREPLScript(t *testing.T) {

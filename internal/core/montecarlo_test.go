@@ -19,8 +19,9 @@ import (
 // users must converge to optExpectedCost.
 
 // mcUser simulates one user exploring state (r, mask) under the optimal
-// policy recorded in o's memo, returning the cost paid.
-func mcUser(o *optimizer, src *rng.Source, r int, mask uint64) float64 {
+// policy: a state that expands follows its argmin cut, which bestCut
+// recovers once per state and cuts caches by mask. Returns the cost paid.
+func mcUser(o *optimizer, cuts map[uint64][]int, src *rng.Source, r int, mask uint64) float64 {
 	L := o.ct.distinct(mask, o.scratch)
 	own := make([]int, 0, bits.OnesCount64(mask))
 	for i := 0; i < o.ct.len(); i++ {
@@ -29,27 +30,35 @@ func mcUser(o *optimizer, src *rng.Source, r int, mask uint64) float64 {
 		}
 	}
 	pE := o.model.expandProb(own, L, len(own))
-	v := o.best(r, mask)
-	if v.cut == nil || src.Float64() >= pE {
+	var cut []int
+	if pE > 0 && len(own) > 1 {
+		c, ok := cuts[mask]
+		if !ok {
+			_, c = o.bestCut(r, mask)
+			cuts[mask] = c
+		}
+		cut = c
+	}
+	if cut == nil || src.Float64() >= pE {
 		return float64(L) // SHOWRESULTS
 	}
 	cost := o.model.ExpandCost
 	var lowered uint64
-	for _, c := range v.cut {
+	for _, c := range cut {
 		sv := o.ct.descMask[c] & mask
 		lowered |= sv
 		cost++ // examine the revealed label
 		if src.Float64() < o.ct.exploreProb(sv) {
-			cost += mcUser(o, src, c, sv)
+			cost += mcUser(o, cuts, src, c, sv)
 		}
 	}
 	upper := mask &^ lowered
 	if o.model.DiscountUpper {
 		if src.Float64() < o.ct.exploreProb(upper) {
-			cost += mcUser(o, src, r, upper)
+			cost += mcUser(o, cuts, src, r, upper)
 		}
 	} else {
-		cost += mcUser(o, src, r, upper)
+		cost += mcUser(o, cuts, src, r, upper)
 	}
 	return cost
 }
@@ -71,8 +80,9 @@ func TestMonteCarloMatchesDP(t *testing.T) {
 
 		const users = 60000
 		sum := 0.0
+		cuts := make(map[uint64][]int)
 		for u := 0; u < users; u++ {
-			sum += mcUser(o, src, 0, ct.descMask[0])
+			sum += mcUser(o, cuts, src, 0, ct.descMask[0])
 		}
 		got := sum / users
 		// Standard error scales with the cost magnitude; 3% + 0.3 absolute

@@ -3,8 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/bits"
+	"sync"
 
 	"bionav/internal/faults"
 	"bionav/internal/obs"
@@ -46,22 +46,41 @@ import (
 // allocating exponentially many slices and aborting at a hard cut-count
 // cap; the fold needs O(depth) stack, no per-cut allocation, and no cap
 // (the test suite retains that enumerator as a differential oracle).
+//
+// Every state is computed once: its cost and pX go into one memo table
+// keyed by the member mask alone — a state's root is its mask's lowest set
+// bit, because Parent[i] < i — and every later visit is a lookup. As
+// §VI-B notes, one run thereby yields the cost of every state it reached,
+// which CachedHeuristic answers its follow-up EXPANDs from. The folds keep
+// only the running minimum; the one argmin cut recorded is that of the
+// state the user expands (cutFor). One-shot solves borrow their table from
+// memoPool and return it cleared, so a solve allocates no per-state
+// memory.
 
+// stateVal is a computed state: its expected exploration cost and its
+// EXPLORE probability pX, which a parent state's fold charges it with.
 type stateVal struct {
 	cost float64
-	cut  []int // argmin cut children; nil when SHOWRESULTS is terminal
+	px   float64
 }
 
-// memoTable is a small open-addressed hash table from component-member
-// mask to stateVal — one per component root, so the memo key (r, mask)
-// becomes a slice index plus a uint64 probe instead of a two-field map
-// key. Every stored mask contains the root's bit and is therefore
+// memoTable is an open-addressed hash table from a state's member mask to
+// its stateVal. Every mask contains its root's bit and is therefore
 // non-zero, freeing 0 to mark empty slots.
 type memoTable struct {
-	keys []uint64
-	vals []stateVal
-	n    int
+	slots []memoSlot
+	n     int
 }
+
+type memoSlot struct {
+	mask uint64
+	val  stateVal
+}
+
+// memoPool recycles the tables of one-shot solves (optEdgeCut,
+// optExpectedCost). CachedHeuristic's optimizers own theirs, so a plan
+// never pins a table a large one-shot solve grew.
+var memoPool = sync.Pool{New: func() any { return new(memoTable) }}
 
 func hashMask(mask uint64) uint64 {
 	h := mask * 0x9e3779b97f4a7c15 // Fibonacci scrambling of the mask bits
@@ -72,11 +91,11 @@ func (t *memoTable) get(mask uint64) (stateVal, bool) {
 	if t.n == 0 {
 		return stateVal{}, false
 	}
-	m := uint64(len(t.keys) - 1)
+	m := uint64(len(t.slots) - 1)
 	for i := hashMask(mask) & m; ; i = (i + 1) & m {
-		switch t.keys[i] {
+		switch t.slots[i].mask {
 		case mask:
-			return t.vals[i], true
+			return t.slots[i].val, true
 		case 0:
 			return stateVal{}, false
 		}
@@ -84,40 +103,42 @@ func (t *memoTable) get(mask uint64) (stateVal, bool) {
 }
 
 func (t *memoTable) put(mask uint64, v stateVal) {
-	if len(t.keys) == 0 {
-		t.keys = make([]uint64, 8)
-		t.vals = make([]stateVal, 8)
-	} else if 4*(t.n+1) > 3*len(t.keys) {
+	if len(t.slots) == 0 {
+		t.slots = make([]memoSlot, 8)
+	} else if 4*(t.n+1) > 3*len(t.slots) {
 		t.grow()
 	}
-	m := uint64(len(t.keys) - 1)
+	m := uint64(len(t.slots) - 1)
 	i := hashMask(mask) & m
-	for t.keys[i] != 0 && t.keys[i] != mask {
+	for t.slots[i].mask != 0 && t.slots[i].mask != mask {
 		i = (i + 1) & m
 	}
-	if t.keys[i] == 0 {
+	if t.slots[i].mask == 0 {
 		t.n++
 	}
-	t.keys[i] = mask
-	t.vals[i] = v
+	t.slots[i] = memoSlot{mask, v}
 }
 
 func (t *memoTable) grow() {
-	oldKeys, oldVals := t.keys, t.vals
-	t.keys = make([]uint64, 2*len(oldKeys))
-	t.vals = make([]stateVal, 2*len(oldKeys))
-	m := uint64(len(t.keys) - 1)
-	for j, k := range oldKeys {
-		if k == 0 {
+	old := t.slots
+	t.slots = make([]memoSlot, 2*len(old))
+	m := uint64(len(t.slots) - 1)
+	for _, s := range old {
+		if s.mask == 0 {
 			continue
 		}
-		i := hashMask(k) & m
-		for t.keys[i] != 0 {
+		i := hashMask(s.mask) & m
+		for t.slots[i].mask != 0 {
 			i = (i + 1) & m
 		}
-		t.keys[i] = k
-		t.vals[i] = oldVals[j]
+		t.slots[i] = s
 	}
+}
+
+// reset empties the table, keeping its slots for the next solve.
+func (t *memoTable) reset() {
+	clear(t.slots)
+	t.n = 0
 }
 
 // budget is a solver's cancellation state: the context and failpoint it
@@ -168,7 +189,7 @@ func (b *budget) stop() bool {
 type optimizer struct {
 	ct    *compTree
 	model CostModel
-	memo  []memoTable // indexed by component root
+	memo  *memoTable // every computed state, keyed by its member mask
 	// scratch is the |L| union buffer; entry points borrow it from the
 	// shared pool for the duration of one call so long-lived optimizers
 	// (CachedHeuristic plans) don't pin a buffer each between EXPANDs.
@@ -223,16 +244,36 @@ func (o *optimizer) finish(sp *obs.Span, s0 dpSnap) {
 // power of two so the check compiles to a mask test.
 const dpStride = 256
 
-// newOptimizer prepares a reusable DP instance over ct; its memo persists
-// across calls, which the CachedHeuristic policy exploits for subsequent
-// expansions of the same reduced tree (§VI-B).
+// newOptimizer prepares a reusable DP instance over ct with a memo of its
+// own, which persists across calls: the CachedHeuristic policy answers
+// subsequent expansions of the same reduced tree from it (§VI-B).
 func newOptimizer(ct *compTree, model CostModel) *optimizer {
 	return &optimizer{
 		ct:     ct,
 		model:  model,
-		memo:   make([]memoTable, ct.len()),
+		memo:   new(memoTable),
+		ownBuf: make([]int, 0, ct.len()),
 		budget: budget{site: faults.SiteDP},
 	}
+}
+
+// borrowOptimizer is newOptimizer for a one-shot solve: its memo comes
+// from memoPool, and release returns it cleared.
+func borrowOptimizer(ct *compTree, model CostModel) *optimizer {
+	return &optimizer{
+		ct:     ct,
+		model:  model,
+		memo:   memoPool.Get().(*memoTable),
+		ownBuf: make([]int, 0, ct.len()),
+		budget: budget{site: faults.SiteDP},
+	}
+}
+
+// release returns a borrowed optimizer's memo to memoPool, cleared.
+func (o *optimizer) release() {
+	o.memo.reset()
+	memoPool.Put(o.memo)
+	o.memo = nil
 }
 
 // borrowScratch takes the union buffer from the pool, returning the
@@ -273,27 +314,16 @@ func (o *optimizer) cutFor(ctx context.Context, r int, mask uint64) ([]int, floa
 	return cut, cost, nil
 }
 
-// optEdgeCut returns the best first EdgeCut for the whole compTree (as the
-// list of compTree nodes whose parent edge is cut) together with the
-// expected cost of the cut-rooted navigation. The tree must have ≥ 2 nodes.
-func optEdgeCut(ctx context.Context, ct *compTree, model CostModel) ([]int, float64, error) {
-	if ct.len() < 2 {
-		return nil, 0, fmt.Errorf("core: Opt-EdgeCut needs at least 2 nodes, got %d", ct.len())
-	}
-	return newOptimizer(ct, model).cutFor(ctx, 0, ct.descMask[0])
-}
-
-// optExpectedCost evaluates the full expected TOPDOWN cost of a component
-// under optimal expansion; used by tests and ablations.
-func optExpectedCost(ctx context.Context, ct *compTree, model CostModel) (float64, error) {
-	o := newOptimizer(ct, model)
+// expectedCost returns the expected TOPDOWN cost of exploring the state
+// (r, mask) under optimal expansion, with cutFor's abort contract.
+func (o *optimizer) expectedCost(ctx context.Context, r int, mask uint64) (float64, error) {
 	if err := o.begin(ctx); err != nil {
 		return 0, err
 	}
 	s0 := o.snap()
 	sp := obs.FromContext(ctx).StartChild("opt_edgecut_dp")
 	release := o.borrowScratch()
-	v := o.best(0, ct.descMask[0])
+	v := o.best(r, mask)
 	release()
 	o.finish(sp, s0)
 	if o.err != nil {
@@ -302,11 +332,34 @@ func optExpectedCost(ctx context.Context, ct *compTree, model CostModel) (float6
 	return v.cost, nil
 }
 
+// optEdgeCut returns the best first EdgeCut for the whole compTree (as the
+// list of compTree nodes whose parent edge is cut) together with the
+// expected cost of the cut-rooted navigation. The tree must have ≥ 2 nodes.
+func optEdgeCut(ctx context.Context, ct *compTree, model CostModel) ([]int, float64, error) {
+	if ct.len() < 2 {
+		return nil, 0, fmt.Errorf("core: Opt-EdgeCut needs at least 2 nodes, got %d", ct.len())
+	}
+	o := borrowOptimizer(ct, model)
+	defer o.release()
+	return o.cutFor(ctx, 0, ct.descMask[0])
+}
+
+// optExpectedCost evaluates the full expected TOPDOWN cost of a component
+// under optimal expansion; used by tests and ablations.
+func optExpectedCost(ctx context.Context, ct *compTree, model CostModel) (float64, error) {
+	o := borrowOptimizer(ct, model)
+	defer o.release()
+	return o.expectedCost(ctx, 0, ct.descMask[0])
+}
+
+// best returns the state (r, mask), computing it on its first visit and
+// looking it up on every later one. An aborted computation is never
+// stored, so the memo holds only complete states.
 func (o *optimizer) best(r int, mask uint64) stateVal {
 	if o.err != nil {
 		return stateVal{}
 	}
-	if v, ok := o.memo[r].get(mask); ok {
+	if v, ok := o.memo.get(mask); ok {
 		o.memoHits++
 		return v
 	}
@@ -318,43 +371,33 @@ func (o *optimizer) best(r int, mask uint64) stateVal {
 	}
 	o.ownBuf = own[:0]
 	pE := o.model.expandProb(own, L, len(own))
-	val := stateVal{cost: float64(L)}
+	val := stateVal{cost: float64(L), px: o.ct.exploreProb(mask)}
 	if pE > 0 && bits.OnesCount64(mask) > 1 {
-		cutCost, cut := o.bestCut(r, mask)
+		s := cutSearch{o: o, r: r, mask: mask}
+		s.run()
 		if o.err != nil {
-			// Aborted mid-search: the incumbent cut may cover only part of
-			// the state space. Discard it and keep the memo untouched.
+			// Aborted mid-search: the incumbent may cover only part of the
+			// state space. Discard it and keep the memo untouched.
 			return stateVal{}
 		}
-		if cut != nil {
-			val.cost = (1-pE)*float64(L) + pE*cutCost
-			val.cut = cut
+		if s.found {
+			val.cost = (1-pE)*float64(L) + pE*s.bestCost
 		}
 	}
-	// Only decision-bearing states earn a memo slot. Terminal states
-	// (SHOWRESULTS, cost = L) are as cheap to recompute as to look up, and
-	// they form the long tail of the state space — the fold visits one per
-	// cut — so skipping them keeps retained memory proportional to the
-	// states CachedHeuristic can actually answer plans from.
-	if val.cut != nil {
-		o.memo[r].put(mask, val)
-	}
+	o.memo.put(mask, val)
 	return val
 }
 
 // bestCut returns the minimum expected cost over all valid non-empty
 // EdgeCuts of the state, and the argmin cut. Returns (0, nil) if no cut
-// exists (single-node component).
+// exists (single-node component). It is the one fold that records a cut,
+// in one allocation; the folds inside best keep only the minimum.
 func (o *optimizer) bestCut(r int, mask uint64) (float64, []int) {
-	s := cutSearch{
-		o:        o,
-		r:        r,
-		mask:     mask,
-		bestCost: math.Inf(1),
-		cur:      make([]int, 0, bits.OnesCount64(mask)),
-	}
-	s.fold(o.ct.preIdx[r]+1, o.ct.preEnd[r], o.model.ExpandCost, 0)
-	if s.best == nil {
+	n := bits.OnesCount64(mask)
+	buf := make([]int, 0, 2*n)
+	s := cutSearch{o: o, r: r, mask: mask, record: true, cur: buf[:0:n], best: buf[n:n]}
+	s.run()
+	if !s.found {
 		return 0, nil
 	}
 	return s.bestCost, s.best
@@ -365,9 +408,16 @@ type cutSearch struct {
 	o        *optimizer
 	r        int
 	mask     uint64
-	bestCost float64
-	best     []int // incumbent argmin cut (nil until the first leaf)
-	cur      []int // cut nodes chosen on the current branch
+	bestCost float64 // the incumbent minimum, once found
+	found    bool
+	// With record set (bestCut), cur holds the cut nodes chosen on the
+	// current branch and best the incumbent argmin cut.
+	record    bool
+	cur, best []int
+}
+
+func (s *cutSearch) run() {
+	s.fold(s.o.ct.preIdx[s.r]+1, s.o.ct.preEnd[s.r], s.o.model.ExpandCost, 0)
 }
 
 // fold decides the node at pre-order position pos: cut its parent edge
@@ -381,22 +431,23 @@ func (s *cutSearch) fold(pos, end int, sum float64, lowered uint64) {
 	if o.steps++; o.steps%dpStride == 0 && o.stop() {
 		return
 	}
-	if s.best != nil && sum >= s.bestCost {
+	if s.found && sum >= s.bestCost {
 		return // every remaining term is ≥ 0: this branch cannot win
 	}
 	if pos == end {
-		if len(s.cur) == 0 {
+		if lowered == 0 {
 			return // the empty cut is not a valid EdgeCut
 		}
-		upper := s.mask &^ lowered
-		w := 1.0
+		u := o.best(s.r, s.mask&^lowered)
+		cost := sum + u.cost
 		if o.model.DiscountUpper {
-			w = o.ct.exploreProb(upper)
+			cost = sum + u.px*u.cost
 		}
-		cost := sum + w*o.best(s.r, upper).cost
-		if s.best == nil || cost < s.bestCost {
-			s.bestCost = cost
-			s.best = append(s.best[:0], s.cur...)
+		if !s.found || cost < s.bestCost {
+			s.bestCost, s.found = cost, true
+			if s.record {
+				s.best = append(s.best[:0], s.cur...)
+			}
 		}
 		return
 	}
@@ -412,9 +463,14 @@ func (s *cutSearch) fold(pos, end int, sum float64, lowered uint64) {
 	// parenthesized so it rounds exactly like the historical `cost += 1 + …`
 	// accumulation the differential test compares against.
 	sv := ct.descMask[v] & s.mask
-	s.cur = append(s.cur, v)
-	s.fold(ct.preEnd[v], end, sum+(1+ct.exploreProb(sv)*o.best(v, sv).cost), lowered|sv)
-	s.cur = s.cur[:len(s.cur)-1]
+	sub := o.best(v, sv)
+	if s.record {
+		s.cur = append(s.cur, v)
+	}
+	s.fold(ct.preEnd[v], end, sum+(1+sub.px*sub.cost), lowered|sv)
+	if s.record {
+		s.cur = s.cur[:len(s.cur)-1]
+	}
 	// Retain v in the upper remainder; its children become cuttable.
 	s.fold(pos+1, end, sum, lowered)
 }

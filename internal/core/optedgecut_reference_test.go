@@ -3,6 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/bits"
+	"slices"
 	"testing"
 
 	"bionav/internal/rng"
@@ -28,10 +31,15 @@ type enumStateKey struct {
 	mask uint64
 }
 
+// enumVal is a state's value, its expected cost.
+type enumVal struct {
+	cost float64
+}
+
 type enumOptimizer struct {
 	ct      *compTree
 	model   CostModel
-	memo    map[enumStateKey]stateVal
+	memo    map[enumStateKey]enumVal
 	scratch bitset
 	err     error
 	steps   int // cut-sets materialized; bounds the overflow short-circuit test
@@ -41,7 +49,7 @@ func newEnumOptimizer(ct *compTree, model CostModel) *enumOptimizer {
 	return &enumOptimizer{
 		ct:      ct,
 		model:   model,
-		memo:    make(map[enumStateKey]stateVal),
+		memo:    make(map[enumStateKey]enumVal),
 		scratch: newBitset(64 * len(ct.Bits[0])),
 	}
 }
@@ -57,7 +65,7 @@ func (o *enumOptimizer) cutFor(r int, mask uint64) ([]int, float64, error) {
 	return cut, cost, nil
 }
 
-func (o *enumOptimizer) best(r int, mask uint64) stateVal {
+func (o *enumOptimizer) best(r int, mask uint64) enumVal {
 	key := enumStateKey{r, mask}
 	if v, ok := o.memo[key]; ok {
 		return v
@@ -70,12 +78,11 @@ func (o *enumOptimizer) best(r int, mask uint64) stateVal {
 		}
 	}
 	pE := o.model.expandProb(own, L, len(own))
-	val := stateVal{cost: float64(L)}
+	val := enumVal{cost: float64(L)}
 	if pE > 0 && onesCount(mask) > 1 {
 		cutCost, cut := o.bestCut(r, mask)
 		if cut != nil {
 			val.cost = (1-pE)*float64(L) + pE*cutCost
-			val.cut = cut
 		}
 	}
 	o.memo[key] = val
@@ -179,47 +186,84 @@ var diffModels = []CostModel{
 // production fold: on seeded random compTrees the minimum cost must equal
 // the enumerator's bit-for-bit (same term order ⇒ same rounding) and the
 // argmin cut must be the identical node sequence (same first-wins
-// tie-breaking over the same enumeration order).
+// tie-breaking over the same enumeration order). After each solve, every
+// state in the optimizer's memo must hold the enumerator's cost and the
+// state's pX bit for bit, and the memo must hold one state per miss: each
+// state is computed once.
 func TestChildFactoredMatchesEnumerator(t *testing.T) {
 	src := rng.New(20090401)
 	for trial := 0; trial < 200; trial++ {
 		model := diffModels[trial%len(diffModels)]
 		n := 2 + src.Intn(9)
 		ct := randomCompTree(t, src, n, 16)
+		full := ct.descMask[0]
 
-		gotCost, err := optExpectedCost(context.Background(), ct, model)
-		if err != nil {
-			t.Fatalf("trial %d: optExpectedCost: %v", trial, err)
-		}
 		eo := newEnumOptimizer(ct, model)
-		wantCost := eo.best(0, ct.descMask[0]).cost
+		wantCost := eo.best(0, full).cost
 		if eo.err != nil {
 			t.Fatalf("trial %d: enumerator overflowed on n=%d", trial, n)
+		}
+		o := newOptimizer(ct, model)
+		gotCost, err := o.expectedCost(context.Background(), 0, full)
+		if err != nil {
+			t.Fatalf("trial %d: expectedCost: %v", trial, err)
+		}
+		checkMemoMatchesEnumerator(t, trial, o, eo)
+		if pooled, err := optExpectedCost(context.Background(), ct, model); err != nil || pooled != gotCost {
+			t.Fatalf("trial %d: optExpectedCost = %v, %v; own-memo optimizer %v", trial, pooled, err, gotCost)
 		}
 		if gotCost != wantCost {
 			t.Fatalf("trial %d (n=%d): fold cost %v != enumerator cost %v (diff %g)",
 				trial, n, gotCost, wantCost, gotCost-wantCost)
 		}
 
-		cut, cutCost, err := optEdgeCut(context.Background(), ct, model)
+		o = newOptimizer(ct, model)
+		cut, cutCost, err := o.cutFor(context.Background(), 0, full)
 		if err != nil {
-			t.Fatalf("trial %d: optEdgeCut: %v", trial, err)
+			t.Fatalf("trial %d: cutFor: %v", trial, err)
 		}
-		wantCut, wantCutCost, err := newEnumOptimizer(ct, model).cutFor(0, ct.descMask[0])
+		checkMemoMatchesEnumerator(t, trial, o, eo)
+		pooledCut, pooledCost, err := optEdgeCut(context.Background(), ct, model)
+		if err != nil || pooledCost != cutCost || !slices.Equal(pooledCut, cut) {
+			t.Fatalf("trial %d: optEdgeCut = %v, %v, %v; own-memo optimizer %v, %v", trial, pooledCut, pooledCost, err, cut, cutCost)
+		}
+		wantCut, wantCutCost, err := newEnumOptimizer(ct, model).cutFor(0, full)
 		if err != nil {
 			t.Fatalf("trial %d: enumerator cutFor: %v", trial, err)
 		}
 		if cutCost != wantCutCost {
 			t.Fatalf("trial %d: fold cut cost %v != enumerator %v", trial, cutCost, wantCutCost)
 		}
-		if len(cut) != len(wantCut) {
+		if !slices.Equal(cut, wantCut) {
 			t.Fatalf("trial %d: fold cut %v != enumerator cut %v", trial, cut, wantCut)
 		}
-		for i := range cut {
-			if cut[i] != wantCut[i] {
-				t.Fatalf("trial %d: fold cut %v != enumerator cut %v", trial, cut, wantCut)
-			}
+	}
+}
+
+// checkMemoMatchesEnumerator requires o's memo to hold exactly one state
+// per miss, each equal bit for bit to the enumerator's cost for the same
+// (lowest bit, mask) and to its own pX.
+func checkMemoMatchesEnumerator(t *testing.T, trial int, o *optimizer, eo *enumOptimizer) {
+	t.Helper()
+	if o.memoMisses != uint64(o.memo.n) {
+		t.Fatalf("trial %d: %d states computed, %d stored", trial, o.memoMisses, o.memo.n)
+	}
+	stored := 0
+	for _, sl := range o.memo.slots {
+		if sl.mask == 0 {
+			continue
 		}
+		stored++
+		want := eo.best(bits.TrailingZeros64(sl.mask), sl.mask).cost
+		if math.Float64bits(sl.val.cost) != math.Float64bits(want) {
+			t.Fatalf("trial %d: state %#x cost %v, enumerator %v", trial, sl.mask, sl.val.cost, want)
+		}
+		if px := o.ct.exploreProb(sl.mask); math.Float64bits(sl.val.px) != math.Float64bits(px) {
+			t.Fatalf("trial %d: state %#x pX %v, want %v", trial, sl.mask, sl.val.px, px)
+		}
+	}
+	if stored != o.memo.n {
+		t.Fatalf("trial %d: memo counts %d states, holds %d", trial, o.memo.n, stored)
 	}
 }
 

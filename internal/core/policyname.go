@@ -6,6 +6,8 @@ import "fmt"
 // -policy flag on bionav-server and bionav-experiments — to a fresh
 // policy value. k overrides the cut/reduction budget K on the budgeted
 // policies; k <= 0 keeps each policy's default (10, the paper's choice).
+// A heuristic k above the Opt-EdgeCut limit is an error: the reduced
+// trees it builds could exceed what the DP takes, failing EXPANDs.
 //
 //	heuristic  Heuristic-ReducedOpt (§VI-B), the paper's BioNav policy
 //	poly       Poly-Anytime, the polynomial anytime PolyCut DP
@@ -14,6 +16,9 @@ import "fmt"
 func PolicyByName(name string, k int) (Policy, error) {
 	switch name {
 	case "heuristic", "":
+		if k > maxOptNodes {
+			return nil, fmt.Errorf("core: heuristic K %d exceeds the Opt-EdgeCut limit %d", k, maxOptNodes)
+		}
 		p := NewHeuristicReducedOpt()
 		if k > 0 {
 			p.K = k

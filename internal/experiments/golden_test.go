@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"testing"
 
 	"bionav/internal/core"
@@ -21,6 +22,7 @@ var update = flag.Bool("update", false, "rewrite the goldens under testdata/gold
 var (
 	topdownGolden = filepath.Join("..", "..", "testdata", "golden", "topdown.golden")
 	viewsGolden   = filepath.Join("..", "..", "testdata", "golden", "views.golden")
+	dpCostGolden  = filepath.Join("..", "..", "testdata", "golden", "dpcost.golden")
 )
 
 // goldenPolicies are the Ablation C arms (keyed as aggregate keys them)
@@ -83,6 +85,58 @@ func TestBehaviourGolden(t *testing.T) {
 		}
 	}
 	checkGolden(t, topdownGolden, buf.Bytes())
+}
+
+// TestDPCostGolden pins the Opt-EdgeCut DP's numbers, Fig. 11's
+// per-EXPAND rows without the timings: for every Table I query under
+// hro-default and hro-discup, one row per TOPDOWN oracle EXPAND with the
+// expanded root, the reduced-tree size |T_R|, the number of concepts the
+// EXPAND revealed, and the DP's expected cost of the component just
+// before it, printed exactly. A change to the DP's arithmetic fails here
+// even when it leaves every cut alone. Regenerate with
+//
+//	go test ./internal/experiments -run TestDPCostGolden -update
+//
+// only for an intended behaviour change, and say why in CHANGES.md.
+func TestDPCostGolden(t *testing.T) {
+	r := testRunner(t)
+	var buf bytes.Buffer
+	fmt.Fprintln(&buf, "# query | policy | step | root | |T_R| | revealed | expected cost")
+	for i := range r.W.Queries {
+		q := &r.W.Queries[i]
+		nav, target, err := r.nav(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range goldenPolicies {
+			if p.key != "hro-default" && p.key != "hro-discup" {
+				continue
+			}
+			pol := p.mk().(*core.HeuristicReducedOpt)
+			s := navigate.NewSession(nav, pol)
+			for step := 1; !s.Active().IsVisible(target); step++ {
+				if step > 2*nav.Len() {
+					t.Fatalf("%s on %q: target %d not reached", p.key, q.Spec.Keyword, target)
+				}
+				root := s.Active().ComponentOf(target)
+				size, err := pol.LastReducedSize(s.Active(), root)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cost, err := pol.ExpectedCost(s.Active(), root)
+				if err != nil {
+					t.Fatal(err)
+				}
+				revealed, err := s.Expand(root)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fmt.Fprintf(&buf, "%s | %s | %d | %d | %d | %d | %s\n", q.Spec.Keyword, p.key,
+					step, root, size, len(revealed), strconv.FormatFloat(cost, 'g', -1, 64))
+			}
+		}
+	}
+	checkGolden(t, dpCostGolden, buf.Bytes())
 }
 
 // checkGolden compares got with the golden file at path, or rewrites the

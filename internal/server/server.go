@@ -86,10 +86,11 @@ func (c *Config) fill() {
 	if c.PolicyK <= 0 {
 		c.PolicyK = 10
 	}
-	// An unknown policy name normalizes to the default here so a Server is
-	// always constructible; bionav-server validates the flag loudly first.
+	// An unknown policy name, or a K its policy cannot take, normalizes to
+	// the default policy here so a Server is always constructible;
+	// bionav-server validates the flags loudly first.
 	if _, err := core.PolicyByName(c.Policy, c.PolicyK); err != nil {
-		c.Policy = "heuristic"
+		c.Policy, c.PolicyK = "heuristic", 10
 	}
 	if c.NavCacheSize == 0 {
 		c.NavCacheSize = 128

@@ -252,6 +252,30 @@ func TestStatsAndIndexPage(t *testing.T) {
 	}
 }
 
+// TestConfigRejectedPolicyNormalizes: a policy name or K that
+// core.PolicyByName rejects normalizes to the default heuristic policy
+// and its K, never keeping a heuristic K whose reduced trees the DP
+// cannot take; a K the named policy takes is kept.
+func TestConfigRejectedPolicyNormalizes(t *testing.T) {
+	for _, tc := range []struct {
+		in         Config
+		wantPolicy string
+		wantK      int
+	}{
+		{Config{PolicyK: 36}, "heuristic", 10},
+		{Config{Policy: "heuristic", PolicyK: 64}, "heuristic", 10},
+		{Config{Policy: "bogus", PolicyK: 12}, "heuristic", 10},
+		{Config{Policy: "heuristic", PolicyK: 24}, "heuristic", 24},
+		{Config{Policy: "poly", PolicyK: 36}, "poly", 36},
+	} {
+		c := tc.in
+		c.fill()
+		if c.Policy != tc.wantPolicy || c.PolicyK != tc.wantK {
+			t.Errorf("%+v normalized to policy %q, K %d; want %q, %d", tc.in, c.Policy, c.PolicyK, tc.wantPolicy, tc.wantK)
+		}
+	}
+}
+
 // TestPolyPolicyConfig wires Config.Policy through to sessions: stats
 // names the selected policy and /api/expand carries the cut grade.
 func TestPolyPolicyConfig(t *testing.T) {
