@@ -148,12 +148,16 @@ load-bench:
 # session-replay (cut-memo) benchmarks from internal/navigate, plus a
 # GOMAXPROCS=4 pass of the solve-pool benchmarks so the recorded
 # speedup-x / dp-speedup-x metrics reflect the parallel configuration.
+# Every other pass runs at -cpu 1, whatever the host's CPU count: go test
+# names a row by its GOMAXPROCS (BenchmarkKPartition-2 on a 2-CPU box,
+# no suffix at 1), and bench-diff matches rows by name, so rows recorded
+# at another count would compare with none of the committed ones.
 # Ends by validating the appended file's JSONL integrity (bench-check).
 bench-json:
-	$(GO) test -json -bench=. -benchmem -run='^$$' ./internal/core ./internal/navtree . > BENCH_core.json
-	$(GO) test -json -bench='BenchmarkSessionReplay' -run='^$$' ./internal/navigate >> BENCH_core.json
+	$(GO) test -json -bench=. -benchmem -cpu 1 -run='^$$' ./internal/core ./internal/navtree . > BENCH_core.json
+	$(GO) test -json -bench='BenchmarkSessionReplay' -cpu 1 -run='^$$' ./internal/navigate >> BENCH_core.json
 	GOMAXPROCS=4 $(GO) test -json -bench='BenchmarkSolveComponents' -run='^$$' ./internal/core >> BENCH_core.json
-	$(GO) test -json -bench='BenchmarkIngest|BenchmarkCitationReaderGet' -run='^$$' ./internal/store >> BENCH_core.json
+	$(GO) test -json -bench='BenchmarkIngest|BenchmarkCitationReaderGet' -cpu 1 -run='^$$' ./internal/store >> BENCH_core.json
 	$(GO) run ./cmd/bionav-benchcheck BENCH_core.json
 
 # Bench trajectory: per benchmark, ns/op, B/op and allocs/op of the

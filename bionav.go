@@ -47,9 +47,9 @@ func HeuristicPolicy(k int) Policy {
 
 // CachedHeuristicPolicy returns Heuristic-ReducedOpt with the §VI-B plan
 // cache: follow-up expansions of components created by earlier cuts are
-// answered from the retained Opt-EdgeCut memo. The returned policy carries
-// per-session state — create one per Navigation rather than sharing it
-// across engines.
+// answered from the retained Opt-EdgeCut memo. The plans are per-session
+// state, so an Engine set to this policy gives each Navigation its own
+// copy with the same K and cost model.
 func CachedHeuristicPolicy(k int) Policy {
 	if k <= 0 {
 		k = 10
@@ -139,8 +139,18 @@ func (e *Engine) NavigateResults(keywords string, results []CitationID) (*Naviga
 		engine:   e,
 		keywords: keywords,
 		nav:      nav,
-		session:  navigate.NewSession(nav, e.policy),
+		session:  navigate.NewSession(nav, e.sessionPolicy()),
 	}, nil
+}
+
+// sessionPolicy returns the policy a new Navigation runs: the engine's
+// own, shared, except for a CachedHeuristic, whose plans belong to one
+// navigation and so are started afresh for each.
+func (e *Engine) sessionPolicy() Policy {
+	if c, ok := e.policy.(*core.CachedHeuristic); ok {
+		return &core.CachedHeuristic{K: c.K, Model: c.Model}
+	}
+	return e.policy
 }
 
 // Navigation is one user's drill-down over a query result: a thin facade
@@ -262,7 +272,7 @@ func (e *Engine) ReplayNavigation(keywords string, r io.Reader) (*Navigation, er
 		return nil, fmt.Errorf("bionav: no citations match %q", keywords)
 	}
 	nav := navtree.Build(e.ds.Corpus, results)
-	session, err := navigate.Replay(nav, e.policy, r)
+	session, err := navigate.Replay(nav, e.sessionPolicy(), r)
 	if err != nil {
 		return nil, err
 	}

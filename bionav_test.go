@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -239,6 +240,40 @@ func TestCachedHeuristicPolicyNavigates(t *testing.T) {
 	}
 	if nav.Cost().Expands == 0 {
 		t.Fatal("no expansions happened")
+	}
+}
+
+// TestCachedHeuristicConcurrentNavigations: an Engine is safe for
+// concurrent use under the cached policy too, whose plans are per-session
+// state; run it under -race.
+func TestCachedHeuristicConcurrentNavigations(t *testing.T) {
+	e := demoEngine(t)
+	e.SetPolicy(CachedHeuristicPolicy(0))
+	q := firstQuery(t, e)
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 5; i++ {
+				nav, err := e.Navigate(q)
+				if err != nil {
+					errs <- err
+					return
+				}
+				for j := 0; j < 3; j++ {
+					if _, err := nav.Expand(nav.Root()); err != nil {
+						break
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 }
 

@@ -361,12 +361,12 @@ func (at *ActiveTree) Expand(root navtree.NodeID, cut []Edge) ([]navtree.NodeID,
 	u := getScratch(at.nav.DistinctTotal())
 	lower := make([]navtree.NodeID, 0, len(cut))
 	for _, e := range cut {
-		at.comp[e.Child] = at.tally(e.Child, full, u)
+		at.comp[e.Child] = at.tally(e.Child, full, *u)
 		at.isRoot[e.Child] = true
 		lower = append(lower, e.Child)
 	}
 	// The upper component keeps the rest, in one scan after the cuts.
-	at.comp[root] = at.tally(root, false, u)
+	at.comp[root] = at.tally(root, false, *u)
 	putScratch(u)
 	sort.Ints(lower)
 	f.lower = slices.Clone(lower)

@@ -24,33 +24,35 @@ func newBitset(nbits int) bitset {
 // Distinct / Opt-EdgeCut calls. Buffers are width-agnostic: getScratch
 // reslices a pooled buffer when it is wide enough and falls back to a
 // fresh allocation otherwise, so mixed-size trees simply repopulate the
-// pool with the larger width over time.
+// pool with the larger width over time. A buffer travels in the box the
+// pool holds it in, so a warm get/put pair allocates nothing.
 var scratchPool sync.Pool // holds *bitset
 
 // getScratch returns a zeroed bitset of at least nbits bits, preferably
-// from the pool. Pair every getScratch with a putScratch once the buffer's
-// contents are no longer needed.
-func getScratch(nbits int) bitset {
+// from the pool. Pair every getScratch with a putScratch of the same
+// pointer once the buffer's contents are no longer needed.
+func getScratch(nbits int) *bitset {
 	dpScratchGets.Inc()
 	words := (nbits + 63) / 64
 	if v := scratchPool.Get(); v != nil {
-		b := *(v.(*bitset))
-		if cap(b) >= words {
-			b = b[:words]
+		b := v.(*bitset)
+		if cap(*b) >= words {
+			*b = (*b)[:words]
 			b.clear()
 			return b
 		}
 	}
-	return make(bitset, words)
+	b := make(bitset, words)
+	return &b
 }
 
 // putScratch returns a buffer obtained from getScratch to the pool.
-func putScratch(b bitset) {
-	if cap(b) == 0 {
+func putScratch(b *bitset) {
+	if cap(*b) == 0 {
 		return
 	}
-	b = b[:cap(b)]
-	scratchPool.Put(&b)
+	*b = (*b)[:cap(*b)]
+	scratchPool.Put(b)
 }
 
 func (b bitset) set(i int) { b[i/64] |= 1 << (uint(i) % 64) }

@@ -22,7 +22,7 @@ import (
 // policy: a state that expands follows its argmin cut, which bestCut
 // recovers once per state and cuts caches by mask. Returns the cost paid.
 func mcUser(o *optimizer, cuts map[uint64][]int, src *rng.Source, r int, mask uint64) float64 {
-	L := o.ct.distinct(mask, o.scratch)
+	L := o.ct.distinct(mask, *o.scratch)
 	own := make([]int, 0, bits.OnesCount64(mask))
 	for i := 0; i < o.ct.len(); i++ {
 		if mask&(1<<uint(i)) != 0 {
@@ -75,7 +75,8 @@ func TestMonteCarloMatchesDP(t *testing.T) {
 		if err := o.begin(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		o.scratch = newBitset(64 * len(ct.Bits[0]))
+		scratch := newBitset(64 * len(ct.Bits[0]))
+		o.scratch = &scratch
 		want := o.best(0, ct.descMask[0]).cost
 
 		const users = 60000

@@ -194,7 +194,7 @@ type optimizer struct {
 	// shared pool for the duration of one call so long-lived optimizers
 	// (CachedHeuristic plans) don't pin a buffer each between EXPANDs.
 	// best assumes it is set.
-	scratch bitset
+	scratch *bitset
 	ownBuf  []int // expandProb input; filled and consumed before recursing
 
 	// Cancellation state, reset by each entry point. The DP is the only
@@ -230,6 +230,9 @@ func (o *optimizer) finish(sp *obs.Span, s0 dpSnap) {
 	dpMemoMisses.Add(misses)
 	if o.err != nil {
 		dpAborts.Inc()
+	}
+	if sp == nil {
+		return // untraced: boxing the counts for attributes would allocate
 	}
 	sp.SetAttr("fold_steps", steps)
 	sp.SetAttr("memo_hits", hits)
@@ -276,15 +279,21 @@ func (o *optimizer) release() {
 	o.memo = nil
 }
 
-// borrowScratch takes the union buffer from the pool, returning the
-// release function; it is a no-op when a buffer is already held (nested
-// entry points, or tests that install their own).
-func (o *optimizer) borrowScratch() func() {
+// borrowScratch takes the union buffer from the pool unless one is
+// already held (nested entry points, or tests that install their own),
+// and reports whether it took one; hand that report to returnScratch.
+func (o *optimizer) borrowScratch() bool {
 	if o.scratch != nil {
-		return func() {}
+		return false
 	}
 	o.scratch = getScratch(64 * len(o.ct.Bits[0]))
-	return func() {
+	return true
+}
+
+// returnScratch gives the pool back the buffer borrowScratch took, if it
+// took one.
+func (o *optimizer) returnScratch(borrowed bool) {
+	if borrowed {
 		putScratch(o.scratch)
 		o.scratch = nil
 	}
@@ -301,9 +310,9 @@ func (o *optimizer) cutFor(ctx context.Context, r int, mask uint64) ([]int, floa
 	}
 	s0 := o.snap()
 	sp := obs.FromContext(ctx).StartChild("opt_edgecut_dp")
-	release := o.borrowScratch()
+	borrowed := o.borrowScratch()
 	cost, cut := o.bestCut(r, mask)
-	release()
+	o.returnScratch(borrowed)
 	o.finish(sp, s0)
 	if o.err != nil {
 		return nil, 0, o.err
@@ -322,9 +331,9 @@ func (o *optimizer) expectedCost(ctx context.Context, r int, mask uint64) (float
 	}
 	s0 := o.snap()
 	sp := obs.FromContext(ctx).StartChild("opt_edgecut_dp")
-	release := o.borrowScratch()
+	borrowed := o.borrowScratch()
 	v := o.best(r, mask)
-	release()
+	o.returnScratch(borrowed)
 	o.finish(sp, s0)
 	if o.err != nil {
 		return 0, o.err
@@ -364,7 +373,7 @@ func (o *optimizer) best(r int, mask uint64) stateVal {
 		return v
 	}
 	o.memoMisses++
-	L := o.ct.distinct(mask, o.scratch)
+	L := o.ct.distinct(mask, *o.scratch)
 	own := o.ownBuf[:0]
 	for m := mask; m != 0; m &= m - 1 {
 		own = append(own, o.ct.Own[bits.TrailingZeros64(m)])

@@ -380,8 +380,7 @@ func exactCutCost(t testing.TB, at *ActiveTree, root navtree.NodeID, cut []Edge,
 	if err := o.begin(nil); err != nil {
 		t.Fatal(err)
 	}
-	release := o.borrowScratch()
-	defer release()
+	defer o.returnScratch(o.borrowScratch())
 	full := ct.descMask[0]
 	cost := model.ExpandCost
 	var lowered uint64

@@ -10,7 +10,8 @@ import (
 // fresh IDs append, an existing ID is replaced in place (upsert), the
 // receiver never changes, and per-concept global counts move by
 // incremental deltas — +1 per new annotation, never a decrement — so the
-// selectivity invariant cnt(c) >= |res(c)| survives any batch.
+// selectivity invariant cnt(c) >= |res(c)| survives any batch. The term
+// total follows both the fresh citation and the upsert's shorter list.
 func TestApplyFreshAndUpsert(t *testing.T) {
 	tree := testTree(t)
 	c := smallCorpus(t, tree)
@@ -25,6 +26,7 @@ func TestApplyFreshAndUpsert(t *testing.T) {
 	}
 	upsert := *orig
 	upsert.Title = "rewritten"
+	upsert.Terms = []string{"rewritten"}
 	// Drop the first annotation, keep the rest: the dropped concept's
 	// count must NOT go down.
 	upsert.Concepts = append([]hierarchy.ConceptID(nil), orig.Concepts[1:]...)
@@ -46,8 +48,12 @@ func TestApplyFreshAndUpsert(t *testing.T) {
 	if got := next.GlobalCount(orig.Concepts[0]); got != origCount+1 {
 		t.Fatalf("GlobalCount = %d, want %d", got, origCount+1)
 	}
+	wantTerms := recountTerms(c) + 1 + 1 - len(orig.Terms)
+	if got := next.TotalTerms(); got != recountTerms(next) || got != wantTerms {
+		t.Fatalf("TotalTerms = %d, want %d (recount %d)", got, wantTerms, recountTerms(next))
+	}
 	// Receiver untouched.
-	if c.At(0).Title != origTitle || c.Len() != 300 {
+	if c.At(0).Title != origTitle || c.Len() != 300 || c.TotalTerms() != recountTerms(c) {
 		t.Fatal("Apply mutated the receiver")
 	}
 	if _, ok := c.Get(999001); ok {
@@ -57,14 +63,18 @@ func TestApplyFreshAndUpsert(t *testing.T) {
 
 // TestApplyWithinBatchLastWins: two records for one ID in a single batch
 // resolve to the later one, matching the store codec's documented
-// duplicate-frame semantic.
+// duplicate-frame semantic — for a fresh ID and an existing one alike,
+// and in the term total too.
 func TestApplyWithinBatchLastWins(t *testing.T) {
 	tree := testTree(t)
 	c := smallCorpus(t, tree)
 	cc := c.At(0).Concepts[:1]
+	old := c.At(1)
 	batch := []Citation{
-		{ID: 999002, Title: "first version", Year: 2009, Concepts: cc},
-		{ID: 999002, Title: "second version", Year: 2009, Concepts: cc},
+		{ID: 999002, Title: "first version", Year: 2009, Terms: []string{"a1", "b1", "c1"}, Concepts: cc},
+		{ID: old.ID, Title: "first rewrite", Year: 2009, Terms: []string{"a1", "b1", "c1"}, Concepts: cc},
+		{ID: 999002, Title: "second version", Year: 2009, Terms: []string{"d1"}, Concepts: cc},
+		{ID: old.ID, Title: "second rewrite", Year: 2009, Terms: []string{"d1", "e1"}, Concepts: cc},
 	}
 	next, err := c.Apply(batch)
 	if err != nil {
@@ -76,6 +86,23 @@ func TestApplyWithinBatchLastWins(t *testing.T) {
 	if got, _ := next.Get(999002); got.Title != "second version" {
 		t.Fatalf("served %q, want the later record", got.Title)
 	}
+	if got, _ := next.Get(old.ID); got.Title != "second rewrite" {
+		t.Fatalf("served %q, want the later rewrite", got.Title)
+	}
+	wantTerms := recountTerms(c) + 1 + 2 - len(old.Terms)
+	if got := next.TotalTerms(); got != recountTerms(next) || got != wantTerms {
+		t.Fatalf("TotalTerms = %d, want %d (recount %d)", got, wantTerms, recountTerms(next))
+	}
+}
+
+// recountTerms sums the term lists of c's citations: the figure
+// Corpus.TotalTerms keeps without a scan.
+func recountTerms(c *Corpus) int {
+	n := 0
+	for i := 0; i < c.Len(); i++ {
+		n += len(c.At(i).Terms)
+	}
+	return n
 }
 
 // TestApplyRejectsBadBatches: empty batches and unknown concepts fail,

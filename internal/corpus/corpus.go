@@ -34,6 +34,7 @@ type Corpus struct {
 	citations   []Citation
 	byID        map[CitationID]int
 	globalCount []int64 // indexed by ConceptID
+	totalTerms  int     // Σ len(Terms) over citations
 }
 
 // New assembles a corpus from citations and per-concept global counts.
@@ -57,6 +58,7 @@ func New(tree *hierarchy.Tree, citations []Citation, globalCount []int64) (*Corp
 			return nil, fmt.Errorf("corpus: duplicate citation ID %d", cit.ID)
 		}
 		c.byID[cit.ID] = i
+		c.totalTerms += len(cit.Terms)
 		for _, cid := range cit.Concepts {
 			if cid <= 0 || int(cid) >= tree.Len() {
 				return nil, fmt.Errorf("corpus: citation %d annotated with unknown concept %d", cit.ID, cid)
@@ -81,9 +83,10 @@ func New(tree *hierarchy.Tree, citations []Citation, globalCount []int64) (*Corp
 // MEDLINE stand-in, so a citation arriving for c is also a MEDLINE-wide
 // citation for c — while an upsert that drops an annotation never
 // decrements (global counts are cumulative), keeping the
-// selectivity invariant cnt(c) >= |res(c)| intact. The header structures
-// (citation slice, ID map, count slice) are copied; the hierarchy is
-// shared.
+// selectivity invariant cnt(c) >= |res(c)| intact. The term total moves
+// by each fresh citation's term count, and by the difference an upsert
+// makes. The header structures (citation slice, ID map, count slice) are
+// copied; the hierarchy is shared.
 func (c *Corpus) Apply(batch []Citation) (*Corpus, error) {
 	if len(batch) == 0 {
 		return nil, fmt.Errorf("corpus: empty batch")
@@ -95,6 +98,7 @@ func (c *Corpus) Apply(batch []Citation) (*Corpus, error) {
 		byID[id] = i
 	}
 	counts := append([]int64(nil), c.globalCount...)
+	total := c.totalTerms
 	for i := range batch {
 		cit := batch[i]
 		for _, cid := range cit.Concepts {
@@ -112,16 +116,18 @@ func (c *Corpus) Apply(batch []Citation) (*Corpus, error) {
 					counts[cid]++
 				}
 			}
+			total += len(cit.Terms) - len(cits[j].Terms)
 			cits[j] = cit
 			continue
 		}
 		byID[cit.ID] = len(cits)
 		cits = append(cits, cit)
+		total += len(cit.Terms)
 		for _, cid := range cit.Concepts {
 			counts[cid]++
 		}
 	}
-	return &Corpus{tree: c.tree, citations: cits, byID: byID, globalCount: counts}, nil
+	return &Corpus{tree: c.tree, citations: cits, byID: byID, globalCount: counts, totalTerms: total}, nil
 }
 
 // Tree returns the concept hierarchy the corpus is annotated against.
@@ -129,6 +135,10 @@ func (c *Corpus) Tree() *hierarchy.Tree { return c.tree }
 
 // Len reports the number of citations.
 func (c *Corpus) Len() int { return len(c.citations) }
+
+// TotalTerms reports the term count summed over every citation, the
+// corpus length BM25's mean document length is taken from.
+func (c *Corpus) TotalTerms() int { return c.totalTerms }
 
 // At returns the i-th citation in storage order.
 func (c *Corpus) At(i int) *Citation { return &c.citations[i] }

@@ -28,15 +28,12 @@ type Scorer struct {
 	avgDocLen float64
 }
 
-// NewScorer precomputes corpus statistics.
+// NewScorer takes the mean document length from the corpus's term total;
+// it does not scan the citations.
 func NewScorer(corp *corpus.Corpus, ix *index.Index) *Scorer {
-	total := 0
-	for i := 0; i < corp.Len(); i++ {
-		total += len(corp.At(i).Terms)
-	}
 	avg := 1.0
 	if corp.Len() > 0 {
-		avg = float64(total) / float64(corp.Len())
+		avg = float64(corp.TotalTerms()) / float64(corp.Len())
 	}
 	if avg == 0 {
 		avg = 1

@@ -14,7 +14,7 @@ import (
 // Concepts are borrowed from an existing citation so they are guaranteed
 // valid, strictly ascending hierarchy IDs.
 func ingestBody(srv *Server, id int64, title string, terms ...string) map[string]any {
-	base := srv.state().snap.Corpus.At(1)
+	base := srv.live.Current().Corpus.At(1)
 	concepts := []int{int(base.Concepts[0]), int(base.Concepts[1])}
 	return map[string]any{
 		"citations": []map[string]any{{
@@ -149,6 +149,38 @@ func TestIngestMidSession(t *testing.T) {
 	}
 }
 
+// TestIngestEpochServedFromLive: the server keeps no copy of the serving
+// snapshot, so an epoch store.Live publishes serves new queries at once,
+// even when the batch bypasses /api/admin/ingest.
+func TestIngestEpochServedFromLive(t *testing.T) {
+	srv, ts := testServer(t, Config{})
+	base := srv.live.Current().Corpus.At(1)
+	if _, err := srv.live.Ingest([]corpus.Citation{{
+		ID: 900300, Title: "ingested beside the handler", Year: 2009,
+		Terms: []string{"zzliveonly"}, Concepts: base.Concepts[:2],
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	sResp, err := http.Get(ts.URL + "/api/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stats struct {
+		DatasetEpoch uint64 `json:"datasetEpoch"`
+	}
+	err = json.NewDecoder(sResp.Body).Decode(&stats)
+	sResp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.DatasetEpoch != 1 {
+		t.Fatalf("stats datasetEpoch = %d, want 1", stats.DatasetEpoch)
+	}
+	if resp, raw := postJSON(t, ts.URL+"/api/query", map[string]string{"keywords": "zzliveonly"}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("query for the ingested term: status %d: %s", resp.StatusCode, raw["error"])
+	}
+}
+
 // TestIngestRejectsBadBatches pins the endpoint's error contract: an
 // empty batch is a 400, an invalid citation (unknown concept) a 422, and
 // neither moves the epoch.
@@ -168,7 +200,7 @@ func TestIngestRejectsBadBatches(t *testing.T) {
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("unknown concept: status %d (%s), want 422", resp.StatusCode, raw["error"])
 	}
-	if got := srv.state().snap.Epoch; got != 0 {
+	if got := srv.live.Current().Epoch; got != 0 {
 		t.Fatalf("rejected batches moved the epoch to %d", got)
 	}
 }
@@ -189,15 +221,14 @@ func TestRecoverEpochMiss(t *testing.T) {
 	ts.Close()
 
 	srv2, ts2, _ := journaledServer(t, dir, Config{})
-	base := srv2.state().snap.Corpus.At(1)
-	next, err := srv2.live.Ingest([]corpus.Citation{{
+	base := srv2.live.Current().Corpus.At(1)
+	if _, err := srv2.live.Ingest([]corpus.Citation{{
 		ID: 900200, Title: "moved underneath", Year: 2009,
 		Terms: []string{term}, Concepts: base.Concepts[:2],
-	}})
-	if err != nil {
+	}}); err != nil {
 		t.Fatal(err)
 	}
-	srv2.publish(next)
+	srv2.publish()
 
 	n, err := srv2.Recover(context.Background())
 	if err != nil {

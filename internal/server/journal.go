@@ -44,7 +44,7 @@ func (s *Server) journalCreate(id string, keywords string, epoch uint64) {
 		Session:  id,
 		At:       time.Now().UnixNano(),
 		Keywords: keywords,
-		Policy:   s.newPolicy().Name(),
+		Policy:   s.policy.Name(),
 		Epoch:    epoch,
 	})
 	if err != nil {
@@ -206,25 +206,25 @@ func (s *Server) recoverSession(ctx context.Context, id string, p *pendingSessio
 	if err := faults.InjectCtx(ctx, faults.SiteJournalRecover); err != nil {
 		return fmt.Errorf("server: recover %s: %w", id, err)
 	}
-	st := s.state()
-	if p.epoch != st.snap.Epoch {
+	snap := s.live.Current()
+	if p.epoch != snap.Epoch {
 		s.met.epochMisses.Inc()
 		if s.cfg.Logger != nil {
 			s.cfg.Logger.Warn("session journaled under a different dataset epoch; replaying against current",
-				"session", id, "journaled", p.epoch, "current", st.snap.Epoch)
+				"session", id, "journaled", p.epoch, "current", snap.Epoch)
 		}
 	}
-	nav, err := s.navTreeFor(ctx, st, p.keywords)
+	nav, err := s.navTreeFor(ctx, snap, p.keywords)
 	if err != nil {
 		return fmt.Errorf("server: recover %s: query: %w", id, err)
 	}
-	restored, err := navigate.ReplayActions(nav, s.newPolicy(), p.actions)
+	restored, err := navigate.ReplayActions(nav, s.policy, p.actions)
 	if err != nil {
 		return fmt.Errorf("server: recover %s: %w", id, err)
 	}
 	sess := &session{
 		nav:      restored,
-		st:       st,
+		snap:     snap,
 		keywords: p.keywords,
 		lastUsed: time.Unix(0, p.last),
 		// Everything replayed came from the journal; only future actions
@@ -294,8 +294,8 @@ func (s *Server) checkpointJournal() error {
 			Session:  l.id,
 			At:       l.at,
 			Keywords: l.sess.keywords,
-			Policy:   s.newPolicy().Name(),
-			Epoch:    l.sess.st.snap.Epoch,
+			Policy:   s.policy.Name(),
+			Epoch:    l.sess.snap.Epoch,
 		})
 		for _, f := range frames {
 			recs = append(recs, journal.Record{

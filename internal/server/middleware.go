@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"math"
 	"net/http"
 	"runtime/debug"
 	"strconv"
@@ -51,15 +50,6 @@ type reqMeta struct {
 }
 
 type reqMetaKey struct{}
-
-// RequestIDFrom returns the request id the observe middleware assigned,
-// or "" outside an observed request.
-func RequestIDFrom(ctx context.Context) string {
-	if m, ok := ctx.Value(reqMetaKey{}).(*reqMeta); ok {
-		return m.id
-	}
-	return ""
-}
 
 // markDegraded flags the in-flight request as degraded for its log line.
 // The flag is written before the response is sent and read after, on the
@@ -138,6 +128,10 @@ func (s *Server) observe(next http.Handler) http.Handler {
 // errOverloaded is the body of a shed 503.
 var errOverloaded = errors.New("server overloaded, retry later")
 
+// retryAfter is the Retry-After value, in seconds, of the shed, draining
+// and saturated 503s.
+const retryAfter = "1"
+
 // limitInFlight is the overload-control middleware: a counting semaphore
 // bounds concurrently served requests at Config.MaxInFlight. An
 // over-limit request waits in a short queue — at most Config.QueueWait —
@@ -155,7 +149,7 @@ func (s *Server) limitInFlight(next http.Handler) http.Handler {
 		s.apiInFlight.Add(1)
 		defer s.apiInFlight.Add(-1)
 		if s.draining.Load() {
-			w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
+			w.Header().Set("Retry-After", retryAfter)
 			httpError(w, http.StatusServiceUnavailable, errDraining)
 			return
 		}
@@ -171,13 +165,13 @@ func (s *Server) limitInFlight(next http.Handler) http.Handler {
 				case s.sem <- struct{}{}:
 				case <-timer.C:
 					s.met.shed.Inc()
-					w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
+					w.Header().Set("Retry-After", retryAfter)
 					httpError(w, http.StatusServiceUnavailable, errOverloaded)
 					return
 				case <-s.drainCh:
 					// The server began draining while this request queued;
 					// holding it longer only prolongs the drain.
-					w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
+					w.Header().Set("Retry-After", retryAfter)
 					httpError(w, http.StatusServiceUnavailable, errDraining)
 					return
 				case <-r.Context().Done():
@@ -205,16 +199,6 @@ func withTimeout(d time.Duration, next http.Handler) http.Handler {
 		defer cancel()
 		next.ServeHTTP(w, r.WithContext(ctx))
 	})
-}
-
-// retryAfterSeconds renders a duration as the integral seconds form of
-// the Retry-After header, rounding up so the client never retries early.
-func retryAfterSeconds(d time.Duration) string {
-	secs := int(math.Ceil(d.Seconds()))
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.Itoa(secs)
 }
 
 // statusRecorder captures the response status for the access log.

@@ -58,7 +58,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 	}
 	r.GaugeFunc("bionav_dataset_epoch",
 		"Dataset epoch serving new queries (ingest batches applied since load).", func() float64 {
-			return float64(s.cur.Load().snap.Epoch)
+			return float64(s.live.Current().Epoch)
 		})
 	r.GaugeFunc("bionav_sessions_live",
 		"Navigation sessions currently registered.", func() float64 {

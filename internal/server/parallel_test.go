@@ -111,7 +111,7 @@ func sessionTree(t *testing.T, srv *Server, id string) string {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	at := sess.nav.Active()
-	view := srv.buildView(sess.st, at.Nav(), sess.nav.Visualize(), at.Nav().Root())
+	view := buildView(sess.snap, at.Nav(), sess.nav.Visualize(), at.Nav().Root())
 	b, err := json.Marshal(view)
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +130,7 @@ func TestConcurrentExpandStress(t *testing.T) {
 
 	terms := []string{queryTerm(srv)}
 	for i := 1; len(terms) < 4; i++ {
-		cand := srv.state().snap.Corpus.At(i * 7).Terms[0]
+		cand := srv.live.Current().Corpus.At(i * 7).Terms[0]
 		dup := false
 		for _, s := range terms {
 			dup = dup || s == cand

@@ -133,7 +133,7 @@ func TestFaultPanicReleasesSessionLock(t *testing.T) {
 	panicOnce := func(site, msg string) *atomic.Bool {
 		var fired atomic.Bool
 		faults.Arm(site, faults.Always(), func(context.Context) error {
-			if fired.CompareAndSwap(false, true) {
+			if !fired.Swap(true) {
 				panic(msg)
 			}
 			return nil
@@ -204,7 +204,6 @@ func TestFaultOverloadSheds503(t *testing.T) {
 	srv, ts := testServer(t, Config{
 		MaxInFlight:  2,
 		QueueWait:    10 * time.Millisecond,
-		RetryAfter:   3 * time.Second,
 		ExpandBudget: time.Minute, // the stall is released manually, not by deadline
 	})
 	id, root := startSession(t, srv, ts.URL)
@@ -253,7 +252,7 @@ func TestFaultOverloadSheds503(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	// Over the limit: shed with 503 and the configured Retry-After hint.
+	// Over the limit: shed with 503 and the one-second Retry-After hint.
 	resp, err := http.Get(ts.URL + "/api/stats")
 	if err != nil {
 		t.Fatal(err)
@@ -262,8 +261,8 @@ func TestFaultOverloadSheds503(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("over-limit request got %d, want 503", resp.StatusCode)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "3" {
-		t.Fatalf("Retry-After = %q, want \"3\"", ra)
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Fatalf("Retry-After = %q, want \"1\"", ra)
 	}
 	// Liveness keeps answering even while the API is saturated.
 	if resp, err := http.Get(ts.URL + "/healthz"); err != nil || resp.StatusCode != http.StatusOK {

@@ -13,7 +13,7 @@
 //     and the response carries "degraded": true (see docs/RESILIENCE.md).
 //   - MaxInFlight bounds concurrently served /api/ requests; excess
 //     requests wait up to QueueWait for a slot and are then shed with
-//     503 + Retry-After (RetryAfter seconds).
+//     503 + Retry-After.
 //   - APITimeout bounds a whole /api/ request via its context.
 //
 // Liveness is served at /healthz (always 200 while the process runs) and
@@ -50,18 +50,16 @@ import (
 
 // Config tunes the server.
 type Config struct {
-	MaxSessions  int           // evict oldest beyond this many (default 256)
-	SessionTTL   time.Duration // evict sessions idle longer than this (default 30m)
-	Policy       string        // expansion policy name, per core.PolicyByName (default "heuristic")
-	PolicyK      int           // policy cut/reduction budget (default 10)
-	NavCacheSize int           // navigation trees cached across queries (default 128; negative disables)
-	Workers      int           // solve-pool workers for parallel EXPAND (0 = GOMAXPROCS; negative disables the pool)
+	MaxSessions int           // evict oldest beyond this many (default 256)
+	SessionTTL  time.Duration // evict sessions idle longer than this (default 30m)
+	Policy      string        // expansion policy name, per core.PolicyByName (default "heuristic")
+	PolicyK     int           // policy cut/reduction budget (default 10)
+	Workers     int           // solve-pool workers for parallel EXPAND (0 = GOMAXPROCS; negative disables the pool)
 
 	// Resilience knobs — see the package comment and docs/RESILIENCE.md.
 	ExpandBudget time.Duration // EdgeCut optimization budget per EXPAND (default 2s; negative disables)
 	MaxInFlight  int           // concurrent /api/ requests (default 64; negative disables shedding)
 	QueueWait    time.Duration // how long an over-limit request waits for a slot (default 100ms)
-	RetryAfter   time.Duration // Retry-After hint on shed requests (default 1s)
 	APITimeout   time.Duration // whole-request deadline for /api/ (default 30s; negative disables)
 
 	// Observability knobs — see docs/OBSERVABILITY.md.
@@ -92,9 +90,6 @@ func (c *Config) fill() {
 	if _, err := core.PolicyByName(c.Policy, c.PolicyK); err != nil {
 		c.Policy, c.PolicyK = "heuristic", 10
 	}
-	if c.NavCacheSize == 0 {
-		c.NavCacheSize = 128
-	}
 	if c.ExpandBudget == 0 {
 		c.ExpandBudget = 2 * time.Second
 	}
@@ -104,34 +99,24 @@ func (c *Config) fill() {
 	if c.QueueWait <= 0 {
 		c.QueueWait = 100 * time.Millisecond
 	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
 	if c.APITimeout == 0 {
 		c.APITimeout = 30 * time.Second
 	}
 }
 
-// snapState pairs one pinned dataset snapshot with the ranking scorer
-// built over it. Immutable; shared by every session created on that
-// epoch, and swapped atomically as a unit when an ingest publishes the
-// next epoch — a handler can never observe a scorer from one epoch
-// ranking results of another.
-type snapState struct {
-	snap   *store.Snapshot
-	scorer *rank.Scorer
-}
-
-func newSnapState(sn *store.Snapshot) *snapState {
-	return &snapState{snap: sn, scorer: rank.NewScorer(sn.Corpus, sn.Index)}
-}
+// navCacheSize is how many navigation trees the server caches across
+// queries.
+const navCacheSize = 128
 
 // Server serves the BioNav API over a live corpus. Safe for concurrent use.
 type Server struct {
-	live     *store.Live
-	cur      atomic.Pointer[snapState] // serving snapshot; sessions pin the one they started on
-	cfg      Config
-	navCache *navtree.Cache // nil when disabled; immutable trees, shared across sessions; keyed by (epoch, query)
+	live *store.Live // live.Current() serves new queries; sessions pin the snapshot they started on
+	cfg  Config
+	// policy chooses every session's cuts. One value serves them all: each
+	// policy core.PolicyByName returns is stateless, as the concurrent
+	// solves of core.SolveComponents already require.
+	policy   core.Policy
+	navCache *navtree.Cache // immutable trees, shared across sessions; keyed by (epoch, query)
 	pool     *core.Pool     // parallel EXPAND solves; nil when disabled
 	sem      chan struct{}  // in-flight /api/ slots; nil when shedding disabled
 	met      *serverMetrics // per-instance registry; /api/stats reads through it
@@ -165,7 +150,7 @@ type Server struct {
 type session struct {
 	mu       sync.Mutex
 	nav      *navigate.Session // guarded by mu
-	st       *snapState        // immutable: the epoch the session started on, pinned for its lifetime
+	snap     *store.Snapshot   // immutable: the epoch the session started on, pinned for its lifetime
 	keywords string            // immutable after construction
 	lastUsed time.Time         // guarded by Server.mu: the TTL clock belongs to the session table
 	elem     *list.Element     // guarded by Server.mu: the session's place in Server.lru
@@ -187,16 +172,16 @@ func New(sn *store.Snapshot, cfg Config) *Server {
 // the snapshot it started on until it ends.
 func NewLive(live *store.Live, cfg Config) *Server {
 	cfg.fill()
+	// fill normalized the name and K, so the policy always resolves.
+	policy, _ := core.PolicyByName(cfg.Policy, cfg.PolicyK)
 	s := &Server{
 		live:     live,
 		cfg:      cfg,
+		policy:   policy,
+		navCache: navtree.NewCache(navCacheSize),
 		sessions: make(map[string]*session),
 		lru:      list.New(),
 		drainCh:  make(chan struct{}),
-	}
-	s.cur.Store(newSnapState(live.Current()))
-	if cfg.NavCacheSize > 0 {
-		s.navCache = navtree.NewCache(cfg.NavCacheSize)
 	}
 	if cfg.Workers >= 0 {
 		s.pool = core.NewPool(cfg.Workers)
@@ -224,38 +209,21 @@ func (s *Server) Close() {
 	s.pool.Close()
 }
 
-// state returns the snapshot state serving new queries. Sessions capture
-// it once at creation and use their own pinned copy from then on.
-func (s *Server) state() *snapState { return s.cur.Load() }
-
-// publish swaps the serving snapshot to next and evicts nav-cache entries
-// of epochs nothing can reach anymore. Ingests serialize inside
-// store.Live, but their publishes can race here; the CAS loop keeps the
-// pointer monotonic — an older epoch never overwrites a newer one.
-func (s *Server) publish(next *store.Snapshot) {
-	st := newSnapState(next)
-	for {
-		old := s.cur.Load()
-		if old.snap.Epoch >= next.Epoch {
-			return
-		}
-		if s.cur.CompareAndSwap(old, st) {
-			break
-		}
-	}
-	if s.navCache != nil {
-		s.navCache.DropEpochsBefore(s.minPinnedEpoch())
-	}
+// publish evicts the nav-cache entries of epochs nothing can reach
+// anymore; handleIngest calls it once store.Live has published a new
+// epoch.
+func (s *Server) publish() {
+	s.navCache.DropEpochsBefore(s.minPinnedEpoch())
 }
 
 // minPinnedEpoch reports the oldest epoch still in use: the serving one
 // or the oldest a live session is pinned to, whichever is older. Cache
 // entries below it are unreachable — no key can ever name them again.
 func (s *Server) minPinnedEpoch() uint64 {
-	min := s.cur.Load().snap.Epoch
+	min := s.live.Current().Epoch
 	s.mu.Lock()
 	for _, sess := range s.sessions {
-		if e := sess.st.snap.Epoch; e < min {
+		if e := sess.snap.Epoch; e < min {
 			min = e
 		}
 	}
@@ -263,8 +231,8 @@ func (s *Server) minPinnedEpoch() uint64 {
 	return min
 }
 
-// navTreeFor resolves a keyword query to its navigation tree over st's
-// snapshot, serving repeat queries from the LRU cache. The cache key is
+// navTreeFor resolves a keyword query to its navigation tree over snap,
+// serving repeat queries from the LRU cache. The cache key is
 // (epoch, normalized query): the search runs on the normal form, so equal
 // keys are guaranteed equal results within one epoch, and keying by epoch
 // keeps trees from different dataset versions apart — a pinned session
@@ -272,30 +240,26 @@ func (s *Server) minPinnedEpoch() uint64 {
 // data. Concurrent cold-cache requests for one key coalesce onto a single
 // build (navtree.Cache.GetOrBuild). A miss traces the index search and the
 // tree build as separate children of the nav_tree span.
-func (s *Server) navTreeFor(ctx context.Context, st *snapState, keywords string) (*navtree.Tree, error) {
+func (s *Server) navTreeFor(ctx context.Context, snap *store.Snapshot, keywords string) (*navtree.Tree, error) {
 	sp := obs.FromContext(ctx).StartChild("nav_tree")
 	defer sp.End()
-	key := navtree.Key{Epoch: st.snap.Epoch, Query: navtree.NormalizeQuery(keywords)}
+	key := navtree.Key{Epoch: snap.Epoch, Query: navtree.NormalizeQuery(keywords)}
 	built := false
 	build := func() (*navtree.Tree, error) {
 		built = true
 		search := sp.StartChild("index_search")
-		results := st.snap.Index.SearchQuery(key.Query)
+		results := snap.Index.SearchQuery(key.Query)
 		search.End()
 		if len(results) == 0 {
 			return nil, fmt.Errorf("no citations match %q", keywords)
 		}
 		sp.SetAttr("results", len(results))
 		bs := sp.StartChild("navtree_build")
-		nav := navtree.Build(st.snap.Corpus, results)
+		nav := navtree.Build(snap.Corpus, results)
 		bs.SetAttr("nodes", nav.Len())
 		bs.SetAttr("attachments", nav.Attachments())
 		bs.End()
 		return nav, nil
-	}
-	if s.navCache == nil {
-		sp.SetAttr("cache", "off")
-		return build()
 	}
 	nav, err := s.navCache.GetOrBuild(ctx, key, build)
 	switch {
@@ -354,12 +318,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	probeHeaders(w)
 	if s.draining.Load() {
-		w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
+		w.Header().Set("Retry-After", retryAfter)
 		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
 	if s.sem != nil && len(s.sem) == cap(s.sem) {
-		w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
+		w.Header().Set("Retry-After", retryAfter)
 		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "saturated"})
 		return
 	}
@@ -427,31 +391,21 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-// newPolicy builds a session's expansion policy from the config; the
-// name was validated by fill, so resolution cannot fail here.
-func (s *Server) newPolicy() core.Policy {
-	p, err := core.PolicyByName(s.cfg.Policy, s.cfg.PolicyK)
-	if err != nil {
-		p = &core.HeuristicReducedOpt{K: s.cfg.PolicyK, Model: core.DefaultCostModel()}
-	}
-	return p
-}
-
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req queryRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}
-	st := s.state()
-	nav, err := s.navTreeFor(r.Context(), st, req.Keywords)
+	snap := s.live.Current()
+	nav, err := s.navTreeFor(r.Context(), snap, req.Keywords)
 	if err != nil {
 		httpError(w, http.StatusNotFound, err)
 		return
 	}
-	sess := &session{nav: navigate.NewSession(nav, s.newPolicy()), st: st, keywords: req.Keywords}
+	sess := &session{nav: navigate.NewSession(nav, s.policy), snap: snap, keywords: req.Keywords}
 	id := s.register(sess)
-	s.journalCreate(id, req.Keywords, st.snap.Epoch)
+	s.journalCreate(id, req.Keywords, snap.Epoch)
 	s.writeState(w, r, id, sess)
 }
 
@@ -594,10 +548,10 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	// Order listings by relevance to the session's query (§I ranking),
 	// scored and resolved on the session's pinned snapshot: a mid-session
 	// ingest must not change what an open session lists.
-	ranked := sess.st.scorer.Rank(sess.keywords, ids)
+	ranked := rank.NewScorer(sess.snap.Corpus, sess.snap.Index).Rank(sess.keywords, ids)
 	out := make([]citationView, 0, len(ranked))
 	for _, r := range ranked {
-		if cit, ok := sess.st.snap.Corpus.Get(r.ID); ok {
+		if cit, ok := sess.snap.Corpus.Get(r.ID); ok {
 			out = append(out, citationView{
 				ID: int64(cit.ID), Title: cit.Title, Authors: cit.Authors, Year: cit.Year,
 			})
@@ -635,20 +589,20 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}
-	st := s.state()
-	nav, err := s.navTreeFor(r.Context(), st, req.Keywords)
+	snap := s.live.Current()
+	nav, err := s.navTreeFor(r.Context(), snap, req.Keywords)
 	if err != nil {
 		httpError(w, http.StatusNotFound, err)
 		return
 	}
-	restored, err := navigate.Replay(nav, s.newPolicy(), bytes.NewReader(req.Session))
+	restored, err := navigate.Replay(nav, s.policy, bytes.NewReader(req.Session))
 	if err != nil {
 		httpError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
-	sess := &session{nav: restored, st: st, keywords: req.Keywords}
+	sess := &session{nav: restored, snap: snap, keywords: req.Keywords}
 	id := s.register(sess)
-	s.journalCreate(id, req.Keywords, st.snap.Epoch)
+	s.journalCreate(id, req.Keywords, snap.Epoch)
 	s.journalActions(id, sess) // the imported history is this session's log
 	s.writeState(w, r, id, sess)
 }
@@ -674,10 +628,10 @@ type ingestResponse struct {
 	Citations int    `json:"citations"`
 }
 
-// handleIngest appends a citation batch to the live corpus and publishes
-// the resulting epoch. The whole batch applies or none of it; on success
-// new queries immediately see the fresh data, while sessions already open
-// keep navigating the snapshot they are pinned to.
+// handleIngest appends a citation batch to the live corpus, which
+// publishes the resulting epoch. The whole batch applies or none of it;
+// on success new queries immediately see the fresh data, while sessions
+// already open keep navigating the snapshot they are pinned to.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	var req ingestRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -704,7 +658,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
-	s.publish(next)
+	s.publish()
 	writeJSON(w, http.StatusOK, ingestResponse{Epoch: next.Epoch, Citations: len(batch)})
 }
 
@@ -719,13 +673,14 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	if s.sem != nil {
 		queueDepth = len(s.sem)
 	}
-	st := s.state()
+	snap := s.live.Current()
+	hits, misses := s.navCache.Stats()
 	stats := map[string]any{
-		"concepts":        st.snap.Tree.Len(),
-		"citations":       st.snap.Corpus.Len(),
-		"terms":           st.snap.Index.Terms(),
-		"datasetEpoch":    st.snap.Epoch,
-		"policy":          s.newPolicy().Name(),
+		"concepts":        snap.Tree.Len(),
+		"citations":       snap.Corpus.Len(),
+		"terms":           snap.Index.Terms(),
+		"datasetEpoch":    snap.Epoch,
+		"policy":          s.policy.Name(),
 		"sessions":        active,
 		"sessions_live":   active,
 		"queue_depth":     queueDepth,
@@ -733,6 +688,9 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		"shedRequests":    s.met.shed.Value(),
 		"expandTimeouts":  s.met.timeouts.Value(),
 		"sessionsEvicted": s.met.evicted.Value(),
+		"navCacheTrees":   s.navCache.Len(),
+		"navCacheHits":    hits,
+		"navCacheMisses":  misses,
 	}
 	// Request-latency quantiles, estimated from the same histogram /metrics
 	// exposes (bionav_http_request_seconds, all routes merged) — a JSON
@@ -745,12 +703,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	if s.cfg.Journal != nil {
 		stats["journalDir"] = s.cfg.Journal.Dir()
 		stats["journalTornTails"] = s.cfg.Journal.TornTails()
-	}
-	if s.navCache != nil {
-		hits, misses := s.navCache.Stats()
-		stats["navCacheTrees"] = s.navCache.Len()
-		stats["navCacheHits"] = hits
-		stats["navCacheMisses"] = misses
 	}
 	writeJSON(w, http.StatusOK, stats)
 }
@@ -923,21 +875,21 @@ func (s *Server) stateLocked(id string, sess *session) stateResponse {
 			CitationsListed:  cost.CitationsListed,
 			Navigation:       cost.Navigation(),
 		},
-		Tree: s.buildView(sess.st, at.Nav(), vis, at.Nav().Root()),
+		Tree: buildView(sess.snap, at.Nav(), vis, at.Nav().Root()),
 	}
 }
 
-func (s *Server) buildView(st *snapState, nav *navtree.Tree, vis map[navtree.NodeID]*core.VisibleNode, id navtree.NodeID) nodeView {
+func buildView(snap *store.Snapshot, nav *navtree.Tree, vis map[navtree.NodeID]*core.VisibleNode, id navtree.NodeID) nodeView {
 	v := vis[id]
 	out := nodeView{
 		Node:       id,
 		Label:      v.Label,
-		TreeID:     st.snap.Tree.Node(nav.Concept(id)).TreeID,
+		TreeID:     snap.Tree.Node(nav.Concept(id)).TreeID,
 		Count:      v.Count,
 		Expandable: v.Expandable,
 	}
 	for _, c := range v.Children {
-		out.Children = append(out.Children, s.buildView(st, nav, vis, c))
+		out.Children = append(out.Children, buildView(snap, nav, vis, c))
 	}
 	return out
 }

@@ -56,7 +56,7 @@ func postJSON(t *testing.T, url string, body any) (*http.Response, map[string]js
 
 // queryTerm picks a term guaranteed to match at least one citation.
 func queryTerm(srv *Server) string {
-	return srv.state().snap.Corpus.At(0).Terms[0]
+	return srv.live.Current().Corpus.At(0).Terms[0]
 }
 
 func TestQueryExpandShowResults(t *testing.T) {
@@ -231,7 +231,7 @@ func TestStatsAndIndexPage(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
 	}
-	if int(stats["concepts"].(float64)) != srv.state().snap.Tree.Len() || int(stats["citations"].(float64)) != srv.state().snap.Corpus.Len() {
+	if int(stats["concepts"].(float64)) != srv.live.Current().Tree.Len() || int(stats["citations"].(float64)) != srv.live.Current().Corpus.Len() {
 		t.Fatalf("stats = %v", stats)
 	}
 	if stats["policy"] != "Heuristic-ReducedOpt" {
@@ -527,27 +527,6 @@ func TestNavTreeCacheSharedAcrossQueries(t *testing.T) {
 	}
 }
 
-func TestNavTreeCacheDisabled(t *testing.T) {
-	srv, ts := testServer(t, Config{NavCacheSize: -1})
-	term := queryTerm(srv)
-	resp, raw := postJSON(t, ts.URL+"/api/query", map[string]string{"keywords": term})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("query status %d: %s", resp.StatusCode, raw["error"])
-	}
-	sResp, err := http.Get(ts.URL + "/api/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sResp.Body.Close()
-	var stats map[string]json.RawMessage
-	if err := json.NewDecoder(sResp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := stats["navCacheTrees"]; ok {
-		t.Fatal("navCacheTrees reported with cache disabled")
-	}
-}
-
 // TestSameSessionConcurrency hammers ONE session from several goroutines —
 // expand, backtrack, results, export — and must pass under -race. Logical
 // conflicts (422: nothing to backtrack, node not expandable) are expected;
@@ -621,8 +600,10 @@ func TestSameSessionConcurrency(t *testing.T) {
 }
 
 // BenchmarkQueryNavCache measures /api/query with a warm navigation-tree
-// cache (hit: the tree build is amortized away) against the cache disabled
-// (miss: every query rebuilds the tree from the inverted index).
+// cache (hit: the tree build is amortized away) against a fresh cache key
+// per query (miss: every query rebuilds the tree from the inverted index).
+// A miss query excludes a term no citation has, so its results, and the
+// tree it builds, are those of the hit query.
 func BenchmarkQueryNavCache(b *testing.B) {
 	tree := hierarchy.Generate(hierarchy.GenConfig{Seed: 71, Nodes: 1000, TopLevel: 12, MaxDepth: 8})
 	corp := corpus.Generate(tree, corpus.GenConfig{
@@ -630,14 +611,17 @@ func BenchmarkQueryNavCache(b *testing.B) {
 	})
 	ds := &store.Snapshot{Tree: tree, Corpus: corp, Index: index.Build(corp)}
 
-	run := func(b *testing.B, cfg Config) {
-		srv := New(ds, cfg)
+	run := func(b *testing.B, miss bool) {
+		srv := New(ds, Config{})
 		h := srv.Handler()
 		term := queryTerm(srv)
 		body, _ := json.Marshal(map[string]string{"keywords": term})
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
+			if miss {
+				body, _ = json.Marshal(map[string]string{"keywords": fmt.Sprintf("%s NOT zz%d", term, i)})
+			}
 			req := httptest.NewRequest(http.MethodPost, "/api/query", bytes.NewReader(body))
 			req.Header.Set("Content-Type", "application/json")
 			w := httptest.NewRecorder()
@@ -647,8 +631,8 @@ func BenchmarkQueryNavCache(b *testing.B) {
 			}
 		}
 	}
-	b.Run("hit", func(b *testing.B) { run(b, Config{}) })
-	b.Run("miss", func(b *testing.B) { run(b, Config{NavCacheSize: -1}) })
+	b.Run("hit", func(b *testing.B) { run(b, false) })
+	b.Run("miss", func(b *testing.B) { run(b, true) })
 }
 
 // TestIgnoreAction pins the IGNORE endpoint: dismissing a visible node
