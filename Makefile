@@ -60,8 +60,8 @@ golden-test:
 # active-tree and navigation-tree build targets, the hierarchy
 # serialization round-trip, and the parsers that read outside input: the
 # /api/query keyword parser, the MeSH ASCII and MEDLINE XML readers behind
-# bionav.Import, and the frame scanner every durable file goes through —
-# CI-sized smoke, not a campaign.
+# bionav.Import, the frame scanner every durable file goes through, and
+# the ingest-log batch decoder — CI-sized smoke, not a campaign.
 fuzz-smoke:
 	$(GO) test -run FuzzOptEdgeCut -fuzz FuzzOptEdgeCut -fuzztime 10s ./internal/core
 	$(GO) test -run FuzzPolyCut -fuzz FuzzPolyCut -fuzztime 10s ./internal/core
@@ -73,6 +73,7 @@ fuzz-smoke:
 	$(GO) test -run FuzzParseMeSHASCII -fuzz FuzzParseMeSHASCII -fuzztime 10s ./internal/hierarchy
 	$(GO) test -run FuzzParseMedlineXML -fuzz FuzzParseMedlineXML -fuzztime 10s ./internal/corpus
 	$(GO) test -run FuzzScan -fuzz FuzzScan -fuzztime 10s ./internal/wal
+	$(GO) test -run FuzzIngestBatch -fuzz FuzzIngestBatch -fuzztime 10s ./internal/store
 
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' ./...
@@ -124,7 +125,7 @@ parallel-test:
 # exhaustive crash-point test of the log format every durable file uses
 # (DESIGN.md §12, docs/RESILIENCE.md §5).
 ingest-test:
-	$(GO) test -race -run 'Ingest|Snapshot|Epoch|CitationCodec|CitationReader|LastWin|TornTail|Delta|Apply|CrashPoint' \
+	$(GO) test -race -run 'Ingest|Snapshot|Epoch|CitationCodec|LastWin|TornTail|Delta|Apply|CrashPoint' \
 		./internal/store ./internal/index ./internal/corpus ./internal/navtree ./internal/server ./internal/wal
 
 # Load-harness gate: the fixed-seed open-loop smoke (nonzero successes,
@@ -157,7 +158,7 @@ bench-json:
 	$(GO) test -json -bench=. -benchmem -cpu 1 -run='^$$' ./internal/core ./internal/navtree . > BENCH_core.json
 	$(GO) test -json -bench='BenchmarkSessionReplay' -cpu 1 -run='^$$' ./internal/navigate >> BENCH_core.json
 	GOMAXPROCS=4 $(GO) test -json -bench='BenchmarkSolveComponents' -run='^$$' ./internal/core >> BENCH_core.json
-	$(GO) test -json -bench='BenchmarkIngest|BenchmarkCitationReaderGet' -cpu 1 -run='^$$' ./internal/store >> BENCH_core.json
+	$(GO) test -json -bench='BenchmarkIngest' -cpu 1 -run='^$$' ./internal/store >> BENCH_core.json
 	$(GO) run ./cmd/bionav-benchcheck BENCH_core.json
 
 # Bench trajectory: per benchmark, ns/op, B/op and allocs/op of the

@@ -71,7 +71,7 @@ func mustNavs(b *testing.B) map[string]navPair {
 func runAll(b *testing.B, policy core.Policy) (cost, expands int) {
 	b.Helper()
 	for _, np := range mustNavs(b) {
-		res, err := navigate.SimulateToTarget(np.nav, policy, np.target, false)
+		res, err := navigate.Simulate(np.nav, policy, []navtree.NodeID{np.target}, false, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -142,7 +142,7 @@ func BenchmarkFig10ExpandTime(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		expands = 0
 		for _, np := range navs {
-			res, err := navigate.SimulateToTarget(np.nav, pol, np.target, false)
+			res, err := navigate.Simulate(np.nav, pol, []navtree.NodeID{np.target}, false, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -164,7 +164,7 @@ func BenchmarkFig11ProthymosinPerExpand(b *testing.B) {
 	b.ResetTimer()
 	steps := 0
 	for i := 0; i < b.N; i++ {
-		res, err := navigate.SimulateToTarget(np.nav, pol, np.target, false)
+		res, err := navigate.Simulate(np.nav, pol, []navtree.NodeID{np.target}, false, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -244,14 +244,14 @@ func BenchmarkCachedVsPlainHeuristic(b *testing.B) {
 	np := navs["prothymosin"]
 	b.Run("plain", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := navigate.SimulateToTarget(np.nav, core.NewHeuristicReducedOpt(), np.target, false); err != nil {
+			if _, err := navigate.Simulate(np.nav, core.NewHeuristicReducedOpt(), []navtree.NodeID{np.target}, false, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("cached", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := navigate.SimulateToTarget(np.nav, core.NewCachedHeuristic(), np.target, false); err != nil {
+			if _, err := navigate.Simulate(np.nav, core.NewCachedHeuristic(), []navtree.NodeID{np.target}, false, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

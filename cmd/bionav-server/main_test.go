@@ -126,9 +126,7 @@ var metricCatalog = []struct{ name, kind string }{
 	{"bionav_anytime_improvements_total", "counter"},
 	{"bionav_anytime_rounds", "histogram"},
 	{"bionav_build_info", "gauge"},
-	{"bionav_citation_cache_hits_total", "counter"},
 	{"bionav_cut_grade_total", "counter"},
-	{"bionav_citation_cache_misses_total", "counter"},
 	{"bionav_dataset_epoch", "gauge"},
 	{"bionav_dp_aborts_total", "counter"},
 	{"bionav_dp_fold_steps_total", "counter"},

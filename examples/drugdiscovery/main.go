@@ -19,6 +19,7 @@ import (
 
 	"bionav"
 	"bionav/internal/navigate"
+	"bionav/internal/navtree"
 	"bionav/internal/workload"
 )
 
@@ -56,7 +57,7 @@ func main() {
 	tw := tabwriter.NewWriter(os.Stdout, 0, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "policy\tEXPANDs\tconcepts examined\tnavigation cost\tavg time/EXPAND")
 	for _, pol := range policies {
-		res, err := navigate.SimulateToTargetClocked(nav, pol, target, false, time.Now)
+		res, err := navigate.Simulate(nav, pol, []navtree.NodeID{target}, false, time.Now)
 		if err != nil {
 			log.Fatalf("%s: %v", pol.Name(), err)
 		}

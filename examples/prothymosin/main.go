@@ -17,6 +17,7 @@ import (
 
 	"bionav"
 	"bionav/internal/navigate"
+	"bionav/internal/navtree"
 	"bionav/internal/workload"
 )
 
@@ -78,7 +79,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	static, err := navigate.SimulateToTarget(navTree, bionav.StaticPolicy(), target, false)
+	static, err := navigate.Simulate(navTree, bionav.StaticPolicy(), []navtree.NodeID{target}, false, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

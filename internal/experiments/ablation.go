@@ -6,6 +6,7 @@ import (
 
 	"bionav/internal/core"
 	"bionav/internal/navigate"
+	"bionav/internal/navtree"
 )
 
 // The ablation experiments re-run the Fig. 8 pipeline under varied design
@@ -55,7 +56,7 @@ func (r *Runner) aggregate(name string, mk func() core.Policy) (cost, expands, r
 		go func() {
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			res, simErr := navigate.SimulateToTarget(nav, mk(), target, false)
+			res, simErr := navigate.Simulate(nav, mk(), []navtree.NodeID{target}, false, nil)
 			results <- outcome{kw: q.Spec.Keyword, res: res, err: simErr}
 		}()
 	}

@@ -73,12 +73,12 @@ func TestBehaviourGolden(t *testing.T) {
 				t.Fatalf("%s on %q: %v", p.key, q.Spec.Keyword, err)
 			}
 			// The replay must be the harness's TOPDOWN run, not a lookalike.
-			sim, err := navigate.SimulateToTarget(nav, p.mk(), target, false)
+			sim, err := navigate.Simulate(nav, p.mk(), []navtree.NodeID{target}, false, nil)
 			if err != nil {
 				t.Fatalf("%s on %q: %v", p.key, q.Spec.Keyword, err)
 			}
 			if sim.Cost != line.cost {
-				t.Fatalf("%s on %q: replay cost %+v, SimulateToTarget %+v", p.key, q.Spec.Keyword, line.cost, sim.Cost)
+				t.Fatalf("%s on %q: replay cost %+v, Simulate %+v", p.key, q.Spec.Keyword, line.cost, sim.Cost)
 			}
 			fmt.Fprintf(&buf, "%s | %s | %d | %d | %d | %x\n", q.Spec.Keyword, p.key,
 				line.cost.Navigation(), line.cost.Expands, line.cost.ConceptsRevealed, line.digest)
@@ -179,7 +179,7 @@ type goldenLine struct {
 	digest []byte
 }
 
-// goldenRun replays the TOPDOWN oracle (navigate.SimulateToTarget): expand
+// goldenRun replays the TOPDOWN oracle (navigate.Simulate): expand
 // the component hiding the target until the target is visible.
 func goldenRun(nav *navtree.Tree, policy core.Policy, target navtree.NodeID) (goldenLine, error) {
 	s := navigate.NewSession(nav, policy)

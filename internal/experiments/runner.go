@@ -82,7 +82,7 @@ func (r *Runner) simulate(q *workload.Query, policy core.Policy) (navigate.SimRe
 	if err != nil {
 		return navigate.SimResult{}, err
 	}
-	res, err := navigate.SimulateToTargetClocked(nav, policy, target, false, r.Clock)
+	res, err := navigate.Simulate(nav, policy, []navtree.NodeID{target}, false, r.Clock)
 	if err != nil {
 		return navigate.SimResult{}, fmt.Errorf("%s on %q: %w", policy.Name(), q.Spec.Keyword, err)
 	}
@@ -286,11 +286,11 @@ func (r *Runner) Intro() (*Table, error) {
 			break
 		}
 	}
-	bio, err := navigate.SimulateToTargetsClocked(nav, r.bioNavPolicy(), targets, false, r.Clock)
+	bio, err := navigate.Simulate(nav, r.bioNavPolicy(), targets, false, r.Clock)
 	if err != nil {
 		return nil, err
 	}
-	static, err := navigate.SimulateToTargetsClocked(nav, core.StaticAll{}, targets, false, r.Clock)
+	static, err := navigate.Simulate(nav, core.StaticAll{}, targets, false, r.Clock)
 	if err != nil {
 		return nil, err
 	}

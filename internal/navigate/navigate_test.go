@@ -143,7 +143,7 @@ func TestSimulateReachesTarget(t *testing.T) {
 		core.StaticAll{},
 		core.StaticTopK{K: 10},
 	} {
-		res, err := SimulateToTarget(nav, pol, target, false)
+		res, err := Simulate(nav, pol, []navtree.NodeID{target}, false, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", pol.Name(), err)
 		}
@@ -166,11 +166,11 @@ func TestSimulateBioNavBeatsStatic(t *testing.T) {
 	for _, seed := range seeds {
 		nav := buildNav(t, seed, 250, 50)
 		target := deepTarget(t, nav)
-		bio, err := SimulateToTarget(nav, core.NewHeuristicReducedOpt(), target, false)
+		bio, err := Simulate(nav, core.NewHeuristicReducedOpt(), []navtree.NodeID{target}, false, nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		static, err := SimulateToTarget(nav, core.StaticAll{}, target, false)
+		static, err := Simulate(nav, core.StaticAll{}, []navtree.NodeID{target}, false, nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -191,7 +191,7 @@ func TestSimulateBioNavBeatsStatic(t *testing.T) {
 func TestSimulateShowResultsCost(t *testing.T) {
 	nav := buildNav(t, 107, 150, 30)
 	target := deepTarget(t, nav)
-	res, err := SimulateToTarget(nav, core.NewHeuristicReducedOpt(), target, true)
+	res, err := Simulate(nav, core.NewHeuristicReducedOpt(), []navtree.NodeID{target}, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestSimulateRecordsReducedSizes(t *testing.T) {
 	nav := buildNav(t, 108, 200, 40)
 	target := deepTarget(t, nav)
 	h := core.NewHeuristicReducedOpt()
-	res, err := SimulateToTarget(nav, h, target, false)
+	res, err := Simulate(nav, h, []navtree.NodeID{target}, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,10 +223,10 @@ func TestSimulateRecordsReducedSizes(t *testing.T) {
 
 func TestSimulateRejectsBadTarget(t *testing.T) {
 	nav := buildNav(t, 109, 80, 25)
-	if _, err := SimulateToTarget(nav, core.StaticAll{}, 0, false); err == nil {
+	if _, err := Simulate(nav, core.StaticAll{}, []navtree.NodeID{0}, false, nil); err == nil {
 		t.Fatal("root target accepted")
 	}
-	if _, err := SimulateToTarget(nav, core.StaticAll{}, nav.Len(), false); err == nil {
+	if _, err := Simulate(nav, core.StaticAll{}, []navtree.NodeID{nav.Len()}, false, nil); err == nil {
 		t.Fatal("out-of-range target accepted")
 	}
 }
@@ -261,14 +261,14 @@ func TestSimulateToTargetsMulti(t *testing.T) {
 	if second == -1 {
 		t.Skip("no second target available")
 	}
-	multi, err := SimulateToTargets(nav, core.NewHeuristicReducedOpt(), []navtree.NodeID{first, second}, false)
+	multi, err := Simulate(nav, core.NewHeuristicReducedOpt(), []navtree.NodeID{first, second}, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !multi.Reached {
 		t.Fatal("targets not reached")
 	}
-	single, err := SimulateToTarget(nav, core.NewHeuristicReducedOpt(), first, false)
+	single, err := Simulate(nav, core.NewHeuristicReducedOpt(), []navtree.NodeID{first}, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,10 +277,10 @@ func TestSimulateToTargetsMulti(t *testing.T) {
 		t.Fatalf("multi-target cost %d below single-target %d",
 			multi.Cost.Navigation(), single.Cost.Navigation())
 	}
-	if _, err := SimulateToTargets(nav, core.StaticAll{}, nil, false); err == nil {
+	if _, err := Simulate(nav, core.StaticAll{}, nil, false, nil); err == nil {
 		t.Fatal("empty target list accepted")
 	}
-	if _, err := SimulateToTargets(nav, core.StaticAll{}, []navtree.NodeID{0}, false); err == nil {
+	if _, err := Simulate(nav, core.StaticAll{}, []navtree.NodeID{0}, false, nil); err == nil {
 		t.Fatal("root target accepted")
 	}
 }

@@ -67,41 +67,20 @@ func (solveEvery) CutKey() any { return nil }
 // leaves every StepStat.Elapsed zero.
 type Clock func() time.Time
 
-// SimulateToTarget runs the TOPDOWN oracle user against policy until the
-// target concept is visible, then (optionally) performs SHOWRESULTS on it.
-// The maximum number of EXPANDs is bounded by the navigation-tree size; a
-// policy that fails to make progress returns an error. Decision times are
-// not measured; use SimulateToTargetClocked for Fig. 10/11 timings.
-func SimulateToTarget(nav *navtree.Tree, policy core.Policy, target navtree.NodeID, showResults bool) (SimResult, error) {
-	return simulate(nav, policy, []navtree.NodeID{target}, showResults, nil)
-}
-
-// SimulateToTargetClocked is SimulateToTarget with per-EXPAND decision
-// times measured through clock (nil clock disables timing).
-func SimulateToTargetClocked(nav *navtree.Tree, policy core.Policy, target navtree.NodeID, showResults bool, clock Clock) (SimResult, error) {
-	return simulate(nav, policy, []navtree.NodeID{target}, showResults, clock)
-}
-
-// SimulateToTargets generalizes the oracle to several target concepts —
-// the paper's §I example reaches both "Cell Proliferation" and "Apoptosis"
-// in one navigation (19 concepts over 5 EXPANDs). The oracle repeatedly
-// expands the visible component hiding the first unreached target; cost
-// accumulates across the whole navigation. SimResult.Target reports the
-// last target; Reached is true only when every target became visible.
-func SimulateToTargets(nav *navtree.Tree, policy core.Policy, targets []navtree.NodeID, showResults bool) (SimResult, error) {
-	return SimulateToTargetsClocked(nav, policy, targets, showResults, nil)
-}
-
-// SimulateToTargetsClocked is SimulateToTargets with per-EXPAND decision
-// times measured through clock (nil clock disables timing).
-func SimulateToTargetsClocked(nav *navtree.Tree, policy core.Policy, targets []navtree.NodeID, showResults bool, clock Clock) (SimResult, error) {
+// Simulate runs the TOPDOWN oracle user against policy until every target
+// concept is visible, then (optionally) performs SHOWRESULTS on the last
+// one. With several targets — the paper's §I example reaches both "Cell
+// Proliferation" and "Apoptosis" in one navigation (19 concepts over 5
+// EXPANDs) — the oracle repeatedly expands the visible component hiding
+// the first unreached target, and cost accumulates across the whole
+// navigation. SimResult.Target reports the last target. The maximum number
+// of EXPANDs is bounded by the navigation-tree size; a policy that fails
+// to make progress returns an error. Per-EXPAND decision times are
+// measured through clock (nil disables timing).
+func Simulate(nav *navtree.Tree, policy core.Policy, targets []navtree.NodeID, showResults bool, clock Clock) (SimResult, error) {
 	if len(targets) == 0 {
 		return SimResult{}, fmt.Errorf("navigate: no targets")
 	}
-	return simulate(nav, policy, targets, showResults, clock)
-}
-
-func simulate(nav *navtree.Tree, policy core.Policy, targets []navtree.NodeID, showResults bool, clock Clock) (SimResult, error) {
 	for _, target := range targets {
 		if target <= 0 || target >= nav.Len() {
 			return SimResult{}, fmt.Errorf("navigate: target %d out of range", target)

@@ -8,6 +8,7 @@ package rank
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"bionav/internal/corpus"
@@ -51,26 +52,41 @@ func (s *Scorer) idf(term string) float64 {
 // Score returns the BM25 relevance of one citation for the query. Unknown
 // citations score 0.
 func (s *Scorer) Score(query string, id corpus.CitationID) float64 {
-	cit, ok := s.corp.Get(id)
-	if !ok {
-		return 0
-	}
+	return s.score(s.weigh(query), id)
+}
+
+// weighted is a query term with its idf.
+type weighted struct {
+	term string
+	idf  float64
+}
+
+// weigh tokenizes the query and computes each term's idf, once for every
+// citation a Rank scores.
+func (s *Scorer) weigh(query string) []weighted {
 	terms := corpus.Tokenize(query)
-	if len(terms) == 0 {
-		return 0
+	q := make([]weighted, len(terms))
+	for i, t := range terms {
+		q[i] = weighted{term: t, idf: s.idf(t)}
 	}
-	has := make(map[string]struct{}, len(cit.Terms))
-	for _, t := range cit.Terms {
-		has[t] = struct{}{}
+	return q
+}
+
+// score sums the BM25 weights of the query terms the citation holds.
+// Tokenize deduplicates, so each term counts once.
+func (s *Scorer) score(q []weighted, id corpus.CitationID) float64 {
+	cit, ok := s.corp.Get(id)
+	if !ok || len(q) == 0 {
+		return 0
 	}
 	norm := k1 * (1 - b + b*float64(len(cit.Terms))/s.avgDocLen)
 	score := 0.0
-	for _, t := range terms {
-		if _, ok := has[t]; !ok {
+	for _, t := range q {
+		if !slices.Contains(cit.Terms, t.term) {
 			continue
 		}
 		// Binary tf: tf(k1+1)/(tf+norm) with tf=1.
-		score += s.idf(t) * (k1 + 1) / (1 + norm)
+		score += t.idf * (k1 + 1) / (1 + norm)
 	}
 	return score
 }
@@ -84,9 +100,10 @@ type Scored struct {
 // Rank orders ids by descending BM25 score; ties break by descending year
 // (prefer recent literature) and then ascending ID for determinism.
 func (s *Scorer) Rank(query string, ids []corpus.CitationID) []Scored {
+	q := s.weigh(query)
 	out := make([]Scored, 0, len(ids))
 	for _, id := range ids {
-		out = append(out, Scored{ID: id, Score: s.Score(query, id)})
+		out = append(out, Scored{ID: id, Score: s.score(q, id)})
 	}
 	year := func(id corpus.CitationID) int {
 		if cit, ok := s.corp.Get(id); ok {
@@ -103,18 +120,5 @@ func (s *Scorer) Rank(query string, ids []corpus.CitationID) []Scored {
 		}
 		return out[i].ID < out[j].ID
 	})
-	return out
-}
-
-// TopK returns the k highest-ranked citation IDs for the query among ids.
-func (s *Scorer) TopK(query string, ids []corpus.CitationID, k int) []corpus.CitationID {
-	ranked := s.Rank(query, ids)
-	if k > len(ranked) {
-		k = len(ranked)
-	}
-	out := make([]corpus.CitationID, k)
-	for i := 0; i < k; i++ {
-		out[i] = ranked[i].ID
-	}
 	return out
 }

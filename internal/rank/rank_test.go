@@ -98,19 +98,19 @@ func TestRankOrderAndTies(t *testing.T) {
 	}
 }
 
-func TestTopK(t *testing.T) {
-	s, _ := fixtureScorer(t)
-	top := s.TopK("prothymosin", []corpus.CitationID{1, 2, 3, 4, 5}, 2)
-	if len(top) != 2 {
-		t.Fatalf("TopK len = %d", len(top))
+// TestRankAllocsIndependentOfListing: Rank tokenizes the query and weighs
+// its terms once per call, not once per citation, so a longer listing
+// allocates no more.
+func TestRankAllocsIndependentOfListing(t *testing.T) {
+	tree := hierarchy.Generate(hierarchy.GenConfig{Seed: 71, Nodes: 200, TopLevel: 8, MaxDepth: 7})
+	corp := corpus.Generate(tree, corpus.GenConfig{Seed: 72, Citations: 300, MeanConcepts: 15, FirstID: 1, YearLo: 2000, YearHi: 2008})
+	s := NewScorer(corp, index.Build(corp))
+	ids := corp.IDs()
+	allocs := func(ids []corpus.CitationID) float64 {
+		return testing.AllocsPerRun(20, func() { s.Rank("the study of effects", ids) })
 	}
-	for _, id := range top {
-		if s.Score("prothymosin", id) == 0 {
-			t.Fatalf("TopK returned non-matching citation %d", id)
-		}
-	}
-	if got := s.TopK("prothymosin", []corpus.CitationID{1}, 10); len(got) != 1 {
-		t.Fatalf("TopK clamp failed: %v", got)
+	if few, all := allocs(ids[:37]), allocs(ids); few != all {
+		t.Fatalf("Rank allocates %v times for 37 citations and %v for %d", few, all, len(ids))
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 )
 
 // ErrCorrupt reports a record that fails structural validation or checksum.
@@ -49,11 +48,6 @@ func (e *Encoder) PutString(s string) {
 func (e *Encoder) PutBytes(b []byte) {
 	e.PutUvarint(uint64(len(b)))
 	e.buf = append(e.buf, b...)
-}
-
-// PutFloat64 appends a fixed-width float64.
-func (e *Encoder) PutFloat64(f float64) {
-	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(f))
 }
 
 // Decoder reads back a record written by Encoder. All methods return an
@@ -108,16 +102,6 @@ func (d *Decoder) Bytes() ([]byte, error) {
 	b := d.buf[d.off : d.off+int(n)]
 	d.off += int(n)
 	return b, nil
-}
-
-// Float64 reads a fixed-width float64.
-func (d *Decoder) Float64() (float64, error) {
-	if d.Remaining() < 8 {
-		return 0, fmt.Errorf("%w: truncated float64", ErrCorrupt)
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.buf[d.off:]))
-	d.off += 8
-	return v, nil
 }
 
 // Finish verifies the record was consumed exactly.

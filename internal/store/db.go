@@ -122,8 +122,7 @@ func (db *DB) ForEach(table string, fn func(payload []byte) error) error {
 	if !db.HasTable(table) {
 		return fmt.Errorf("store: no table %q in %s", table, db.dir)
 	}
-	_, err := readLog(filepath.Join(db.dir, table+tableSuffix), false,
-		func(_ int64, payload []byte) error { return fn(payload) })
+	_, err := readLog(filepath.Join(db.dir, table+tableSuffix), false, fn)
 	return err
 }
 
@@ -134,8 +133,8 @@ func (db *DB) ForEach(table string, fn func(payload []byte) error) error {
 // without a valid magic is corrupt, while an ingest log that is missing,
 // or shorter than its magic (a crash right after creating it), holds no
 // records. It returns the end of the valid prefix.
-func readLog(path string, ingest bool, fn func(off int64, payload []byte) error) (int64, error) {
-	end, st, err := wal.Scan(path, fn)
+func readLog(path string, ingest bool, fn func(payload []byte) error) (int64, error) {
+	end, st, err := wal.Scan(path, func(_ int64, payload []byte) error { return fn(payload) })
 	switch {
 	case ingest && errors.Is(err, fs.ErrNotExist):
 		return 0, nil

@@ -1,10 +1,12 @@
 package store
 
 import (
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -175,6 +177,62 @@ func TestIngestBatchCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// pinnedCitations are the citations of the pinned encodings below: one
+// with every field set, and one with a negative ID (the zig-zag varint),
+// empty strings and no authors.
+var pinnedCitations = []corpus.Citation{
+	{
+		ID: 1234567, Title: "Prothymosin alpha in cell proliferation", Year: 2008,
+		Authors: []string{"Ada L", "Grace H"}, Terms: []string{"prothymosin", "alpha", "cell"},
+		Concepts: []hierarchy.ConceptID{3, 7, 300},
+	},
+	{ID: -2, Terms: []string{"na+"}, Concepts: []hierarchy.ConceptID{1}},
+}
+
+// The bytes of a citations-table record holding pinnedCitations[0], and of
+// an ingest-log batch holding both pinned citations.
+const (
+	pinnedRecordHex = "8eda96012750726f7468796d6f73696e20616c70686120696e2063656c6c2070726f6c696665726174696f6e" +
+		"d80f0205416461204c0747726163652048030b70726f7468796d6f73696e05616c7068610463656c6c030304a502"
+	pinnedBatchHex = "025a" + pinnedRecordHex + "0b0300000001036e612b0101"
+)
+
+// TestIngestLogFormatPinned pins the on-disk bytes of the citation record
+// and of the ingest-log batch frame, so a directory written by an earlier
+// build keeps opening: encoding must reproduce the bytes exactly, and
+// decoding them must give back the citations.
+func TestIngestLogFormatPinned(t *testing.T) {
+	var enc Encoder
+	if err := encodeCitation(&enc, &pinnedCitations[0]); err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(enc.Bytes()); got != pinnedRecordHex {
+		t.Fatalf("citation record encodes as\n%s\nwant\n%s", got, pinnedRecordHex)
+	}
+	rec, err := hex.DecodeString(pinnedRecordHex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c, err := decodeCitation(rec); err != nil || !reflect.DeepEqual(c, pinnedCitations[0]) {
+		t.Fatalf("pinned record decodes to %+v, %v", c, err)
+	}
+
+	payload, err := encodeIngestBatch(pinnedCitations)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(payload); got != pinnedBatchHex {
+		t.Fatalf("ingest batch encodes as\n%s\nwant\n%s", got, pinnedBatchHex)
+	}
+	frame, err := hex.DecodeString(pinnedBatchHex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if batch, err := decodeIngestBatch(frame); err != nil || !reflect.DeepEqual(batch, pinnedCitations) {
+		t.Fatalf("pinned batch decodes to %+v, %v", batch, err)
+	}
+}
+
 func TestLiveIngestPersistsAndReplays(t *testing.T) {
 	ds := testDataset(t)
 	dir := t.TempDir()
@@ -223,22 +281,17 @@ func TestLiveIngestPersistsAndReplays(t *testing.T) {
 		t.Fatalf("Search(quokka) = %v", got)
 	}
 
-	// A CitationReader opened over the directory serves the ingested
-	// citations, base/ingest-log duplicates resolving last-wins (upsert).
-	r, err := OpenCitationReader(dir, 8)
-	if err != nil {
-		t.Fatal(err)
+	// The replayed corpus holds the ingested citations, the cross-batch
+	// duplicate resolving last-wins (upsert).
+	if cur.Corpus.Len() != ds.Corpus.Len()+2 {
+		t.Fatalf("replayed corpus holds %d citations, want %d", cur.Corpus.Len(), ds.Corpus.Len()+2)
 	}
-	defer r.Close()
-	if r.Len() != ds.Corpus.Len()+2 {
-		t.Fatalf("reader indexed %d citations, want %d", r.Len(), ds.Corpus.Len()+2)
-	}
-	c, err := r.Get(900020)
-	if err != nil {
-		t.Fatal(err)
+	c, ok := cur.Corpus.Get(900020)
+	if !ok {
+		t.Fatal("replayed corpus lost citation 900020")
 	}
 	if len(c.Concepts) != 3 || c.Terms[0] != "pangolinv2" {
-		t.Fatalf("reader served a stale version: %+v", c)
+		t.Fatalf("replay kept a stale version: %+v", c)
 	}
 
 	// Appending after reopen continues the epoch sequence.
@@ -386,10 +439,11 @@ func TestFaultIngest(t *testing.T) {
 	}
 }
 
-// TestConcurrentReadAndIngest races point lookups and snapshot readers
+// TestConcurrentReadAndIngest races point lookups on the current snapshot
 // against a stream of ingest swaps (run under -race in `make ingest-test`):
-// CitationReader.Get ReadAts the log files while Live appends to them, and
-// Current readers must only ever observe fully published epochs.
+// every base citation stays readable from each published corpus while Live
+// appends to the ingest log, and Current readers must only ever observe
+// fully published epochs.
 func TestConcurrentReadAndIngest(t *testing.T) {
 	ds := testDataset(t)
 	dir := t.TempDir()
@@ -401,11 +455,6 @@ func TestConcurrentReadAndIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer live.Close()
-	r, err := OpenCitationReader(dir, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
 
 	const batches = 40
 	ids := ds.Corpus.IDs()
@@ -421,11 +470,12 @@ func TestConcurrentReadAndIngest(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := r.Get(ids[(g*31+i)%len(ids)]); err != nil {
-					t.Errorf("Get: %v", err)
+				cur := live.Current()
+				id := ids[(g*31+i)%len(ids)]
+				if _, ok := cur.Corpus.Get(id); !ok {
+					t.Errorf("epoch %d lost base citation %d", cur.Epoch, id)
 					return
 				}
-				cur := live.Current()
 				if cur.Corpus.Len() < ds.Corpus.Len() {
 					t.Error("observed a snapshot smaller than the base dataset")
 					return

@@ -53,7 +53,7 @@ func OpenLive(dir string) (*Live, error) {
 		return nil, err
 	}
 	path := filepath.Join(dir, tableIngest+tableSuffix)
-	end, err := readLog(path, true, func(_ int64, payload []byte) error {
+	end, err := readLog(path, true, func(payload []byte) error {
 		batch, derr := decodeIngestBatch(payload)
 		if derr != nil {
 			return derr

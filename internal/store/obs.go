@@ -10,10 +10,6 @@ var (
 		"Dataset loads by outcome (ok, error).", "outcome")
 	storeLoadSeconds = obs.Default.Histogram("bionav_store_load_seconds",
 		"Wall time to load a dataset from disk.")
-	citationCacheHits = obs.Default.Counter("bionav_citation_cache_hits_total",
-		"CitationReader point lookups served from the decoded-citation LRU.")
-	citationCacheMisses = obs.Default.Counter("bionav_citation_cache_misses_total",
-		"CitationReader point lookups that read and decoded from disk.")
 	storeTornTails = obs.Default.Counter("bionav_store_torn_tails_total",
 		"Torn tails (crash artifacts) found while scanning store logs: base tables, ingest log.")
 	ingestBatches = obs.Default.CounterVec("bionav_ingest_batches_total",

@@ -91,8 +91,8 @@ func (sn *Snapshot) Ingest(batch []corpus.Citation) (*Snapshot, IngestStats, err
 
 // The ingest log frames one record per batch: a citation count followed by
 // each citation as a length-prefixed sub-record (the same codec as the
-// citations table), so readers can locate individual citations inside a
-// frame without decoding their predecessors.
+// citations table). The format is fixed: every ingest log on disk is
+// written this way, and TestIngestLogFormatPinned holds its bytes.
 
 func encodeIngestBatch(batch []corpus.Citation) ([]byte, error) {
 	var enc, sub Encoder

@@ -32,8 +32,8 @@ const MaxRecord = 256 << 20
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Checksum is the frame checksum of p, CRC-32C.
-func Checksum(p []byte) uint32 { return crc32.Checksum(p, castagnoli) }
+// checksum is the frame checksum of p, CRC-32C.
+func checksum(p []byte) uint32 { return crc32.Checksum(p, castagnoli) }
 
 // Status says why a scan stopped.
 type Status int
@@ -119,7 +119,7 @@ func Scan(path string, fn func(off int64, payload []byte) error) (end int64, st 
 		if _, err := io.ReadFull(br, buf); err != nil {
 			return end, Corrupt, fmt.Errorf("wal: scan %s: %w", path, err)
 		}
-		if Checksum(buf) != binary.LittleEndian.Uint32(hdr[4:8]) {
+		if checksum(buf) != binary.LittleEndian.Uint32(hdr[4:8]) {
 			if next == size {
 				return end, Torn, nil
 			}
@@ -185,7 +185,7 @@ func (w *Writer) Append(payload []byte) error {
 	}
 	var hdr [HeaderLen]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], Checksum(payload))
+	binary.LittleEndian.PutUint32(hdr[4:8], checksum(payload))
 	if _, err := w.bw.Write(hdr[:]); err != nil {
 		return w.fail("append", err)
 	}
