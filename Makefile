@@ -57,18 +57,17 @@ golden-test:
 	$(GO) test -count=1 -run 'TranscriptGolden' ./internal/server
 
 # Short fuzz runs of the differential Opt-EdgeCut, PolyCut, k-partition,
-# active-tree and navigation-tree build targets, the hierarchy
-# serialization round-trip, and the parsers that read outside input: the
-# /api/query keyword parser, the MeSH ASCII and MEDLINE XML readers behind
-# bionav.Import, the frame scanner every durable file goes through, and
-# the ingest-log batch decoder — CI-sized smoke, not a campaign.
+# active-tree and navigation-tree build targets, and the parsers that read
+# outside input: the /api/query keyword parser, the MeSH ASCII and MEDLINE
+# XML readers behind bionav.Import, the frame scanner every durable file
+# goes through, and the ingest-log batch decoder — CI-sized smoke, not a
+# campaign.
 fuzz-smoke:
 	$(GO) test -run FuzzOptEdgeCut -fuzz FuzzOptEdgeCut -fuzztime 10s ./internal/core
 	$(GO) test -run FuzzPolyCut -fuzz FuzzPolyCut -fuzztime 10s ./internal/core
 	$(GO) test -run FuzzKPartition -fuzz FuzzKPartition -fuzztime 10s ./internal/core
 	$(GO) test -run FuzzActiveTree -fuzz FuzzActiveTree -fuzztime 10s ./internal/core
 	$(GO) test -run FuzzBuild -fuzz FuzzBuild -fuzztime 10s ./internal/navtree
-	$(GO) test -run FuzzHierarchySerialization -fuzz FuzzHierarchySerialization -fuzztime 10s ./internal/hierarchy
 	$(GO) test -run FuzzParseQuery -fuzz FuzzParseQuery -fuzztime 10s ./internal/index
 	$(GO) test -run FuzzParseMeSHASCII -fuzz FuzzParseMeSHASCII -fuzztime 10s ./internal/hierarchy
 	$(GO) test -run FuzzParseMedlineXML -fuzz FuzzParseMedlineXML -fuzztime 10s ./internal/corpus

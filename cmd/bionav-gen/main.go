@@ -1,7 +1,8 @@
 // Command bionav-gen performs BioNav's off-line pre-processing (§VII): it
-// synthesizes a dataset — concept hierarchy, annotated citation corpus with
-// the denormalized associations table, and keyword index — and writes it to
-// a BioNav database directory for the on-line tools to open.
+// synthesizes a dataset — concept hierarchy and annotated citation corpus
+// with the denormalized associations table — and writes it to a BioNav
+// database directory for the on-line tools to open, which build the
+// keyword index from the citations' terms.
 //
 // Two dataset flavors are available:
 //

@@ -10,7 +10,6 @@ package corpus
 
 import (
 	"fmt"
-	"sort"
 
 	"bionav/internal/hierarchy"
 )
@@ -213,26 +212,4 @@ func (c *Corpus) ComputeStats() Stats {
 		s.MeanGlobalCount = float64(total) / float64(len(c.globalCount))
 	}
 	return s
-}
-
-// ResultCounts returns, for a set of result citations, how many of them are
-// associated with each concept — the |res(c)| numerator used throughout the
-// cost model. Unknown citation IDs are ignored. The result maps only
-// concepts with non-zero counts.
-func (c *Corpus) ResultCounts(results []CitationID) map[hierarchy.ConceptID]int {
-	counts := make(map[hierarchy.ConceptID]int)
-	for _, id := range results {
-		for _, cid := range c.Concepts(id) {
-			counts[cid]++
-		}
-	}
-	return counts
-}
-
-// SortedConcepts returns the concepts annotating id in ascending ID order;
-// used by tests and deterministic output paths.
-func SortedConcepts(cit *Citation) []hierarchy.ConceptID {
-	out := append([]hierarchy.ConceptID(nil), cit.Concepts...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

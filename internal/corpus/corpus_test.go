@@ -172,33 +172,6 @@ func TestNewRejectsBadInput(t *testing.T) {
 	}
 }
 
-func TestResultCounts(t *testing.T) {
-	tree := testTree(t)
-	c := smallCorpus(t, tree)
-	ids := c.IDs()[:50]
-	counts := c.ResultCounts(ids)
-	// Cross-check against a direct recount.
-	want := make(map[hierarchy.ConceptID]int)
-	for _, id := range ids {
-		for _, cid := range c.Concepts(id) {
-			want[cid]++
-		}
-	}
-	if len(counts) != len(want) {
-		t.Fatalf("len = %d, want %d", len(counts), len(want))
-	}
-	for k, v := range want {
-		if counts[k] != v {
-			t.Fatalf("counts[%d] = %d, want %d", k, counts[k], v)
-		}
-	}
-	// Unknown IDs contribute nothing.
-	counts2 := c.ResultCounts([]CitationID{999999})
-	if len(counts2) != 0 {
-		t.Fatalf("unknown IDs produced counts: %v", counts2)
-	}
-}
-
 func TestAnnotatorBounded(t *testing.T) {
 	tree := testTree(t)
 	a := NewAnnotator(tree, rng.New(2))
@@ -255,18 +228,6 @@ func TestTokenizeTrimsDashes(t *testing.T) {
 		if tok == "" || tok[0] == '-' {
 			t.Fatalf("token %q has leading dash", tok)
 		}
-	}
-}
-
-func TestSortedConcepts(t *testing.T) {
-	cit := &Citation{Concepts: []hierarchy.ConceptID{5, 2, 9}}
-	got := SortedConcepts(cit)
-	if got[0] != 2 || got[1] != 5 || got[2] != 9 {
-		t.Fatalf("got %v", got)
-	}
-	// Original untouched.
-	if cit.Concepts[0] != 5 {
-		t.Fatal("SortedConcepts mutated input")
 	}
 }
 

@@ -1,7 +1,6 @@
 package hierarchy
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
@@ -20,59 +19,6 @@ func FuzzParseMeSHASCII(f *testing.F) {
 		}
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("parsed tree invalid: %v", err)
-		}
-	})
-}
-
-// FuzzHierarchySerialization: any input that decodes must round-trip — a
-// decoded tree re-encodes to a canonical form that decodes again to an
-// equivalent tree and re-encodes byte-identically. This pins the
-// serialization's determinism (DET discipline): two encodes of the same
-// tree may never differ.
-func FuzzHierarchySerialization(f *testing.F) {
-	f.Add("bionav-hierarchy v1 2\n-1\troot\n0\tchild\n")
-	f.Add("bionav-hierarchy v1 4\n-1\troot\n0\ta\n0\tb\n1\tc\n")
-	f.Add("bionav-hierarchy v1 1\n-1\troot\n")
-	f.Fuzz(func(t *testing.T, in string) {
-		tr, err := Decode(strings.NewReader(in))
-		if err != nil {
-			return
-		}
-		var first bytes.Buffer
-		if err := Encode(&first, tr); err != nil {
-			t.Fatalf("encode decoded tree: %v", err)
-		}
-		tr2, err := Decode(bytes.NewReader(first.Bytes()))
-		if err != nil {
-			t.Fatalf("canonical form does not decode: %v", err)
-		}
-		if tr2.Len() != tr.Len() {
-			t.Fatalf("round trip changed node count: %d != %d", tr2.Len(), tr.Len())
-		}
-		var second bytes.Buffer
-		if err := Encode(&second, tr2); err != nil {
-			t.Fatalf("re-encode: %v", err)
-		}
-		if !bytes.Equal(first.Bytes(), second.Bytes()) {
-			t.Fatalf("encode is not deterministic across a round trip:\n%q\nvs\n%q",
-				first.Bytes(), second.Bytes())
-		}
-	})
-}
-
-// FuzzDecodeHierarchy: arbitrary text must decode into a valid tree or
-// error cleanly.
-func FuzzDecodeHierarchy(f *testing.F) {
-	f.Add("bionav-hierarchy v1 2\n-1\troot\n0\tchild\n")
-	f.Add("bionav-hierarchy v1 1\n-1\troot\n")
-	f.Add("junk")
-	f.Fuzz(func(t *testing.T, in string) {
-		tr, err := Decode(strings.NewReader(in))
-		if err != nil {
-			return
-		}
-		if err := tr.Validate(); err != nil {
-			t.Fatalf("decoded tree invalid: %v", err)
 		}
 	})
 }

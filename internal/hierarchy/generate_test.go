@@ -1,7 +1,6 @@
 package hierarchy
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -129,47 +128,6 @@ func TestLabelMakerUnique(t *testing.T) {
 			t.Fatalf("untrimmed or empty label %q", l)
 		}
 		seen[l] = true
-	}
-}
-
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	tr := Generate(GenConfig{Seed: 3, Nodes: 800, TopLevel: 12, MaxDepth: 8})
-	var buf bytes.Buffer
-	if err := Encode(&buf, tr); err != nil {
-		t.Fatalf("Encode: %v", err)
-	}
-	got, err := Decode(&buf)
-	if err != nil {
-		t.Fatalf("Decode: %v", err)
-	}
-	if got.Len() != tr.Len() {
-		t.Fatalf("size: %d vs %d", got.Len(), tr.Len())
-	}
-	for i := 0; i < tr.Len(); i++ {
-		a, b := tr.Node(ConceptID(i)), got.Node(ConceptID(i))
-		if a.Label != b.Label || a.Parent != b.Parent || a.TreeID != b.TreeID || a.Depth != b.Depth {
-			t.Fatalf("node %d: %+v vs %+v", i, a, b)
-		}
-	}
-}
-
-func TestDecodeRejectsGarbage(t *testing.T) {
-	cases := map[string]string{
-		"empty":            "",
-		"bad header":       "not-a-header\n",
-		"bad count":        "bionav-hierarchy v1 x\n",
-		"zero count":       "bionav-hierarchy v1 0\n",
-		"truncated":        "bionav-hierarchy v1 3\n-1\troot\n0\ta\n",
-		"root with parent": "bionav-hierarchy v1 1\n5\troot\n",
-		"forward parent":   "bionav-hierarchy v1 3\n-1\troot\n2\ta\n0\tb\n",
-		"no tab":           "bionav-hierarchy v1 2\n-1\troot\nmissing\n",
-		"bad parent int":   "bionav-hierarchy v1 2\n-1\troot\nxx\ta\n",
-		"dup labels":       "bionav-hierarchy v1 3\n-1\troot\n0\ta\n0\ta\n",
-	}
-	for name, in := range cases {
-		if _, err := Decode(strings.NewReader(in)); err == nil {
-			t.Errorf("%s: Decode accepted %q", name, in)
-		}
 	}
 }
 

@@ -3,13 +3,10 @@
 // and a MeSH-style positional tree identifier. It also provides a synthetic
 // generator that reproduces the shape statistics of the 2008 MeSH hierarchy
 // the paper navigates (~48,000 concepts, 16 top-level categories, bushy upper
-// levels) and a line-oriented text serialization.
+// levels).
 package hierarchy
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // ConceptID identifies a concept node within a Tree. IDs are dense indexes
 // assigned in insertion order; the root is always ID 0.
@@ -32,10 +29,9 @@ type Node struct {
 // Tree is a concept hierarchy rooted at node 0. Trees are immutable once
 // built and safe for concurrent readers.
 type Tree struct {
-	nodes    []Node
-	byTreeID map[string]ConceptID
-	byLabel  map[string]ConceptID
-	height   int
+	nodes   []Node
+	byLabel map[string]ConceptID
+	height  int
 }
 
 // Root returns the ID of the root concept.
@@ -60,12 +56,6 @@ func (t *Tree) Parent(id ConceptID) ConceptID { return t.nodes[id].Parent }
 // Children returns the children of id. The returned slice must not be
 // modified.
 func (t *Tree) Children(id ConceptID) []ConceptID { return t.nodes[id].Children }
-
-// ByTreeID resolves a positional tree identifier to a concept.
-func (t *Tree) ByTreeID(treeID string) (ConceptID, bool) {
-	id, ok := t.byTreeID[treeID]
-	return id, ok
-}
 
 // ByLabel resolves a label to a concept. Labels are unique within a tree.
 func (t *Tree) ByLabel(label string) (ConceptID, bool) {
@@ -108,35 +98,6 @@ func (t *Tree) PreOrder(id ConceptID, visit func(ConceptID) bool) {
 	for _, c := range t.nodes[id].Children {
 		t.PreOrder(c, visit)
 	}
-}
-
-// PostOrder visits the subtree rooted at id in depth-first post-order.
-func (t *Tree) PostOrder(id ConceptID, visit func(ConceptID)) {
-	for _, c := range t.nodes[id].Children {
-		t.PostOrder(c, visit)
-	}
-	visit(id)
-}
-
-// SubtreeSize reports the number of nodes in the subtree rooted at id,
-// including id itself.
-func (t *Tree) SubtreeSize(id ConceptID) int {
-	n := 0
-	t.PreOrder(id, func(ConceptID) bool { n++; return true })
-	return n
-}
-
-// Descendants returns every node in the subtree rooted at id except id
-// itself, in pre-order.
-func (t *Tree) Descendants(id ConceptID) []ConceptID {
-	var out []ConceptID
-	t.PreOrder(id, func(c ConceptID) bool {
-		if c != id {
-			out = append(out, c)
-		}
-		return true
-	})
-	return out
 }
 
 // Stats summarizes the shape of a hierarchy; the generator's tests compare
@@ -213,7 +174,7 @@ func (b *Builder) Add(parent ConceptID, label string) ConceptID {
 }
 
 // Build finalizes the tree: it assigns MeSH-style tree identifiers, verifies
-// label uniqueness, and indexes the result. Build returns an error if two
+// label uniqueness, and indexes the labels. Build returns an error if two
 // concepts share a label.
 func (b *Builder) Build() (*Tree, error) {
 	if b.built {
@@ -221,9 +182,8 @@ func (b *Builder) Build() (*Tree, error) {
 	}
 	b.built = true
 	t := &Tree{
-		nodes:    b.nodes,
-		byTreeID: make(map[string]ConceptID, len(b.nodes)),
-		byLabel:  make(map[string]ConceptID, len(b.nodes)),
+		nodes:   b.nodes,
+		byLabel: make(map[string]ConceptID, len(b.nodes)),
 	}
 	assignTreeIDs(t.nodes, 0, "")
 	for i := range t.nodes {
@@ -235,9 +195,6 @@ func (b *Builder) Build() (*Tree, error) {
 			return nil, fmt.Errorf("hierarchy: duplicate label %q (nodes %d and %d)", n.Label, prev, n.ID)
 		}
 		t.byLabel[n.Label] = n.ID
-		if n.TreeID != "" {
-			t.byTreeID[n.TreeID] = n.ID
-		}
 	}
 	return t, nil
 }
@@ -262,8 +219,8 @@ func assignTreeIDs(nodes []Node, id ConceptID, prefix string) {
 
 // Validate checks the structural invariants of the tree: parent/child links
 // are mutually consistent, depths increase by one along edges, the node IDs
-// are dense, and every node is reachable from the root. It is used by tests
-// and by Decode on untrusted input.
+// are dense, and every node is reachable from the root. LoadDataset in
+// package store runs it on every hierarchy it reads from disk.
 func (t *Tree) Validate() error {
 	if len(t.nodes) == 0 {
 		return fmt.Errorf("hierarchy: empty tree")
@@ -297,46 +254,6 @@ func (t *Tree) Validate() error {
 	return nil
 }
 
-// ByTreeIDPrefix returns every concept whose positional tree identifier
-// starts with prefix, in ascending ID order — the MeSH-browser operation
-// "all descriptors under C04". An exact match is included. The root (empty
-// TreeID) is returned only for the empty prefix.
-func (t *Tree) ByTreeIDPrefix(prefix string) []ConceptID {
-	var out []ConceptID
-	for i := range t.nodes {
-		tid := t.nodes[i].TreeID
-		if len(tid) < len(prefix) || tid[:len(prefix)] != prefix {
-			continue
-		}
-		// "C04" must not match "C040…": a true prefix boundary is the end
-		// of the identifier or a dot.
-		if len(tid) > len(prefix) && prefix != "" && tid[len(prefix)] != '.' {
-			continue
-		}
-		out = append(out, ConceptID(i))
-	}
-	return out
-}
-
-// LCA returns the lowest common ancestor of a and b (which may be one of
-// them).
-func (t *Tree) LCA(a, b ConceptID) ConceptID {
-	da, db := t.nodes[a].Depth, t.nodes[b].Depth
-	for da > db {
-		a = t.nodes[a].Parent
-		da--
-	}
-	for db > da {
-		b = t.nodes[b].Parent
-		db--
-	}
-	for a != b {
-		a = t.nodes[a].Parent
-		b = t.nodes[b].Parent
-	}
-	return a
-}
-
 // Relabel returns a copy of t with the given nodes renamed. Structure and
 // tree identifiers are unchanged. It fails if a new label collides with an
 // existing one. The workload generator uses this to give planted target
@@ -353,15 +270,4 @@ func Relabel(t *Tree, labels map[ConceptID]string) (*Tree, error) {
 		b.Add(t.nodes[i].Parent, pick(ConceptID(i)))
 	}
 	return b.Build()
-}
-
-// SortedLabels returns every label in the tree in lexicographic order;
-// useful for stable iteration in tools and tests.
-func (t *Tree) SortedLabels() []string {
-	out := make([]string, 0, len(t.nodes))
-	for i := range t.nodes {
-		out = append(out, t.nodes[i].Label)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -3,8 +3,6 @@ package hierarchy
 import (
 	"strings"
 	"testing"
-
-	"bionav/internal/rng"
 )
 
 // smallTree builds the fragment of Fig. 3 from the paper:
@@ -114,16 +112,6 @@ func TestTreeIDs(t *testing.T) {
 			t.Errorf("%s: TreeID = %q, want %q", label, got, want)
 		}
 	}
-	// Round-trip via ByTreeID.
-	for label, tid := range cases {
-		if tid == "" {
-			continue
-		}
-		got, ok := tr.ByTreeID(tid)
-		if !ok || tr.Label(got) != label {
-			t.Errorf("ByTreeID(%q) = %v,%v; want %s", tid, got, ok, label)
-		}
-	}
 }
 
 func TestIsAncestorAndPath(t *testing.T) {
@@ -162,11 +150,16 @@ func TestIsAncestorAndPath(t *testing.T) {
 func TestWalksAndSubtreeSize(t *testing.T) {
 	tr := smallTree(t)
 	phys := mustID(t, tr, "Cell Physiology")
-	if n := tr.SubtreeSize(phys); n != 8 {
-		t.Errorf("SubtreeSize(Cell Physiology) = %d, want 8", n)
+	size := func(id ConceptID) int {
+		n := 0
+		tr.PreOrder(id, func(ConceptID) bool { n++; return true })
+		return n
 	}
-	if n := tr.SubtreeSize(tr.Root()); n != tr.Len() {
-		t.Errorf("SubtreeSize(root) = %d, want %d", n, tr.Len())
+	if n := size(phys); n != 8 {
+		t.Errorf("subtree size of Cell Physiology = %d, want 8", n)
+	}
+	if n := size(tr.Root()); n != tr.Len() {
+		t.Errorf("subtree size of the root = %d, want %d", n, tr.Len())
 	}
 
 	// Pre-order with pruning: skipping Cell Death's subtree.
@@ -182,34 +175,6 @@ func TestWalksAndSubtreeSize(t *testing.T) {
 	for i := range want {
 		if visited[i] != want[i] {
 			t.Fatalf("pruned pre-order = %v, want %v", visited, want)
-		}
-	}
-
-	// Post-order visits children before parents.
-	pos := map[string]int{}
-	i := 0
-	tr.PostOrder(tr.Root(), func(id ConceptID) {
-		pos[tr.Label(id)] = i
-		i++
-	})
-	if pos["Apoptosis"] > pos["Cell Death"] || pos["Cell Death"] > pos["Cell Physiology"] {
-		t.Errorf("post-order violates child-before-parent: %v", pos)
-	}
-	if i != tr.Len() {
-		t.Errorf("post-order visited %d nodes, want %d", i, tr.Len())
-	}
-}
-
-func TestDescendants(t *testing.T) {
-	tr := smallTree(t)
-	death := mustID(t, tr, "Cell Death")
-	desc := tr.Descendants(death)
-	if len(desc) != 3 {
-		t.Fatalf("Descendants(Cell Death) = %d nodes, want 3", len(desc))
-	}
-	for _, d := range desc {
-		if !tr.IsAncestor(death, d) {
-			t.Errorf("%s not under Cell Death", tr.Label(d))
 		}
 	}
 }
@@ -239,101 +204,5 @@ func TestValidateDetectsCorruption(t *testing.T) {
 	tr.nodes[3].Parent = 9 // sever a link
 	if err := tr.Validate(); err == nil {
 		t.Fatal("Validate accepted corrupted tree")
-	}
-}
-
-func TestSortedLabels(t *testing.T) {
-	tr := smallTree(t)
-	labels := tr.SortedLabels()
-	if len(labels) != tr.Len() {
-		t.Fatalf("len = %d", len(labels))
-	}
-	for i := 1; i < len(labels); i++ {
-		if labels[i-1] >= labels[i] {
-			t.Fatalf("not sorted at %d: %q >= %q", i, labels[i-1], labels[i])
-		}
-	}
-}
-
-func TestByTreeIDPrefix(t *testing.T) {
-	tr := smallTree(t)
-	// "A01.001" = Cell Physiology: its subtree spans 8 nodes.
-	got := tr.ByTreeIDPrefix("A01.001")
-	if len(got) != 8 {
-		t.Fatalf("prefix matched %d nodes, want 8", len(got))
-	}
-	phys := mustID(t, tr, "Cell Physiology")
-	for _, id := range got {
-		if id != phys && !tr.IsAncestor(phys, id) {
-			t.Fatalf("%s not under Cell Physiology", tr.Label(id))
-		}
-	}
-	// Exact boundary: "A01.001" must not match a hypothetical "A01.0010…";
-	// here check "A01" matches the whole Biological Phenomena subtree but
-	// not nothing else.
-	if got := tr.ByTreeIDPrefix("A01"); len(got) != tr.Len()-1 {
-		t.Fatalf("A01 matched %d nodes", len(got))
-	}
-	if got := tr.ByTreeIDPrefix("Z99"); got != nil {
-		t.Fatalf("bogus prefix matched %v", got)
-	}
-	// Empty prefix matches everything including the root.
-	if got := tr.ByTreeIDPrefix(""); len(got) != tr.Len() {
-		t.Fatalf("empty prefix matched %d", len(got))
-	}
-}
-
-func TestLCA(t *testing.T) {
-	tr := smallTree(t)
-	apo := mustID(t, tr, "Apoptosis")
-	necr := mustID(t, tr, "Necrosis")
-	prolif := mustID(t, tr, "Cell Proliferation")
-	death := mustID(t, tr, "Cell Death")
-	phys := mustID(t, tr, "Cell Physiology")
-	gen := mustID(t, tr, "Genetic Processes")
-
-	cases := []struct {
-		a, b, want ConceptID
-	}{
-		{apo, necr, death},
-		{apo, prolif, phys},
-		{apo, apo, apo},
-		{apo, death, death},
-		{apo, gen, mustID(t, tr, "Biological Phenomena")},
-		{tr.Root(), apo, tr.Root()},
-	}
-	for _, c := range cases {
-		if got := tr.LCA(c.a, c.b); got != c.want {
-			t.Errorf("LCA(%s,%s) = %s, want %s",
-				tr.Label(c.a), tr.Label(c.b), tr.Label(got), tr.Label(c.want))
-		}
-		if got := tr.LCA(c.b, c.a); got != c.want {
-			t.Errorf("LCA symmetric violation for (%s,%s)", tr.Label(c.a), tr.Label(c.b))
-		}
-	}
-}
-
-func TestLCAPropertyOnGenerated(t *testing.T) {
-	tr := Generate(GenConfig{Seed: 44, Nodes: 800, TopLevel: 12, MaxDepth: 9})
-	src := rng.New(5)
-	for trial := 0; trial < 300; trial++ {
-		a := ConceptID(src.Intn(tr.Len()))
-		b := ConceptID(src.Intn(tr.Len()))
-		l := tr.LCA(a, b)
-		// l is an ancestor-or-self of both.
-		if l != a && !tr.IsAncestor(l, a) {
-			t.Fatalf("LCA %d not ancestor of %d", l, a)
-		}
-		if l != b && !tr.IsAncestor(l, b) {
-			t.Fatalf("LCA %d not ancestor of %d", l, b)
-		}
-		// No child of l is an ancestor of both (lowest-ness).
-		for _, c := range tr.Children(l) {
-			aUnder := c == a || tr.IsAncestor(c, a)
-			bUnder := c == b || tr.IsAncestor(c, b)
-			if aUnder && bUnder {
-				t.Fatalf("LCA %d not lowest: child %d covers both", l, c)
-			}
-		}
 	}
 }

@@ -1,7 +1,6 @@
 package index
 
 import (
-	"strings"
 	"testing"
 
 	"bionav/internal/corpus"
@@ -29,24 +28,6 @@ func FuzzParseQuery(f *testing.F) {
 			if id != 1 && id != 2 {
 				t.Fatalf("query %q returned foreign id %d", q, id)
 			}
-		}
-	})
-}
-
-// FuzzDecode: arbitrary index files must decode or error cleanly, and
-// anything that decodes must re-encode.
-func FuzzDecode(f *testing.F) {
-	f.Add("bionav-index v1 2 1\nfoo\t1 2\n")
-	f.Add("bionav-index v1 0 0\n")
-	f.Add("garbage")
-	f.Fuzz(func(t *testing.T, in string) {
-		ix, err := Decode(strings.NewReader(in))
-		if err != nil {
-			return
-		}
-		var sb strings.Builder
-		if err := Encode(&sb, ix); err != nil {
-			t.Fatalf("decoded index failed to encode: %v", err)
 		}
 	})
 }

@@ -1,23 +1,18 @@
 // Package index implements the keyword search engine BioNav queries for
 // citation IDs — the stand-in for PubMed's ESearch utility (§VII). It is an
-// in-memory inverted index with sorted postings lists, conjunctive (AND)
-// and disjunctive (OR) evaluation, and a text serialization so prebuilt
-// indexes can be shipped alongside the BioNav database.
+// in-memory inverted index with sorted postings lists and conjunctive
+// (AND) and disjunctive (OR) evaluation, built from the corpus's citation
+// terms.
 package index
 
 import (
-	"bufio"
-	"fmt"
-	"io"
 	"sort"
-	"strconv"
-	"strings"
 
 	"bionav/internal/corpus"
 )
 
 // Index maps terms to sorted, duplicate-free postings of citation IDs.
-// An Index is immutable after Build/Decode and safe for concurrent readers.
+// An Index is immutable after Build and safe for concurrent readers.
 type Index struct {
 	postings map[string][]corpus.CitationID
 	docs     int
@@ -29,17 +24,6 @@ func Build(c *corpus.Corpus) *Index {
 	for i := 0; i < c.Len(); i++ {
 		cit := c.At(i)
 		ix.add(cit.ID, cit.Terms)
-	}
-	ix.finish()
-	return ix
-}
-
-// BuildFromDocs indexes an explicit (id, terms) association; used by tests
-// and by tools that index documents outside a Corpus.
-func BuildFromDocs(docs map[corpus.CitationID][]string) *Index {
-	ix := &Index{postings: make(map[string][]corpus.CitationID)}
-	for id, terms := range docs {
-		ix.add(id, terms)
 	}
 	ix.finish()
 	return ix
@@ -185,17 +169,6 @@ func (ix *Index) Search(query string) []corpus.CitationID {
 	return append([]corpus.CitationID(nil), result...)
 }
 
-// SearchAny returns documents containing at least one query token, sorted
-// ascending (disjunctive semantics).
-func (ix *Index) SearchAny(query string) []corpus.CitationID {
-	terms := corpus.Tokenize(query)
-	var result []corpus.CitationID
-	for _, t := range terms {
-		result = union(result, ix.postings[t])
-	}
-	return result
-}
-
 // intersect merges two sorted lists, using galloping search when the sizes
 // are lopsided — the standard trick for conjunctive query evaluation.
 func intersect(a, b []corpus.CitationID) []corpus.CitationID {
@@ -256,102 +229,4 @@ func union(a, b []corpus.CitationID) []corpus.CitationID {
 	out = append(out, a[i:]...)
 	out = append(out, b[j:]...)
 	return out
-}
-
-// The text serialization is line-oriented:
-//
-//	bionav-index v1 <docs> <terms>
-//	<term>\t<id> <id> ...        (IDs delta-encoded from the previous one)
-
-const encodeHeader = "bionav-index v1"
-
-// Encode writes the index to w. Terms are emitted in sorted order so output
-// is deterministic.
-func Encode(w io.Writer, ix *Index) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "%s %d %d\n", encodeHeader, ix.docs, len(ix.postings)); err != nil {
-		return err
-	}
-	terms := make([]string, 0, len(ix.postings))
-	for t := range ix.postings {
-		terms = append(terms, t)
-	}
-	sort.Strings(terms)
-	for _, t := range terms {
-		if _, err := bw.WriteString(t); err != nil {
-			return err
-		}
-		if err := bw.WriteByte('\t'); err != nil {
-			return err
-		}
-		prev := corpus.CitationID(0)
-		for i, id := range ix.postings[t] {
-			if i > 0 {
-				if err := bw.WriteByte(' '); err != nil {
-					return err
-				}
-			}
-			if _, err := bw.WriteString(strconv.FormatInt(int64(id-prev), 10)); err != nil {
-				return err
-			}
-			prev = id
-		}
-		if err := bw.WriteByte('\n'); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// Decode reads an index previously written by Encode.
-func Decode(r io.Reader) (*Index, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
-	if !sc.Scan() {
-		return nil, fmt.Errorf("index: missing header")
-	}
-	var docs, terms int
-	rest, ok := strings.CutPrefix(sc.Text(), encodeHeader+" ")
-	if !ok {
-		return nil, fmt.Errorf("index: bad header %q", sc.Text())
-	}
-	if _, err := fmt.Sscanf(rest, "%d %d", &docs, &terms); err != nil {
-		return nil, fmt.Errorf("index: bad header %q: %w", sc.Text(), err)
-	}
-	if docs < 0 || terms < 0 {
-		return nil, fmt.Errorf("index: negative header counts")
-	}
-	ix := &Index{postings: make(map[string][]corpus.CitationID, terms), docs: docs}
-	for i := 0; i < terms; i++ {
-		if !sc.Scan() {
-			return nil, fmt.Errorf("index: truncated at term %d of %d", i, terms)
-		}
-		term, idsStr, ok := strings.Cut(sc.Text(), "\t")
-		if !ok || term == "" {
-			return nil, fmt.Errorf("index: malformed line %q", sc.Text())
-		}
-		if _, dup := ix.postings[term]; dup {
-			return nil, fmt.Errorf("index: duplicate term %q", term)
-		}
-		fields := strings.Fields(idsStr)
-		list := make([]corpus.CitationID, 0, len(fields))
-		prev := corpus.CitationID(0)
-		for _, f := range fields {
-			d, err := strconv.ParseInt(f, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("index: term %q: bad delta %q", term, f)
-			}
-			id := prev + corpus.CitationID(d)
-			// prev starts at 0, so this also rejects a non-positive first
-			// ID: a negative first delta would otherwise smuggle in a
-			// negative CitationID, and a zero one a duplicate-of-zero.
-			if id <= prev {
-				return nil, fmt.Errorf("index: term %q: postings not ascending", term)
-			}
-			list = append(list, id)
-			prev = id
-		}
-		ix.postings[term] = list
-	}
-	return ix, sc.Err()
 }

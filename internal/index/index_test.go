@@ -1,9 +1,7 @@
 package index
 
 import (
-	"bytes"
 	"sort"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -45,13 +43,13 @@ func TestSearchAND(t *testing.T) {
 
 func TestSearchOR(t *testing.T) {
 	ix := BuildFromDocs(docs())
-	got := ix.SearchAny("chromatin apoptosis")
+	got := ix.SearchQuery("chromatin OR apoptosis")
 	want := []corpus.CitationID{2, 3, 4, 5}
 	if !equalIDs(got, want) {
-		t.Errorf("SearchAny = %v, want %v", got, want)
+		t.Errorf("SearchQuery(OR) = %v, want %v", got, want)
 	}
-	if got := ix.SearchAny(""); got != nil {
-		t.Errorf("SearchAny(\"\") = %v", got)
+	if got, want := ix.SearchQuery("chromatin OR nosuchterm"), []corpus.CitationID{4, 5}; !equalIDs(got, want) {
+		t.Errorf("SearchQuery(OR with an absent term) = %v, want %v", got, want)
 	}
 }
 
@@ -149,60 +147,17 @@ func TestBuildFromCorpusEndToEnd(t *testing.T) {
 	}
 }
 
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	ix := BuildFromDocs(docs())
-	var buf bytes.Buffer
-	if err := Encode(&buf, ix); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Decode(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Docs() != ix.Docs() || got.Terms() != ix.Terms() {
-		t.Fatalf("header mismatch: %d/%d vs %d/%d", got.Docs(), got.Terms(), ix.Docs(), ix.Terms())
-	}
-	for term, want := range ix.postings {
-		if !equalIDs(got.Postings(term), want) {
-			t.Fatalf("term %q: %v vs %v", term, got.Postings(term), want)
-		}
-	}
-}
-
-func TestEncodeDeterministic(t *testing.T) {
-	ix := BuildFromDocs(docs())
-	var a, b bytes.Buffer
-	if err := Encode(&a, ix); err != nil {
-		t.Fatal(err)
-	}
-	if err := Encode(&b, ix); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("Encode output not deterministic")
-	}
-}
-
-func TestDecodeRejectsGarbage(t *testing.T) {
-	cases := map[string]string{
-		"empty":          "",
-		"bad header":     "nope\n",
-		"bad counts":     "bionav-index v1 x y\n",
-		"negative":       "bionav-index v1 -1 0\n",
-		"truncated":      "bionav-index v1 2 2\nfoo\t1 2\n",
-		"no tab":         "bionav-index v1 1 1\nfoo 1 2\n",
-		"bad delta":      "bionav-index v1 1 1\nfoo\t1 x\n",
-		"non-ascending":  "bionav-index v1 1 1\nfoo\t5 0\n",
-		"duplicate term": "bionav-index v1 1 2\nfoo\t1\nfoo\t2\n",
-	}
-	for name, in := range cases {
-		if _, err := Decode(strings.NewReader(in)); err == nil {
-			t.Errorf("%s: accepted %q", name, in)
-		}
-	}
-}
-
 // --- helpers ---
+
+// BuildFromDocs indexes an explicit (id, terms) association.
+func BuildFromDocs(docs map[corpus.CitationID][]string) *Index {
+	ix := &Index{postings: make(map[string][]corpus.CitationID)}
+	for id, terms := range docs {
+		ix.add(id, terms)
+	}
+	ix.finish()
+	return ix
+}
 
 func equalIDs(a, b []corpus.CitationID) bool {
 	if len(a) != len(b) {

@@ -1,6 +1,10 @@
 package navtree
 
-import "testing"
+import (
+	"testing"
+
+	"bionav/internal/corpus"
+)
 
 // qk builds an epoch-0 cache key, the common case in these tests.
 func qk(q string) Key { return Key{Query: q} }
@@ -129,11 +133,13 @@ func TestCacheEpochKeys(t *testing.T) {
 }
 
 // TestResultIndexesMatchResults checks the precomputed per-node result-index
-// slices agree with mapping Results through ResultIndex — the invariant
-// NewActiveTree's bitset construction relies on.
+// slices agree with mapping Results through the oracle's citation → dense
+// index map — the invariant NewActiveTree's bitset construction relies on.
 func TestResultIndexesMatchResults(t *testing.T) {
 	f := newFixture(t)
-	nt := f.build(t, 1, 2, 3, 4)
+	ids := []corpus.CitationID{1, 2, 3, 4}
+	nt := f.build(t, ids...)
+	resultIdx := oracleBuild(f.corp, ids).resultIdx
 	for id := NodeID(0); int(id) < nt.Len(); id++ {
 		results := nt.Results(id)
 		idxs := nt.ResultIndexes(id)
@@ -141,9 +147,9 @@ func TestResultIndexesMatchResults(t *testing.T) {
 			t.Fatalf("node %d: %d results but %d indexes", id, len(results), len(idxs))
 		}
 		for j, cit := range results {
-			want, ok := nt.ResultIndex(cit)
+			want, ok := resultIdx[cit]
 			if !ok {
-				t.Fatalf("node %d: citation %d missing from ResultIndex", id, cit)
+				t.Fatalf("node %d: citation %d missing from the oracle's result indexes", id, cit)
 			}
 			if int(idxs[j]) != want {
 				t.Fatalf("node %d result %d: index %d, want %d", id, j, idxs[j], want)

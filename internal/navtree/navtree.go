@@ -30,11 +30,10 @@ type Node struct {
 // Tree is an immutable navigation tree for one query result.
 type Tree struct {
 	corp        *corpus.Corpus
-	nodes       []Node // ascending by Concept; parents precede children
-	distinct    int    // distinct citations across the whole tree
-	attachments int    // citations attached across all nodes, with duplicates
-	resultIdx   map[corpus.CitationID]int
-	nodeIdxs    [][]int32 // per node: Results mapped through resultIdx
+	nodes       []Node    // ascending by Concept; parents precede children
+	distinct    int       // distinct citations across the whole tree
+	attachments int       // citations attached across all nodes, with duplicates
+	nodeIdxs    [][]int32 // per node: the dense result index of each of Results
 
 	aggOnce sync.Once
 	agg     any // see Aggregates
@@ -59,17 +58,17 @@ func Build(corp *corpus.Corpus, results []corpus.CitationID) *Tree {
 		id       corpus.CitationID
 		concepts []hierarchy.ConceptID
 	}
-	resultIdx := make(map[corpus.CitationID]int, len(results))
+	seen := make(map[corpus.CitationID]struct{}, len(results))
 	order := make([]kept, 0, len(results))
 	for _, id := range results {
-		if _, dup := resultIdx[id]; dup {
+		if _, dup := seen[id]; dup {
 			continue
 		}
 		concepts := corp.Concepts(id)
 		if concepts == nil {
 			continue
 		}
-		resultIdx[id] = len(order)
+		seen[id] = struct{}{}
 		order = append(order, kept{id: id, concepts: concepts})
 	}
 
@@ -169,7 +168,6 @@ func Build(corp *corpus.Corpus, results []corpus.CitationID) *Tree {
 		nodes:       nodes,
 		distinct:    len(order),
 		attachments: attachments,
-		resultIdx:   resultIdx,
 		nodeIdxs:    nodeIdxs,
 	}
 }
@@ -246,17 +244,11 @@ func (t *Tree) DistinctTotal() int { return t.distinct }
 // nodes, counted with duplicates (Stats.TotalAttached).
 func (t *Tree) Attachments() int { return t.attachments }
 
-// ResultIndex maps a result citation to its dense index in [0,
-// DistinctTotal()); used to build per-node citation bitsets. The second
-// return is false for citations outside the query result.
-func (t *Tree) ResultIndex(id corpus.CitationID) (int, bool) {
-	i, ok := t.resultIdx[id]
-	return i, ok
-}
-
-// ResultIndexes returns Results(id) mapped through ResultIndex, in the
-// same order — the dense citation indexes a bitset builder needs, with no
-// per-citation map lookups. The slice must not be modified.
+// ResultIndexes returns the dense index in [0, DistinctTotal()) of each
+// of Results(id), in the same order: a citation's position among the
+// distinct known citations of the result list, in the order Build was
+// given them. These are the indexes a per-node citation bitset needs. The
+// slice must not be modified.
 func (t *Tree) ResultIndexes(id NodeID) []int32 { return t.nodeIdxs[id] }
 
 // Aggregates returns per-tree derived state, computing it with compute on
@@ -313,19 +305,6 @@ func (t *Tree) Subtree(id NodeID) []NodeID {
 	var out []NodeID
 	t.PreOrder(id, func(n NodeID) bool { out = append(out, n); return true })
 	return out
-}
-
-// DistinctIn returns the number of distinct citations attached to the given
-// set of nodes — the count displayed next to each concept in the paper's
-// interface (Definition 5).
-func (t *Tree) DistinctIn(nodes []NodeID) int {
-	seen := make(map[corpus.CitationID]struct{})
-	for _, n := range nodes {
-		for _, c := range t.nodes[n].Results {
-			seen[c] = struct{}{}
-		}
-	}
-	return len(seen)
 }
 
 // Stats are the navigation-tree characteristics reported in Table I.

@@ -177,20 +177,6 @@ func TestDuplicateAndUnknownResultsIgnored(t *testing.T) {
 	}
 }
 
-func TestDistinctIn(t *testing.T) {
-	f := newFixture(t)
-	nt := f.build(t, 1, 2, 3)
-	apoNode, _ := nt.NodeByConcept(f.ids["apo"])
-	prolifNode, _ := nt.NodeByConcept(f.ids["prolif"])
-	// apo = {1,2}, prolif = {2,3}: union = 3 distinct.
-	if got := nt.DistinctIn([]NodeID{apoNode, prolifNode}); got != 3 {
-		t.Fatalf("DistinctIn = %d, want 3", got)
-	}
-	if got := nt.DistinctIn(nil); got != 0 {
-		t.Fatalf("DistinctIn(nil) = %d", got)
-	}
-}
-
 func TestStatsCountDuplicates(t *testing.T) {
 	f := newFixture(t)
 	nt := f.build(t, 1, 2, 3, 4)
@@ -218,17 +204,25 @@ func TestStatsCountDuplicates(t *testing.T) {
 
 func TestResultIndexDense(t *testing.T) {
 	f := newFixture(t)
-	nt := f.build(t, 3, 1, 2)
-	seen := make(map[int]bool)
-	for _, id := range []corpus.CitationID{1, 2, 3} {
-		i, ok := nt.ResultIndex(id)
-		if !ok || i < 0 || i >= 3 || seen[i] {
-			t.Fatalf("ResultIndex(%d) = %d,%v", id, i, ok)
+	// Result order numbers the distinct known citations; the repeat of 3
+	// and the unknown 999 take no index.
+	nt := f.build(t, 3, 1, 999, 3, 2)
+	want := map[corpus.CitationID]int32{3: 0, 1: 1, 2: 2}
+	seen := make(map[int32]bool)
+	for id := NodeID(0); id < nt.Len(); id++ {
+		idxs := nt.ResultIndexes(id)
+		if len(idxs) != nt.NumResults(id) {
+			t.Fatalf("node %d: %d results but %d indexes", id, nt.NumResults(id), len(idxs))
 		}
-		seen[i] = true
+		for j, cit := range nt.Results(id) {
+			if w, ok := want[cit]; !ok || idxs[j] != w {
+				t.Fatalf("node %d: citation %d has index %d, want %d (known %v)", id, cit, idxs[j], w, ok)
+			}
+			seen[idxs[j]] = true
+		}
 	}
-	if _, ok := nt.ResultIndex(999); ok {
-		t.Fatal("ResultIndex accepted unknown citation")
+	if len(seen) != nt.DistinctTotal() || nt.DistinctTotal() != 3 {
+		t.Fatalf("%d indexes in use, DistinctTotal = %d, want 3 and 3", len(seen), nt.DistinctTotal())
 	}
 }
 

@@ -52,7 +52,8 @@ func (s *Scorer) idf(term string) float64 {
 // Score returns the BM25 relevance of one citation for the query. Unknown
 // citations score 0.
 func (s *Scorer) Score(query string, id corpus.CitationID) float64 {
-	return s.score(s.weigh(query), id)
+	score, _ := s.score(s.weigh(query), id)
+	return score
 }
 
 // weighted is a query term with its idf.
@@ -72,12 +73,13 @@ func (s *Scorer) weigh(query string) []weighted {
 	return q
 }
 
-// score sums the BM25 weights of the query terms the citation holds.
-// Tokenize deduplicates, so each term counts once.
-func (s *Scorer) score(q []weighted, id corpus.CitationID) float64 {
+// score sums the BM25 weights of the query terms the citation holds, and
+// returns the citation's year with it. Tokenize deduplicates, so each term
+// counts once. An unknown citation scores 0 in year 0.
+func (s *Scorer) score(q []weighted, id corpus.CitationID) (float64, int) {
 	cit, ok := s.corp.Get(id)
-	if !ok || len(q) == 0 {
-		return 0
+	if !ok {
+		return 0, 0
 	}
 	norm := k1 * (1 - b + b*float64(len(cit.Terms))/s.avgDocLen)
 	score := 0.0
@@ -88,7 +90,7 @@ func (s *Scorer) score(q []weighted, id corpus.CitationID) float64 {
 		// Binary tf: tf(k1+1)/(tf+norm) with tf=1.
 		score += t.idf * (k1 + 1) / (1 + norm)
 	}
-	return score
+	return score, cit.Year
 }
 
 // Scored pairs a citation with its relevance.
@@ -98,27 +100,38 @@ type Scored struct {
 }
 
 // Rank orders ids by descending BM25 score; ties break by descending year
-// (prefer recent literature) and then ascending ID for determinism.
+// (prefer recent literature) and then ascending ID for determinism. Each
+// citation is looked up once, when it is scored.
 func (s *Scorer) Rank(query string, ids []corpus.CitationID) []Scored {
 	q := s.weigh(query)
-	out := make([]Scored, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, Scored{ID: id, Score: s.score(q, id)})
+	r := ranking{out: make([]Scored, len(ids)), years: make([]int, len(ids))}
+	for i, id := range ids {
+		r.out[i].ID = id
+		r.out[i].Score, r.years[i] = s.score(q, id)
 	}
-	year := func(id corpus.CitationID) int {
-		if cit, ok := s.corp.Get(id); ok {
-			return cit.Year
-		}
-		return 0
+	sort.Sort(r)
+	return r.out
+}
+
+// ranking sorts scored citations together with their years.
+type ranking struct {
+	out   []Scored
+	years []int
+}
+
+func (r ranking) Len() int { return len(r.out) }
+
+func (r ranking) Less(i, j int) bool {
+	if r.out[i].Score != r.out[j].Score {
+		return r.out[i].Score > r.out[j].Score
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		if yi, yj := year(out[i].ID), year(out[j].ID); yi != yj {
-			return yi > yj
-		}
-		return out[i].ID < out[j].ID
-	})
-	return out
+	if r.years[i] != r.years[j] {
+		return r.years[i] > r.years[j]
+	}
+	return r.out[i].ID < r.out[j].ID
+}
+
+func (r ranking) Swap(i, j int) {
+	r.out[i], r.out[j] = r.out[j], r.out[i]
+	r.years[i], r.years[j] = r.years[j], r.years[i]
 }

@@ -13,19 +13,27 @@ import (
 // fixtureScorer builds a tiny corpus with controlled term distributions.
 func fixtureScorer(t *testing.T) (*Scorer, *corpus.Corpus) {
 	t.Helper()
+	return scorerOver(t, []corpus.Citation{
+		{ID: 1, Title: "a", Year: 2001, Terms: []string{"prothymosin", "cancer"}},
+		{ID: 2, Title: "b", Year: 2005, Terms: []string{"prothymosin", "alpha", "cancer", "cell", "histone"}},
+		{ID: 3, Title: "c", Year: 2003, Terms: []string{"cancer"}},
+		{ID: 4, Title: "d", Year: 2007, Terms: []string{"prothymosin", "cancer"}},
+		{ID: 5, Title: "e", Year: 2002, Terms: []string{"histone", "chromatin"}},
+	})
+}
+
+// scorerOver builds a scorer over the given citations, each annotated
+// with the one concept of a two-node hierarchy.
+func scorerOver(t *testing.T, cits []corpus.Citation) (*Scorer, *corpus.Corpus) {
+	t.Helper()
 	b := hierarchy.NewBuilder("root")
 	c1 := b.Add(0, "c1")
 	tree, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := []hierarchy.ConceptID{c1}
-	cits := []corpus.Citation{
-		{ID: 1, Title: "a", Year: 2001, Terms: []string{"prothymosin", "cancer"}, Concepts: cs},
-		{ID: 2, Title: "b", Year: 2005, Terms: []string{"prothymosin", "alpha", "cancer", "cell", "histone"}, Concepts: cs},
-		{ID: 3, Title: "c", Year: 2003, Terms: []string{"cancer"}, Concepts: cs},
-		{ID: 4, Title: "d", Year: 2007, Terms: []string{"prothymosin", "cancer"}, Concepts: cs},
-		{ID: 5, Title: "e", Year: 2002, Terms: []string{"histone", "chromatin"}, Concepts: cs},
+	for i := range cits {
+		cits[i].Concepts = []hierarchy.ConceptID{c1}
 	}
 	corp, err := corpus.New(tree, cits, make([]int64, tree.Len()))
 	if err != nil {
@@ -95,6 +103,20 @@ func TestRankOrderAndTies(t *testing.T) {
 	}
 	if pos[4] > pos[1] {
 		t.Fatalf("recency tiebreak failed: %v", ranked)
+	}
+
+	// Docs 6 and 9 are term-identical and from the same year: ascending ID
+	// orders them, in whatever order they are listed.
+	s, _ = scorerOver(t, []corpus.Citation{
+		{ID: 9, Title: "f", Year: 2004, Terms: []string{"prothymosin", "cancer"}},
+		{ID: 6, Title: "g", Year: 2004, Terms: []string{"prothymosin", "cancer"}},
+		{ID: 7, Title: "h", Year: 2004, Terms: []string{"histone"}},
+	})
+	for _, ids := range [][]corpus.CitationID{{9, 6, 7}, {7, 6, 9}} {
+		ranked := s.Rank("prothymosin cancer", ids)
+		if ranked[0].Score != ranked[1].Score || ranked[0].ID != 6 || ranked[1].ID != 9 || ranked[2].ID != 7 {
+			t.Fatalf("Rank(%v) = %v, want 6 and 9 tied, then 7", ids, ranked)
+		}
 	}
 }
 

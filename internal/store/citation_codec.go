@@ -100,9 +100,8 @@ func decodeCitation(payload []byte) (corpus.Citation, error) {
 		if err != nil {
 			return c, err
 		}
-		// Mirror index.Decode's "postings not ascending" check: a zero
-		// delta is a duplicate concept, an overflowing one goes negative.
-		// Either way the record never came from a valid encode.
+		// A zero delta is a duplicate concept, an overflowing one goes
+		// negative. Either way the record never came from a valid encode.
 		next := prev + hierarchy.ConceptID(delta)
 		if next <= prev {
 			return c, fmt.Errorf("%w: citation %d: concepts not strictly ascending", ErrCorrupt, c.ID)

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"fmt"
 
 	"bionav/internal/corpus"
@@ -19,11 +18,12 @@ type Dataset = Snapshot
 const (
 	tableConcepts  = "concepts"  // one record per concept, in ID order
 	tableCitations = "citations" // one record per citation, denormalized
-	tableIndex     = "searchindex"
 )
 
-// Save writes the snapshot's dataset to a fresh database directory. The
-// epoch is not written: LoadDataset reads it back as epoch 0.
+// Save writes the snapshot's dataset to a fresh database directory as the
+// concepts and citations tables. Neither the epoch nor the keyword index
+// is written: LoadDataset reads the dataset back as epoch 0 and builds the
+// index from the citations' terms.
 func (sn *Snapshot) Save(dir string) error {
 	return sn.SaveWith(dir, nil)
 }
@@ -78,22 +78,14 @@ func (sn *Snapshot) save(w *Writer) error {
 			return err
 		}
 	}
-
-	it, err := w.CreateTable(tableIndex)
-	if err != nil {
-		return err
-	}
-	var buf bytes.Buffer
-	if err := index.Encode(&buf, sn.Index); err != nil {
-		return err
-	}
-	return it.Append(buf.Bytes())
+	return nil
 }
 
 // LoadDataset reads a dataset previously written by Save, as the epoch-0
-// snapshot. The faults.SiteStoreLoad failpoint fires before any file is
-// opened, so an injected failure exercises the caller's error path without
-// touching state.
+// snapshot, and indexes its citations with index.Build. Tables it does not
+// read are ignored. The faults.SiteStoreLoad failpoint fires before any
+// file is opened, so an injected failure exercises the caller's error path
+// without touching state.
 func LoadDataset(dir string) (sn *Snapshot, err error) {
 	defer obs.Time(storeLoadSeconds)()
 	defer func() {
@@ -180,23 +172,5 @@ func LoadDataset(dir string) (sn *Snapshot, err error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: rebuild corpus: %w", err)
 	}
-
-	// Search index.
-	var ix *index.Index
-	err = db.ForEach(tableIndex, func(payload []byte) error {
-		if ix != nil {
-			return fmt.Errorf("%w: multiple index records", ErrCorrupt)
-		}
-		var derr error
-		ix, derr = index.Decode(bytes.NewReader(payload))
-		return derr
-	})
-	if err != nil {
-		return nil, err
-	}
-	if ix == nil {
-		return nil, fmt.Errorf("%w: missing index record", ErrCorrupt)
-	}
-
-	return &Snapshot{Tree: tree, Corpus: corp, Index: ix}, nil
+	return &Snapshot{Tree: tree, Corpus: corp, Index: index.Build(corp)}, nil
 }

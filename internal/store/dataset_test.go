@@ -1,8 +1,11 @@
 package store
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"bionav/internal/corpus"
@@ -86,11 +89,152 @@ func TestLoadDatasetMissingTable(t *testing.T) {
 	if err := ds.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Remove(filepath.Join(dir, "searchindex.tbl")); err != nil {
+	if err := os.Remove(filepath.Join(dir, "citations.tbl")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := LoadDataset(dir); err == nil {
-		t.Fatal("load succeeded without index table")
+		t.Fatal("load succeeded without citations table")
+	}
+}
+
+// conceptRecord encodes one concepts-table record as save writes it:
+// parent, label, global count.
+func conceptRecord(parent int64, label string) []byte {
+	var enc Encoder
+	enc.PutVarint(parent)
+	enc.PutString(label)
+	enc.PutUvarint(3)
+	return enc.Bytes()
+}
+
+// writeTables writes a database directory holding the given concepts and
+// citations records, bypassing Save's checks.
+func writeTables(t *testing.T, dir string, concepts [][]byte, citations []corpus.Citation) {
+	t.Helper()
+	w, err := NewWriter(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct, err := w.CreateTable(tableConcepts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range concepts {
+		if err := ct.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cit, err := w.CreateTable(tableCitations)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var enc Encoder
+	for i := range citations {
+		enc.Reset()
+		if err := encodeCitation(&enc, &citations[i]); err != nil {
+			t.Fatal(err)
+		}
+		if err := cit.Append(enc.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLoadDatasetRejectsBadTables: LoadDataset is the one reader of the
+// concepts table, and each structural defect of the stored hierarchy or
+// its citations fails the load.
+func TestLoadDatasetRejectsBadTables(t *testing.T) {
+	root := conceptRecord(-1, "root")
+	tree := [][]byte{root, conceptRecord(0, "cell death"), conceptRecord(1, "apoptosis")}
+	cit := func(id corpus.CitationID, concepts ...hierarchy.ConceptID) corpus.Citation {
+		return corpus.Citation{ID: id, Title: "t", Year: 2001, Terms: []string{"apoptosis"}, Concepts: concepts}
+	}
+	cases := []struct {
+		name      string
+		concepts  [][]byte
+		citations []corpus.Citation
+		corrupt   bool   // the error wraps ErrCorrupt
+		names     string // the error names this
+	}{
+		{name: "valid", concepts: tree, citations: []corpus.Citation{cit(1, 1, 2), cit(2, 1)}},
+		{name: "root has a parent", concepts: [][]byte{conceptRecord(0, "root"), conceptRecord(0, "a")}, corrupt: true},
+		{name: "forward parent", concepts: [][]byte{root, conceptRecord(2, "a"), conceptRecord(0, "b")}, corrupt: true},
+		{name: "self parent", concepts: [][]byte{root, conceptRecord(1, "a")}, corrupt: true},
+		{name: "negative parent", concepts: [][]byte{root, conceptRecord(-1, "a")}, corrupt: true},
+		{name: "empty concepts table", concepts: nil, corrupt: true},
+		{name: "trailing bytes", concepts: [][]byte{root, append(conceptRecord(0, "a"), 0)}, corrupt: true},
+		{name: "duplicate label", concepts: [][]byte{root, conceptRecord(0, "apoptosis"), conceptRecord(0, "apoptosis")}, names: `"apoptosis"`},
+		{name: "duplicate citation ID", concepts: tree, citations: []corpus.Citation{cit(7001, 1), cit(7001, 2)}, names: "7001"},
+		{name: "unknown concept", concepts: tree, citations: []corpus.Citation{cit(1, 1, 9)}, names: "concept 9"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			writeTables(t, dir, c.concepts, c.citations)
+			sn, err := LoadDataset(dir)
+			switch {
+			case !c.corrupt && c.names == "":
+				if err != nil {
+					t.Fatalf("LoadDataset: %v", err)
+				}
+				if sn.Tree.Len() != len(c.concepts) || sn.Corpus.Len() != len(c.citations) {
+					t.Fatalf("loaded %d concepts and %d citations", sn.Tree.Len(), sn.Corpus.Len())
+				}
+			case err == nil:
+				t.Fatal("LoadDataset accepted the tables")
+			case c.corrupt && !errors.Is(err, ErrCorrupt):
+				t.Fatalf("err = %v, want ErrCorrupt", err)
+			case !strings.Contains(err.Error(), c.names):
+				t.Fatalf("err = %v, want it to name %s", err, c.names)
+			}
+		})
+	}
+}
+
+// TestLoadDatasetIgnoresOldIndexTable: a directory written by an earlier
+// version also holds a searchindex table, a text-encoded copy of the
+// inverted index. LoadDataset never reads it: the index comes from the
+// citations, and saving into the directory again removes the table.
+func TestLoadDatasetIgnoresOldIndexTable(t *testing.T) {
+	ds := testDataset(t)
+	dir := t.TempDir()
+	err := ds.SaveWith(dir, func(w *Writer) error {
+		tw, err := w.CreateTable("searchindex")
+		if err != nil {
+			return err
+		}
+		return tw.Append([]byte("bionav-index v1 1 1\nzzqx\t5\n"))
+	})
+	if err != nil {
+		t.Fatalf("SaveWith: %v", err)
+	}
+	got, err := LoadDataset(dir)
+	if err != nil {
+		t.Fatalf("LoadDataset: %v", err)
+	}
+	if ids := got.Index.Search("zzqx"); len(ids) != 0 {
+		t.Fatalf("Search(zzqx) = %v, want nothing: the old table was read", ids)
+	}
+	built := index.Build(got.Corpus)
+	for _, term := range got.Corpus.At(0).Terms {
+		if a, b := got.Index.Search(term), built.Search(term); !reflect.DeepEqual(a, b) {
+			t.Fatalf("Search(%q) = %v, index.Build gives %v", term, a, b)
+		}
+	}
+
+	if err := got.Save(dir); err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	tables, err := filepath.Glob(filepath.Join(dir, "*.tbl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{filepath.Join(dir, "citations.tbl"), filepath.Join(dir, "concepts.tbl")}
+	if !reflect.DeepEqual(tables, want) {
+		t.Fatalf("tables after re-save = %v, want %v", tables, want)
 	}
 }
 

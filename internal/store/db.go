@@ -107,9 +107,6 @@ func Open(dir string) (*DB, error) {
 	return db, nil
 }
 
-// Tables returns the table names in sorted order.
-func (db *DB) Tables() []string { return append([]string(nil), db.tables...) }
-
 // HasTable reports whether the named table exists.
 func (db *DB) HasTable(name string) bool {
 	i := sort.SearchStrings(db.tables, name)

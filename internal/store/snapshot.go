@@ -10,15 +10,15 @@ import (
 
 // Snapshot is one immutable version of the dataset, stamped with a
 // monotonically increasing epoch. The dataset is everything BioNav's
-// on-line subsystem needs: the concept hierarchy with global counts, the
-// citation corpus with its denormalized concept associations, and the
-// prebuilt keyword index — the off-line pre-processing output of §VII.
-// Epoch 0 is the dataset as loaded (or built); every applied ingest batch
-// produces the next epoch. Snapshots
-// are copy-on-write: Ingest shares the hierarchy and every untouched
-// postings list with its input, so holding an old snapshot (a pinned
-// navigation session) costs only the header structures that actually
-// changed. A Snapshot is safe for concurrent readers and never mutated.
+// on-line subsystem needs: the concept hierarchy with global counts and
+// the citation corpus with its denormalized concept associations — the
+// off-line pre-processing output of §VII — plus the keyword index built
+// from the citations' terms. Epoch 0 is the dataset as loaded (or built);
+// every applied ingest batch produces the next epoch. Snapshots are
+// copy-on-write: Ingest shares the hierarchy and every untouched postings
+// list with its input, so holding an old snapshot (a pinned navigation
+// session) costs only the header structures that actually changed. A
+// Snapshot is safe for concurrent readers and never mutated.
 type Snapshot struct {
 	Epoch  uint64
 	Tree   *hierarchy.Tree

@@ -241,11 +241,7 @@ func TestDBTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := db.Tables()
-	if len(got) != 2 || got[0] != "alpha" || got[1] != "zeta" {
-		t.Fatalf("Tables = %v", got)
-	}
-	if !db.HasTable("alpha") || db.HasTable("nope") {
+	if !db.HasTable("alpha") || !db.HasTable("zeta") || db.HasTable("nope") {
 		t.Fatal("HasTable wrong")
 	}
 	var payloads []string
