@@ -106,14 +106,15 @@ metrics-test:
 	$(GO) test -race ./internal/obs
 
 # Concurrency gate: the parallel EXPAND pipeline raced at GOMAXPROCS=4 —
-# parallel-vs-serial differential tests, the navigation-tree build against
-# its oracle (its scratch is pooled), the nav-cache stampede proof,
-# batch EXPAND degradation, the TTL-vs-in-flight-EXPAND race, concurrent
-# sessions racing on a tree's first-use aggregates, and the cut memo the
-# sessions on a tree share: its differential test once, and its race test
-# ten times.
+# parallel-vs-serial differential tests, the fan-out width of
+# SolveComponents, the navigation-tree build against its oracle (its
+# scratch is pooled), the nav-cache stampede proof, batch EXPAND
+# degradation, the TTL-vs-in-flight-EXPAND race, concurrent sessions
+# racing on a tree's first-use aggregates, and the cut memo the sessions
+# on a tree share: its differential test once, and its race test ten
+# times.
 parallel-test:
-	GOMAXPROCS=4 $(GO) test -race -run 'SolveComponents|PoolLifecycle|ExpandBatch|FaultBatch|BuildMatchesOracle|GetOrBuild|ExpandAllParallel|ConcurrentExpand|SessionExpired|TTL|SharedAggregates|CutMemoMatchesFreshSolve' ./internal/core ./internal/navtree ./internal/navigate ./internal/server
+	GOMAXPROCS=4 $(GO) test -race -run 'SolveComponents|FansOut|ExpandBatch|FaultBatch|BuildMatchesOracle|GetOrBuild|ExpandAllParallel|ConcurrentExpand|SessionExpired|TTL|SharedAggregates|CutMemoMatchesFreshSolve' ./internal/core ./internal/navtree ./internal/navigate ./internal/server
 	GOMAXPROCS=4 $(GO) test -race -count=10 -run 'CutMemoConcurrentSessions' ./internal/navigate
 
 # Live-corpus gate: the incremental-ingest layer raced end to end —
@@ -146,8 +147,9 @@ load-bench:
 # Includes the navigation-tree build benchmarks, the
 # instrumentation-overhead benchmark from the repo root, the
 # session-replay (cut-memo) benchmarks from internal/navigate, plus a
-# GOMAXPROCS=4 pass of the solve-pool benchmarks so the recorded
-# speedup-x / dp-speedup-x metrics reflect the parallel configuration.
+# GOMAXPROCS=4 pass of the SolveComponents benchmarks, whose parallel4
+# arms fan out across GOMAXPROCS goroutines, so the recorded speedup-x /
+# dp-speedup-x metrics reflect the parallel configuration.
 # Every other pass runs at -cpu 1, whatever the host's CPU count: go test
 # names a row by its GOMAXPROCS (BenchmarkKPartition-2 on a 2-CPU box,
 # no suffix at 1), and bench-diff matches rows by name, so rows recorded

@@ -13,9 +13,8 @@ package main
 //   - the launch carries `//lint:ignore GORO01 <reason>` with a real
 //     reason (LINT03 rejects throwaway ones).
 //
-// Launching work through core.Pool needs no exemption: pool submission is
-// a method call, not a go statement — the only go statements in the pool
-// are its own WaitGroup-tracked workers.
+// core.SolveComponents, the one place an EXPAND's solves fan out, takes
+// the WaitGroup shape: its goroutines are joined before it returns.
 
 import (
 	"go/ast"

@@ -185,18 +185,13 @@ func selfHost(stderr io.Writer, scale, policy string) (string, []string, func(),
 		// errors, so give the table headroom instead.
 		MaxSessions: 1 << 20,
 	})
-	srv.Warmup()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		srv.Close()
 		return "", nil, nil, err
 	}
 	hs := &http.Server{Handler: srv.Handler()}
 	go func() { _ = hs.Serve(ln) }()
-	stop := func() {
-		_ = hs.Close()
-		srv.Close()
-	}
+	stop := func() { _ = hs.Close() }
 	queries := make([]string, 0, len(w.Queries))
 	for i := range w.Queries {
 		queries = append(queries, w.Queries[i].Spec.Keyword)

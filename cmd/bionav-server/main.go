@@ -54,7 +54,7 @@ func main() {
 
 	srv := &http.Server{
 		Addr:              app.addr,
-		Handler:           server.Middleware(app.handler, logger),
+		Handler:           app.handler,
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 	// Graceful shutdown on SIGINT/SIGTERM: drain first (readiness flips,
@@ -114,7 +114,6 @@ func build(args []string, stdout io.Writer, logger *slog.Logger) (*app, error) {
 		sessTTL = fs.Duration("session-ttl", 30*time.Minute, "idle session lifetime")
 
 		expBudget = fs.Duration("expand-budget", 2*time.Second, "EXPAND optimization budget before degrading to the static cut (negative disables)")
-		poolSize  = fs.Int("pool", 0, "solve-pool workers for parallel EXPAND (0 = GOMAXPROCS, negative disables)")
 		inFlight  = fs.Int("max-inflight", 64, "concurrent API requests before shedding with 503 (negative disables)")
 		queueWait = fs.Duration("queue-wait", 100*time.Millisecond, "how long an over-limit request waits for a slot")
 		apiTO     = fs.Duration("api-timeout", 30*time.Second, "whole-request API deadline (negative disables)")
@@ -177,7 +176,6 @@ func build(args []string, stdout io.Writer, logger *slog.Logger) (*app, error) {
 		MaxInFlight:  *inFlight,
 		QueueWait:    *queueWait,
 		APITimeout:   *apiTO,
-		Workers:      *poolSize,
 		Logger:       logger,
 		TraceSample:  *traceSample,
 		Journal:      jnl,
@@ -189,10 +187,9 @@ func build(args []string, stdout io.Writer, logger *slog.Logger) (*app, error) {
 		}
 		logger.Info("journal recovery done", "dir", *journalDir, "sessions", n, "fsync", *fsyncMode)
 	}
-	srv.Warmup()
 	sn := live.Current()
-	fmt.Fprintf(stdout, "serving %d concepts / %d citations (epoch %d) on %s (%d solve workers)\n",
-		sn.Tree.Len(), sn.Corpus.Len(), sn.Epoch, *addr, srv.Workers())
+	fmt.Fprintf(stdout, "serving %d concepts / %d citations (epoch %d) on %s\n",
+		sn.Tree.Len(), sn.Corpus.Len(), sn.Epoch, *addr)
 	return &app{
 		handler:      srv.Handler(),
 		srv:          srv,

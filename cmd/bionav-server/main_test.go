@@ -154,9 +154,6 @@ var metricCatalog = []struct{ name, kind string }{
 	{"bionav_navcache_evictions_total", "counter"},
 	{"bionav_navcache_hits_total", "counter"},
 	{"bionav_navcache_misses_total", "counter"},
-	{"bionav_pool_busy", "gauge"},
-	{"bionav_pool_queue_depth", "gauge"},
-	{"bionav_pool_workers", "gauge"},
 	{"bionav_process_start_time_seconds", "gauge"},
 	{"bionav_queue_depth", "gauge"},
 	{"bionav_recovered_sessions_total", "counter"},

@@ -32,16 +32,7 @@ var (
 		"PolyCut solves by final cut grade (full, anytime, static).", "grade")
 )
 
-// Worker-pool metrics for the parallel EXPAND pipeline. Gauges aggregate
-// over every live pool in the process (tests run several); the histogram
-// times one component's ChooseCut, pooled or inline.
-var (
-	poolWorkers = obs.Default.Gauge("bionav_pool_workers",
-		"Solve-pool workers currently running, across all pools.")
-	poolBusy = obs.Default.Gauge("bionav_pool_busy",
-		"Solve-pool workers currently executing a task.")
-	poolQueueDepth = obs.Default.Gauge("bionav_pool_queue_depth",
-		"Component solves waiting for a free pool worker.")
-	solveSeconds = obs.Default.Histogram("bionav_solve_component_seconds",
-		"Wall time of one component's EdgeCut solve (k-partition + DP).")
-)
+// solveSeconds times one component's ChooseCut in SolveComponents, on
+// whichever goroutine runs it.
+var solveSeconds = obs.Default.Histogram("bionav_solve_component_seconds",
+	"Wall time of one component's EdgeCut solve (k-partition + DP).")

@@ -11,18 +11,18 @@ import (
 	"bionav/internal/navtree"
 )
 
-// poolBenchState is the w8d3 batch workload from the issue: a first-level
+// solveBenchState is the w8d3 batch workload: a first-level
 // EXPAND frontier of ~32 independent components, each shaped like the
 // w8d3 stress tree (8 chains of depth 3 under the component root), with
 // enough annotated citations that Heuristic-ReducedOpt runs a full-width
 // k-partition + DP per component.
-type poolBenchState struct {
+type solveBenchState struct {
 	at     *ActiveTree
 	roots  []navtree.NodeID
 	policy Policy
 }
 
-func poolBench(b *testing.B) *poolBenchState {
+func solveBench(b *testing.B) *solveBenchState {
 	b.Helper()
 	hb := hierarchy.NewBuilder("MESH")
 	for head := 0; head < 32; head++ {
@@ -58,7 +58,7 @@ func poolBench(b *testing.B) *poolBenchState {
 	// The paper's K=10: each component reduces to 10 supernodes before the
 	// DP. (Larger K explodes the DP's citation-set state space — the point
 	// of the reduction — and would swamp the fan-out being measured.)
-	return &poolBenchState{at: at, roots: roots, policy: NewHeuristicReducedOpt()}
+	return &solveBenchState{at: at, roots: roots, policy: NewHeuristicReducedOpt()}
 }
 
 // stallPolicy adds a fixed per-component stall before delegating,
@@ -88,75 +88,73 @@ func (p stallPolicy) ChooseCut(ctx context.Context, at *ActiveTree, root navtree
 	return p.inner.ChooseCut(ctx, at, root)
 }
 
-func benchSolve(b *testing.B, st *poolBenchState, policy Policy, workers int) {
-	var pool *Pool
-	if workers > 0 {
-		pool = NewPool(workers)
-		pool.Warm()
-		defer pool.Close()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cuts := SolveComponents(context.Background(), pool, st.at, policy, st.roots)
-		for _, cc := range cuts {
-			if cc.Err != nil {
-				b.Fatal(cc.Err)
-			}
+// solveSerial is the reference arm: a plain loop of ChooseCut over the
+// roots on the calling goroutine.
+func solveSerial(b *testing.B, st *solveBenchState, policy Policy) {
+	for _, r := range st.roots {
+		if _, err := policy.ChooseCut(context.Background(), st.at, r); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkSolveComponents times one batch EXPAND's solve fan-out over
-// the w8d3 frontier. The dp arms are pure CPU (parallel wins only with
-// real cores); the expand arms include a 1ms modeled per-component fetch
-// stall (see stallPolicy), where the pool wins by overlapping the waits.
+// solveParallel is SolveComponents over the roots, fanned across up to
+// GOMAXPROCS goroutines.
+func solveParallel(b *testing.B, st *solveBenchState, policy Policy) {
+	for _, cc := range SolveComponents(context.Background(), st.at, policy, st.roots) {
+		if cc.Err != nil {
+			b.Fatal(cc.Err)
+		}
+	}
+}
+
+func benchSolve(b *testing.B, st *solveBenchState, policy Policy, run func(*testing.B, *solveBenchState, Policy)) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run(b, st, policy)
+	}
+}
+
+// BenchmarkSolveComponents times one batch EXPAND's solves over the w8d3
+// frontier: the serial arms are a plain ChooseCut loop, the parallel4
+// arms SolveComponents, which fans out across GOMAXPROCS goroutines (four
+// in bench-json's GOMAXPROCS=4 pass; at GOMAXPROCS=1 it is the serial
+// loop). The dp arms are pure CPU (parallel wins only with real cores);
+// the expand arms include a 1ms modeled per-component fetch stall (see
+// stallPolicy), where the fan-out wins by overlapping the waits.
 func BenchmarkSolveComponents(b *testing.B) {
-	st := poolBench(b)
+	st := solveBench(b)
 	stalled := stallPolicy{inner: st.policy, d: time.Millisecond}
-	b.Run("w8d3-dp/serial", func(b *testing.B) { benchSolve(b, st, st.policy, 0) })
-	b.Run("w8d3-dp/parallel4", func(b *testing.B) { benchSolve(b, st, st.policy, 4) })
-	b.Run("w8d3-expand/serial", func(b *testing.B) { benchSolve(b, st, stalled, 0) })
-	b.Run("w8d3-expand/parallel4", func(b *testing.B) { benchSolve(b, st, stalled, 4) })
+	b.Run("w8d3-dp/serial", func(b *testing.B) { benchSolve(b, st, st.policy, solveSerial) })
+	b.Run("w8d3-dp/parallel4", func(b *testing.B) { benchSolve(b, st, st.policy, solveParallel) })
+	b.Run("w8d3-expand/serial", func(b *testing.B) { benchSolve(b, st, stalled, solveSerial) })
+	b.Run("w8d3-expand/parallel4", func(b *testing.B) { benchSolve(b, st, stalled, solveParallel) })
 }
 
 // BenchmarkSolveComponentsSpeedup reports parallel-over-serial ratios as
 // metrics: speedup-x for the latency-inclusive workload and dp-speedup-x
-// for the pure-CPU one (≈1.0 on a single-core runner, ≥1.8 expected at
+// for the pure-CPU one (1.0 at GOMAXPROCS=1, ≥1.8 expected at
 // GOMAXPROCS=4 with real cores — `make bench-json` records both). The
 // arms are timed by hand because testing.Benchmark cannot be nested
 // inside a running benchmark (it self-deadlocks on the package's global
 // benchmark lock).
 func BenchmarkSolveComponentsSpeedup(b *testing.B) {
-	st := poolBench(b)
+	st := solveBench(b)
 	stalled := stallPolicy{inner: st.policy, d: time.Millisecond}
 	const warmups, iters = 2, 12
-	arm := func(policy Policy, workers int) float64 {
-		var pool *Pool
-		if workers > 0 {
-			pool = NewPool(workers)
-			pool.Warm()
-			defer pool.Close()
-		}
-		run := func() {
-			cuts := SolveComponents(context.Background(), pool, st.at, policy, st.roots)
-			for _, cc := range cuts {
-				if cc.Err != nil {
-					b.Fatal(cc.Err)
-				}
-			}
-		}
+	arm := func(policy Policy, run func(*testing.B, *solveBenchState, Policy)) float64 {
 		for i := 0; i < warmups; i++ {
-			run()
+			run(b, st, policy)
 		}
 		start := time.Now()
 		for i := 0; i < iters; i++ {
-			run()
+			run(b, st, policy)
 		}
 		return float64(time.Since(start).Nanoseconds()) / iters
 	}
-	speedup := arm(stalled, 0) / arm(stalled, 4)
-	dpSpeedup := arm(st.policy, 0) / arm(st.policy, 4)
+	speedup := arm(stalled, solveSerial) / arm(stalled, solveParallel)
+	dpSpeedup := arm(st.policy, solveSerial) / arm(st.policy, solveParallel)
 	for i := 0; i < b.N; i++ {
 		// The measurement above is one-shot; the framework loop has
 		// nothing left to repeat.

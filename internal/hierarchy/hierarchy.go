@@ -6,7 +6,10 @@
 // levels).
 package hierarchy
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // ConceptID identifies a concept node within a Tree. IDs are dense indexes
 // assigned in insertion order; the root is always ID 0.
@@ -169,13 +172,12 @@ func (b *Builder) Add(parent ConceptID, label string) ConceptID {
 		Parent: parent,
 		Depth:  b.nodes[parent].Depth + 1,
 	})
-	b.nodes[parent].Children = append(b.nodes[parent].Children, id)
 	return id
 }
 
-// Build finalizes the tree: it assigns MeSH-style tree identifiers, verifies
-// label uniqueness, and indexes the labels. Build returns an error if two
-// concepts share a label.
+// Build finalizes the tree: it links every node to its children, assigns
+// MeSH-style tree identifiers, verifies label uniqueness, and indexes the
+// labels. Build returns an error if two concepts share a label.
 func (b *Builder) Build() (*Tree, error) {
 	if b.built {
 		return nil, fmt.Errorf("hierarchy: Build called twice")
@@ -185,7 +187,8 @@ func (b *Builder) Build() (*Tree, error) {
 		nodes:   b.nodes,
 		byLabel: make(map[string]ConceptID, len(b.nodes)),
 	}
-	assignTreeIDs(t.nodes, 0, "")
+	linkChildren(t.nodes)
+	assignTreeIDs(t.nodes)
 	for i := range t.nodes {
 		n := &t.nodes[i]
 		if n.Depth > t.height {
@@ -199,21 +202,52 @@ func (b *Builder) Build() (*Tree, error) {
 	return t, nil
 }
 
+// linkChildren fills every node's Children as a window of one flat array:
+// each parent gets a zero-length window of its exact child count, and the
+// children are appended in ID order, the order Add created them in. A
+// leaf's Children stays nil.
+func linkChildren(nodes []Node) {
+	count := make([]int32, len(nodes))
+	for i := 1; i < len(nodes); i++ {
+		count[nodes[i].Parent]++
+	}
+	flat, off := make([]ConceptID, len(nodes)-1), 0
+	for p, n := range count {
+		if n > 0 {
+			nodes[p].Children = flat[off : off : off+int(n)]
+			off += int(n)
+		}
+	}
+	for i := 1; i < len(nodes); i++ {
+		p := nodes[i].Parent
+		nodes[p].Children = append(nodes[p].Children, ConceptID(i))
+	}
+}
+
 // assignTreeIDs gives each node a MeSH-style positional identifier: the 16
 // top-level categories get letter-prefixed identifiers (A01, B02, ...), and
-// each deeper level appends a dot-separated three-digit ordinal.
-func assignTreeIDs(nodes []Node, id ConceptID, prefix string) {
-	n := &nodes[id]
-	n.TreeID = prefix
-	for i, c := range n.Children {
-		var childPrefix string
-		switch {
-		case id == 0:
-			childPrefix = fmt.Sprintf("%c%02d", 'A'+i%26, i+1)
-		default:
-			childPrefix = fmt.Sprintf("%s.%03d", prefix, i+1)
+// each deeper level appends a dot-separated three-digit ordinal. Ordinals
+// are zero-padded as %02d and %03d pad them: wider ones print in full. A
+// parent precedes its children in ID order, so one pass in that order
+// finds every parent's identifier already written.
+func assignTreeIDs(nodes []Node) {
+	var buf []byte
+	for p := range nodes {
+		for i, c := range nodes[p].Children {
+			if p == 0 {
+				buf = append(buf[:0], byte('A'+i%26))
+			} else {
+				buf = append(append(buf[:0], nodes[p].TreeID...), '.')
+				if i+1 < 100 {
+					buf = append(buf, '0')
+				}
+			}
+			if i+1 < 10 {
+				buf = append(buf, '0')
+			}
+			buf = strconv.AppendInt(buf, int64(i+1), 10)
+			nodes[c].TreeID = string(buf)
 		}
-		assignTreeIDs(nodes, c, childPrefix)
 	}
 }
 

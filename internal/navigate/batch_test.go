@@ -3,6 +3,7 @@ package navigate
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -32,11 +33,18 @@ func openedSession(t *testing.T, nav *navtree.Tree, policy core.Policy) (*Sessio
 	return s, roots
 }
 
+// withProcs runs f at GOMAXPROCS procs and restores the previous value.
+func withProcs(procs int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	f()
+}
+
 // TestExpandBatchMatchesSequential checks the batch EXPAND's equivalence
-// claim from three directions: batch-serial equals expanding the roots one
-// at a time in ascending order, and batch-parallel equals batch-serial
-// byte for byte (results, costs, and the visible tree). Each arm runs on
-// its own build of the same tree, so each solves its components rather
+// claim from three directions: a batch at GOMAXPROCS=1 (every solve on
+// the calling goroutine) equals expanding the roots one at a time in
+// ascending order, and a batch at GOMAXPROCS=4 (solves fanned out) equals
+// it byte for byte (results, costs, and the visible tree). Each arm runs
+// on its own build of the same tree, so each solves its components rather
 // than reading another arm's cuts from a shared cut memo.
 func TestExpandBatchMatchesSequential(t *testing.T) {
 	nav := func() *navtree.Tree { return buildNav(t, 211, 300, 35) }
@@ -48,16 +56,17 @@ func TestExpandBatchMatchesSequential(t *testing.T) {
 		}
 	}
 
+	var err error
 	serial, roots2 := openedSession(t, nav(), core.NewHeuristicReducedOpt())
-	resSerial, err := serial.ExpandBatchContext(context.Background(), nil, roots2)
+	var resSerial []ComponentExpand
+	withProcs(1, func() { resSerial, err = serial.ExpandBatchContext(context.Background(), roots2) })
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	par, roots3 := openedSession(t, nav(), core.NewHeuristicReducedOpt())
-	pool := core.NewPool(4)
-	defer pool.Close()
-	resPar, err := par.ExpandBatchContext(context.Background(), pool, roots3)
+	var resPar []ComponentExpand
+	withProcs(4, func() { resPar, err = par.ExpandBatchContext(context.Background(), roots3) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,23 +141,20 @@ func (p failOnRoot) ChooseCut(ctx context.Context, at *core.ActiveTree, root nav
 // every sibling keeps its optimized cut, serial and parallel alike.
 func TestFaultBatchExpandWorkerFailure(t *testing.T) {
 	nav := buildNav(t, 223, 250, 30)
-	for name, workers := range map[string]int{"serial": 0, "parallel": 4} {
+	for name, procs := range map[string]int{"serial": 1, "parallel": 4} {
 		probe, roots := openedSession(t, nav, core.NewHeuristicReducedOpt())
 		target := roots[len(roots)/2]
 
-		var pool *core.Pool
-		if workers > 0 {
-			pool = core.NewPool(workers)
-		}
 		s, _ := openedSession(t, nav, failOnRoot{inner: core.NewHeuristicReducedOpt(), target: target})
-		res, err := s.ExpandBatchContext(context.Background(), pool, roots)
-		pool.Close()
+		var res []ComponentExpand
+		var err error
+		withProcs(procs, func() { res, err = s.ExpandBatchContext(context.Background(), roots) })
 		if err != nil {
 			t.Fatalf("%s: batch failed outright: %v", name, err)
 		}
 
 		// Reference: what the healthy policy and the static fallback reveal.
-		if _, err := probe.ExpandBatchContext(context.Background(), nil, roots); err != nil {
+		if _, err := probe.ExpandBatchContext(context.Background(), roots); err != nil {
 			t.Fatal(err)
 		}
 		allChildren := staticReveal(t, nav, target)
@@ -208,9 +214,9 @@ func staticReveal(t *testing.T, nav *navtree.Tree, target navtree.NodeID) []navt
 }
 
 // TestExpandBatchPanicDegradesComponent routes a policy panic through the
-// batch path: the pool contains it, the component degrades, the rest of
-// the batch lands. A single EXPAND of that component, solved inline,
-// degrades the same way.
+// batch path: SolveComponents contains it, the component degrades, the
+// rest of the batch lands. A single EXPAND of that component, solved
+// inline, degrades the same way.
 func TestExpandBatchPanicDegradesComponent(t *testing.T) {
 	nav := buildNav(t, 227, 200, 30)
 	_, roots := openedSession(t, nav, core.NewHeuristicReducedOpt())
@@ -219,9 +225,7 @@ func TestExpandBatchPanicDegradesComponent(t *testing.T) {
 	target := roots[len(roots)-1]
 
 	s, _ := openedSession(t, nav, panickyPolicy{inner: core.NewHeuristicReducedOpt(), target: target})
-	pool := core.NewPool(2)
-	defer pool.Close()
-	res, err := s.ExpandBatchContext(context.Background(), pool, roots)
+	res, err := s.ExpandBatchContext(context.Background(), roots)
 	if err != nil {
 		t.Fatalf("panic was not degraded: %v", err)
 	}
@@ -283,7 +287,7 @@ func TestExpandBatchValidation(t *testing.T) {
 		"duplicate": {roots[0], roots[0]},
 	}
 	for name, nodes := range cases {
-		if _, err := s.ExpandBatchContext(context.Background(), nil, nodes); err == nil {
+		if _, err := s.ExpandBatchContext(context.Background(), nodes); err == nil {
 			t.Errorf("%s batch accepted", name)
 		}
 	}

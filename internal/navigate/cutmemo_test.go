@@ -31,8 +31,8 @@ func expandableChild(t *testing.T, s *Session, revealed []navtree.NodeID) navtre
 }
 
 // countingPolicy counts the solves of the policy it wraps, batch solves on
-// pool workers included; its cut key is the wrapped policy's, so it shares
-// cuts like the policy does.
+// fanned-out goroutines included; its cut key is the wrapped policy's, so
+// it shares cuts like the policy does.
 type countingPolicy struct {
 	core.Policy
 	solves *atomic.Int64
@@ -183,8 +183,6 @@ func TestSolverCacheBatchReplay(t *testing.T) {
 	nav := buildNav(t, 305, 200, 35)
 	var solves atomic.Int64
 	s := NewSession(nav, countingPolicy{core.NewHeuristicReducedOpt(), &solves})
-	pool := core.NewPool(4)
-	defer pool.Close()
 
 	res, err := s.ExpandContext(context.Background(), nav.Root())
 	if err != nil {
@@ -208,7 +206,7 @@ func TestSolverCacheBatchReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	hits0, miss0, solves0 := memoHits.Value(), memoMisses.Value(), solves.Load()
-	out, err := s.ExpandBatchContext(context.Background(), pool, roots)
+	out, err := s.ExpandBatchContext(context.Background(), roots)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +299,7 @@ func TestCutMemoBadCutFallsBack(t *testing.T) {
 		}
 		k := plantBadCut(t, s.Active(), policy, roots[0])
 		solves0 := solves.Load()
-		out, err := s.ExpandBatchContext(context.Background(), nil, roots)
+		out, err := s.ExpandBatchContext(context.Background(), roots)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -360,7 +358,7 @@ func freshCut(s *Session, root navtree.NodeID) ([]navtree.NodeID, error) {
 // Each component it expands is first solved by the session's policy
 // directly, and the EXPAND must apply that cut, whether it came from the
 // memo or from a solve.
-func memoStep(s *Session, src *rng.Source, pool *core.Pool) error {
+func memoStep(s *Session, src *rng.Source) error {
 	at := s.Active()
 	roots := at.VisibleRoots()
 	var cands []navtree.NodeID
@@ -392,7 +390,7 @@ func memoStep(s *Session, src *rng.Source, pool *core.Pool) error {
 				return err
 			}
 		}
-		out, err := s.ExpandBatchContext(context.Background(), pool, cands)
+		out, err := s.ExpandBatchContext(context.Background(), cands)
 		if err != nil {
 			return err
 		}
@@ -426,8 +424,6 @@ func TestCutMemoMatchesFreshSolve(t *testing.T) {
 		core.StaticAll{},
 		core.StaticTopK{K: 3},
 	}
-	pool := core.NewPool(2)
-	defer pool.Close()
 	hits0 := memoHits.Value()
 	cases := []struct {
 		name     string
@@ -447,7 +443,7 @@ func TestCutMemoMatchesFreshSolve(t *testing.T) {
 		}
 		src := rng.New(uint64(500 + ci))
 		for step := 0; step < 60*len(sessions); step++ {
-			if err := memoStep(sessions[src.Intn(len(sessions))], src, pool); err != nil {
+			if err := memoStep(sessions[src.Intn(len(sessions))], src); err != nil {
 				t.Fatalf("%s step %d: %v", tc.name, step, err)
 			}
 		}
@@ -458,19 +454,17 @@ func TestCutMemoMatchesFreshSolve(t *testing.T) {
 }
 
 // TestCutMemoConcurrentSessions races sessions on one tree's cut memo: six
-// goroutines run seeded random navigations at once, expandall on a shared
-// pool included, each checking every applied cut against a fresh solve,
+// goroutines run seeded random navigations at once, fanned-out expandall
+// solves included, each checking every applied cut against a fresh solve,
 // and each export must equal that of the same navigation run alone on a
 // separately built tree.
 func TestCutMemoConcurrentSessions(t *testing.T) {
 	const sessions, steps = 6, 40
-	pool := core.NewPool(2)
-	defer pool.Close()
 	run := func(nav *navtree.Tree, seed uint64) ([]byte, error) {
 		s := NewSession(nav, core.NewHeuristicReducedOpt())
 		src := rng.New(seed)
 		for i := 0; i < steps; i++ {
-			if err := memoStep(s, src, pool); err != nil {
+			if err := memoStep(s, src); err != nil {
 				return nil, fmt.Errorf("step %d: %w", i, err)
 			}
 		}

@@ -26,21 +26,22 @@ type ComponentExpand struct {
 // goroutine; ExpandBatchContext documents the rules every EXPAND follows.
 func (s *Session) ExpandContext(ctx context.Context, node navtree.NodeID) (ExpandResult, error) {
 	one := [1]compExpand{{ComponentExpand: ComponentExpand{Node: node}}}
-	if err := s.expand(ctx, nil, one[:]); err != nil {
+	if err := s.expand(ctx, one[:]); err != nil {
 		return ExpandResult{}, err
 	}
 	return one[0].ExpandResult, nil
 }
 
 // ExpandBatchContext performs EXPAND on several visible components in one
-// action, fanning the policy's per-component solves across the pool (nil
-// pool = serial, on the calling goroutine). The solves all run against
-// the pre-EXPAND active tree; that is sound because a component's cut
-// depends only on its own members, and applying one component's cut
-// never changes another component — so the batch is equivalent to
-// expanding the same roots one at a time in ascending node order, which
-// is exactly how the cuts are applied. Results come back ordered by node
-// ID, the deterministic merge order.
+// action, fanning the policy's per-component solves out across
+// goroutines (core.SolveComponents; a lone component solves on the
+// calling goroutine). The solves all run against the pre-EXPAND active
+// tree; that is sound because a component's cut depends only on its own
+// members, and applying one component's cut never changes another
+// component — so the batch is equivalent to expanding the same roots one
+// at a time in ascending node order, which is exactly how the cuts are
+// applied. Results come back ordered by node ID, the deterministic merge
+// order.
 //
 // Every EXPAND, of one component or several, follows these rules:
 //
@@ -60,12 +61,12 @@ func (s *Session) ExpandContext(ctx context.Context, node navtree.NodeID) (Expan
 //     memo once they apply. Each component charges the usual
 //     1 + |revealed| cost and appends its own EXPAND log entry, so one
 //     BACKTRACK undoes one component, newest first.
-func (s *Session) ExpandBatchContext(ctx context.Context, pool *core.Pool, nodes []navtree.NodeID) ([]ComponentExpand, error) {
+func (s *Session) ExpandBatchContext(ctx context.Context, nodes []navtree.NodeID) ([]ComponentExpand, error) {
 	comps := make([]compExpand, len(nodes))
 	for i, n := range nodes {
 		comps[i].Node = n
 	}
-	if err := s.expand(ctx, pool, comps); err != nil {
+	if err := s.expand(ctx, comps); err != nil {
 		return nil, err
 	}
 	out := make([]ComponentExpand, len(comps))
@@ -87,7 +88,7 @@ type compExpand struct {
 // expand is the EXPAND pipeline: validate, consult the memo, solve the
 // misses, repair failed solves, apply. It sorts comps by root and fills
 // in each component's result.
-func (s *Session) expand(ctx context.Context, pool *core.Pool, comps []compExpand) error {
+func (s *Session) expand(ctx context.Context, comps []compExpand) error {
 	var sp *obs.Span
 	ctx, sp = obs.StartChild(ctx, "expand")
 	defer sp.End()
@@ -135,7 +136,7 @@ func (s *Session) expand(ctx context.Context, pool *core.Pool, comps []compExpan
 	// Solves that finished with a degraded grade (anytime policies absorb
 	// expiry into the grade) are flagged but their cuts stand.
 	if len(misses) > 0 {
-		solved := core.SolveComponents(ctx, pool, s.at, s.policy, misses)
+		solved := core.SolveComponents(ctx, s.at, s.policy, misses)
 		for i := range comps {
 			c := &comps[i]
 			if c.hit {
@@ -183,14 +184,14 @@ func (s *Session) expand(ctx context.Context, pool *core.Pool, comps []compExpan
 		c.Revealed = revealed
 	}
 	if sp != nil {
-		traceExpand(sp, s.policy, pool, comps, len(comps)-len(misses))
+		traceExpand(sp, s.policy, comps, len(comps)-len(misses))
 	}
 	return nil
 }
 
 // traceExpand sets the expand span's attributes: the worst grade, the
 // total revealed, the count of degraded components and the first reason.
-func traceExpand(sp *obs.Span, policy core.Policy, pool *core.Pool, comps []compExpand, hits int) {
+func traceExpand(sp *obs.Span, policy core.Policy, comps []compExpand, hits int) {
 	roots := make([]navtree.NodeID, len(comps))
 	grade, revealed, degraded, reason := core.GradeFull, 0, 0, ""
 	for i, c := range comps {
@@ -206,7 +207,6 @@ func traceExpand(sp *obs.Span, policy core.Policy, pool *core.Pool, comps []comp
 	sp.SetAttr("policy", policy.Name())
 	sp.SetAttr("roots", roots)
 	sp.SetAttr("components", len(comps))
-	sp.SetAttr("pool", pool.Size())
 	sp.SetAttr("cache_hits", hits)
 	sp.SetAttr("grade", grade.String())
 	sp.SetAttr("revealed", revealed)
@@ -218,7 +218,7 @@ func traceExpand(sp *obs.Span, policy core.Policy, pool *core.Pool, comps []comp
 
 // degradable reports whether a failed solve falls back to the static cut:
 // a cancellation or expired deadline, an armed failpoint firing
-// mid-solve, or a solve panic the solve pool recovered. Logical failures
+// mid-solve, or a solve panic SolveComponents recovered. Logical failures
 // stay fatal: the fallback must not mask them.
 func degradable(ctx context.Context, err error) bool {
 	return ctx.Err() != nil ||

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"strings"
 	"testing"
 
 	"bionav/internal/corpus"
@@ -182,8 +183,9 @@ func TestIngestEpochServedFromLive(t *testing.T) {
 }
 
 // TestIngestRejectsBadBatches pins the endpoint's error contract: an
-// empty batch is a 400, an invalid citation (unknown concept) a 422, and
-// neither moves the epoch.
+// empty batch is a 400, an invalid citation (unknown concept, or a
+// concept ID past the int32 range that would wrap to a valid one) a 422,
+// and none moves the epoch.
 func TestIngestRejectsBadBatches(t *testing.T) {
 	srv, ts := testServer(t, Config{})
 
@@ -199,6 +201,20 @@ func TestIngestRejectsBadBatches(t *testing.T) {
 	resp, raw := postJSON(t, ts.URL+"/api/admin/ingest", body)
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("unknown concept: status %d (%s), want 422", resp.StatusCode, raw["error"])
+	}
+
+	// 1<<32 + 1 truncates to concept 1, which exists.
+	body = map[string]any{"citations": []map[string]any{{
+		"id": 900101, "title": "wraps", "year": 2009,
+		"terms": []string{"x"}, "concepts": []int64{1<<32 + 1},
+	}}}
+	resp, raw = postJSON(t, ts.URL+"/api/admin/ingest", body)
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("out-of-range concept: status %d, want 422", resp.StatusCode)
+	}
+	var msg string
+	if err := json.Unmarshal(raw["error"], &msg); err != nil || !strings.Contains(msg, "900101") || !strings.Contains(msg, "4294967297") {
+		t.Fatalf("out-of-range concept: error %q (%v), want one naming the citation and the ID", msg, err)
 	}
 	if got := srv.live.Current().Epoch; got != 0 {
 		t.Fatalf("rejected batches moved the epoch to %d", got)

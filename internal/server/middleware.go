@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"log/slog"
 	"net/http"
 	"runtime/debug"
@@ -14,32 +13,10 @@ import (
 	"bionav/internal/obs"
 )
 
-// Middleware wraps the BioNav handler with panic recovery: a crashed
-// handler becomes a JSON 500 instead of a dropped connection, and the
-// panic is logged with its stack. Logger may be nil to drop the log.
-// Request access logging lives in the observe middleware inside
-// Server.Handler, which has the server's registry and config in scope.
-func Middleware(next http.Handler, logger *slog.Logger) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-		defer func() {
-			if p := recover(); p != nil {
-				if logger != nil {
-					logger.LogAttrs(r.Context(), slog.LevelError, "panic",
-						slog.Any("panic", p),
-						slog.String("method", r.Method),
-						slog.String("path", r.URL.Path),
-						slog.String("stack", string(debug.Stack())))
-				}
-				// The handler may have written nothing yet; try to emit a
-				// JSON error (WriteHeader is a no-op if already sent).
-				httpError(rec, http.StatusInternalServerError,
-					fmt.Errorf("internal error"))
-			}
-		}()
-		next.ServeHTTP(rec, r)
-	})
-}
+// Middleware returns next unchanged.
+//
+// Deprecated: Server.Handler recovers, counts and logs panics itself.
+func Middleware(next http.Handler, _ *slog.Logger) http.Handler { return next }
 
 // reqMeta is per-request state shared between the observe middleware and
 // the handlers: the request id, and flags handlers raise for the final
@@ -64,7 +41,8 @@ func markDegraded(ctx context.Context) {
 // a request id, records the route/status/latency metrics, emits one
 // structured log line per request, and — for ?debug=trace requests or
 // every TraceSample'th request — roots a span tree in the context so the
-// EXPAND hot path traces itself.
+// EXPAND hot path traces itself. A handler panic becomes a JSON 500 (see
+// serveRecovered) and is counted and logged like any other response.
 func (s *Server) observe(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -87,7 +65,7 @@ func (s *Server) observe(next http.Handler) http.Handler {
 		}
 
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-		next.ServeHTTP(rec, r.WithContext(ctx))
+		s.serveRecovered(next, rec, r.WithContext(ctx), meta.id)
 		root.End()
 
 		elapsed := time.Since(start)
@@ -124,6 +102,34 @@ func (s *Server) observe(next http.Handler) http.Handler {
 		}
 	})
 }
+
+// serveRecovered runs next and recovers a panic in it: the response
+// becomes a JSON 500 unless headers were already sent, and the panic is
+// logged with the request id and its stack. The caller's metrics and
+// access line then record the request as usual.
+func (s *Server) serveRecovered(next http.Handler, rec *statusRecorder, r *http.Request, id string) {
+	defer func() {
+		p := recover()
+		if p == nil {
+			return
+		}
+		if s.cfg.Logger != nil {
+			s.cfg.Logger.LogAttrs(r.Context(), slog.LevelError, "panic",
+				slog.String("request_id", id),
+				slog.Any("panic", p),
+				slog.String("method", r.Method),
+				slog.String("path", r.URL.Path),
+				slog.String("stack", string(debug.Stack())))
+		}
+		if !rec.wroteHeader {
+			httpError(rec, http.StatusInternalServerError, errInternal)
+		}
+	}()
+	next.ServeHTTP(rec, r)
+}
+
+// errInternal is the body of a 500 from a panicking handler.
+var errInternal = errors.New("internal error")
 
 // errOverloaded is the body of a shed 503.
 var errOverloaded = errors.New("server overloaded, retry later")

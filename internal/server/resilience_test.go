@@ -15,6 +15,7 @@ import (
 
 	"bionav/internal/faults"
 	"bionav/internal/journal"
+	"bionav/internal/obs"
 )
 
 // startSession runs a query and returns the session ID and the root node.
@@ -104,7 +105,7 @@ func TestFaultExpandDegradesWithinBudget(t *testing.T) {
 }
 
 // TestFaultPanicReleasesSessionLock: a panic while a handler holds the
-// session lock becomes a 500 in the recovery middleware, and the session
+// session lock becomes a 500 in the observe middleware, and the session
 // stays usable, because every handler releases the lock by defer. The
 // journal append after an EXPAND panics once, under the session lock;
 // the next BACKTRACK and SHOWRESULTS on the same session must answer
@@ -118,7 +119,7 @@ func TestFaultPanicReleasesSessionLock(t *testing.T) {
 	}
 	t.Cleanup(func() { j.Close() })
 	srv := New(testDataset(), Config{Journal: j})
-	ts := httptest.NewServer(Middleware(srv.Handler(), nil))
+	ts := httptest.NewServer(srv.Handler())
 	// Close waits for every handler to return, and a handler blocked on a
 	// leaked session lock never does: a failing run leaves the server up
 	// rather than hang.
@@ -192,6 +193,85 @@ func TestFaultPanicReleasesSessionLock(t *testing.T) {
 	url := fmt.Sprintf("%s/api/results?session=%s&node=%d", ts.URL, id, root)
 	if code, _ := do(http.MethodGet, url, nil); code != http.StatusOK {
 		t.Fatalf("SHOWRESULTS after the panic answered %d, want 200", code)
+	}
+}
+
+// TestFaultPanicObserved: a handler panic served by Server.Handler alone,
+// with no outer wrapper, answers a JSON 500, counts in
+// bionav_http_requests_total under code="500", and writes a panic line
+// and an access line that both carry the response's request id. The
+// journal append after an EXPAND panics, under the session lock.
+func TestFaultPanicObserved(t *testing.T) {
+	t.Cleanup(faults.Reset)
+	j, err := journal.Open(t.TempDir(), journal.Options{Fsync: journal.FsyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { j.Close() })
+	var logs bytes.Buffer
+	srv := New(testDataset(), Config{Journal: j, Logger: obs.NewLogger(&logs, nil)})
+	h := srv.Handler()
+	// serve is synchronous: every log line of the request is written when
+	// it returns.
+	serve := func(method, path string, body any) *httptest.ResponseRecorder {
+		t.Helper()
+		b, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := httptest.NewRequest(method, path, bytes.NewReader(b))
+		req.Header.Set("Content-Type", "application/json")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec
+	}
+	rec := serve(http.MethodPost, "/api/query", map[string]string{"keywords": queryTerm(srv)})
+	var state struct {
+		Session string `json:"session"`
+		Tree    struct {
+			Node int `json:"node"`
+		} `json:"tree"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &state); rec.Code != http.StatusOK || err != nil {
+		t.Fatalf("query answered %d (%v): %s", rec.Code, err, rec.Body)
+	}
+
+	faults.Arm(journal.SiteAppend, faults.Always(), func(context.Context) error {
+		panic("injected journal panic")
+	})
+	logs.Reset()
+	rec = serve(http.MethodPost, "/api/expand", map[string]any{"session": state.Session, "node": state.Tree.Node})
+	faults.Disarm(journal.SiteAppend)
+	if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), `"error":"internal error"`) {
+		t.Fatalf("EXPAND with a panicking journal append answered %d %s, want a JSON 500", rec.Code, rec.Body)
+	}
+	id := rec.Header().Get("X-Request-ID")
+	if id == "" {
+		t.Fatal("500 carries no X-Request-ID")
+	}
+	var lines []map[string]any
+	for _, line := range strings.Split(strings.TrimSpace(logs.String()), "\n") {
+		var m map[string]any
+		if err := json.Unmarshal([]byte(line), &m); err != nil {
+			t.Fatalf("log line %q: %v", line, err)
+		}
+		lines = append(lines, m)
+	}
+	if len(lines) != 2 || lines[0]["msg"] != "panic" || lines[1]["msg"] != "request" {
+		t.Fatalf("want a panic line then a request line, got %v", lines)
+	}
+	for _, m := range lines {
+		if m["request_id"] != id {
+			t.Fatalf("%s line has request_id %v, want %q", m["msg"], m["request_id"], id)
+		}
+	}
+	if lines[1]["status"] != float64(http.StatusInternalServerError) {
+		t.Fatalf("access line status = %v, want 500", lines[1]["status"])
+	}
+
+	metrics := serve(http.MethodGet, "/metrics", nil).Body.String()
+	if want := `bionav_http_requests_total{route="/api/expand",code="500"} 1`; !strings.Contains(metrics, want) {
+		t.Fatalf("exposition lacks %s", want)
 	}
 }
 

@@ -11,9 +11,11 @@
 //   - ExpandBudget caps the EdgeCut optimization of one EXPAND. When the
 //     budget expires the expansion degrades to the static all-children cut
 //     and the response carries "degraded": true (see docs/RESILIENCE.md).
-//   - MaxInFlight bounds concurrently served /api/ requests; excess
-//     requests wait up to QueueWait for a slot and are then shed with
-//     503 + Retry-After.
+//   - MaxInFlight bounds concurrently served /api/ requests, every EXPAND
+//     included; excess requests wait up to QueueWait for a slot and are
+//     then shed with 503 + Retry-After. Within its slot, an
+//     /api/expandall fans its component solves across at most
+//     GOMAXPROCS goroutines (core.SolveComponents).
 //   - APITimeout bounds a whole /api/ request via its context.
 //
 // Liveness is served at /healthz (always 200 while the process runs) and
@@ -54,7 +56,6 @@ type Config struct {
 	SessionTTL  time.Duration // evict sessions idle longer than this (default 30m)
 	Policy      string        // expansion policy name, per core.PolicyByName (default "heuristic")
 	PolicyK     int           // policy cut/reduction budget (default 10)
-	Workers     int           // solve-pool workers for parallel EXPAND (0 = GOMAXPROCS; negative disables the pool)
 
 	// Resilience knobs — see the package comment and docs/RESILIENCE.md.
 	ExpandBudget time.Duration // EdgeCut optimization budget per EXPAND (default 2s; negative disables)
@@ -117,7 +118,6 @@ type Server struct {
 	// solves of core.SolveComponents already require.
 	policy   core.Policy
 	navCache *navtree.Cache // immutable trees, shared across sessions; keyed by (epoch, query)
-	pool     *core.Pool     // parallel EXPAND solves; nil when disabled
 	sem      chan struct{}  // in-flight /api/ slots; nil when shedding disabled
 	met      *serverMetrics // per-instance registry; /api/stats reads through it
 	reqSeq   atomic.Uint64  // request counter driving the trace sampler
@@ -183,9 +183,6 @@ func NewLive(live *store.Live, cfg Config) *Server {
 		lru:      list.New(),
 		drainCh:  make(chan struct{}),
 	}
-	if cfg.Workers >= 0 {
-		s.pool = core.NewPool(cfg.Workers)
-	}
 	if cfg.MaxInFlight > 0 {
 		s.sem = make(chan struct{}, cfg.MaxInFlight)
 	}
@@ -193,21 +190,15 @@ func NewLive(live *store.Live, cfg Config) *Server {
 	return s
 }
 
-// Warmup primes the solve pool (worker stacks, scheduler state) so the
-// first EXPAND after boot pays steady-state cost; a no-op without a pool.
-func (s *Server) Warmup() {
-	s.pool.Warm()
-}
+// Warmup does nothing.
+//
+// Deprecated: a server starts no goroutines of its own; drop the call.
+func (s *Server) Warmup() {}
 
-// Workers reports the effective solve-pool size (1 when the pool is
-// disabled and everything runs inline).
-func (s *Server) Workers() int { return s.pool.Size() }
-
-// Close releases the solve pool's workers. The server must not serve
-// further EXPANDs afterwards.
-func (s *Server) Close() {
-	s.pool.Close()
-}
+// Close does nothing: Drain checkpoints the journal.
+//
+// Deprecated: a server holds no goroutines of its own; drop the call.
+func (s *Server) Close() {}
 
 // publish evicts the nav-cache entries of epochs nothing can reach
 // anymore; handleIngest calls it once store.Live has published a new
@@ -411,10 +402,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 // handleExpand serves /api/expand, the EXPAND of the component at the
 // request's node, solved on the request goroutine, and /api/expandall,
-// the EXPAND of every expandable visible component, fanned across the
-// solve pool (serial without one). Both answer the usual state view; the
-// response counts the degraded components, surfaces the first
-// degradation reason and reports the worst grade.
+// the EXPAND of every expandable visible component, whose solves
+// core.SolveComponents fans out across goroutines. Both answer the usual
+// state view; the response counts the degraded components, surfaces the
+// first degradation reason and reports the worst grade.
 func (s *Server) handleExpand(w http.ResponseWriter, r *http.Request) {
 	var req actionRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -439,7 +430,7 @@ func (s *Server) handleExpand(w http.ResponseWriter, r *http.Request) {
 	var results []navigate.ComponentExpand
 	resp, status, err := s.act(req.Session, sess, func(nav *navigate.Session) (err error) {
 		if !all {
-			results, err = nav.ExpandBatchContext(ctx, nil, []navtree.NodeID{req.Node})
+			results, err = nav.ExpandBatchContext(ctx, []navtree.NodeID{req.Node})
 			return err
 		}
 		at := nav.Active()
@@ -452,7 +443,7 @@ func (s *Server) handleExpand(w http.ResponseWriter, r *http.Request) {
 		if len(roots) == 0 {
 			return errors.New("server: nothing left to expand")
 		}
-		results, err = nav.ExpandBatchContext(ctx, s.pool, roots)
+		results, err = nav.ExpandBatchContext(ctx, roots)
 		return err
 	})
 	if err != nil {
@@ -646,7 +637,12 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	for i, c := range req.Citations {
 		concepts := make([]hierarchy.ConceptID, len(c.Concepts))
 		for j, id := range c.Concepts {
-			concepts[j] = hierarchy.ConceptID(id)
+			// An ID past the int32 range would wrap to another concept.
+			if concepts[j] = hierarchy.ConceptID(id); int(concepts[j]) != id {
+				httpError(w, http.StatusUnprocessableEntity,
+					fmt.Errorf("server: ingest: citation %d: concept %d out of range", c.ID, id))
+				return
+			}
 		}
 		batch[i] = corpus.Citation{
 			ID: corpus.CitationID(c.ID), Title: c.Title, Authors: c.Authors,

@@ -32,7 +32,8 @@ const transcriptKeywords = "regulation"
 // query, expand, backtrack, ignore, results, expandall, export and import
 // requests, run once with the default EXPAND budget and once with a 1 ns
 // budget that degrades every cut to the static one. The transcript must be
-// the same on a pooled and a poolless server, at GOMAXPROCS 1 and 4.
+// the same at GOMAXPROCS 1, where every solve runs on the request
+// goroutine, and at GOMAXPROCS 4, where expandall fans its solves out.
 // Regenerate with
 //
 //	go test ./internal/server -run TestTranscriptGolden -update
@@ -42,25 +43,21 @@ func TestTranscriptGolden(t *testing.T) {
 	ds := bionav.GenerateDemo(bionav.DemoConfig{})
 	var want []byte
 	for _, procs := range []int{1, 4} {
-		for _, workers := range []int{4, -1} {
-			name := fmt.Sprintf("procs=%d/workers=%d", procs, workers)
-			prev := runtime.GOMAXPROCS(procs)
-			var buf bytes.Buffer
-			// A zero budget is the server's default.
-			for _, budget := range []time.Duration{0, time.Nanosecond} {
-				srv := server.New(ds, server.Config{Workers: workers, ExpandBudget: budget})
-				fmt.Fprintf(&buf, "### expand budget %v\n", budget)
-				transcript(t, &buf, srv.Handler())
-				srv.Close()
-			}
-			runtime.GOMAXPROCS(prev)
-			if want == nil {
-				want = buf.Bytes()
-				continue
-			}
-			if !bytes.Equal(buf.Bytes(), want) {
-				t.Fatalf("%s: transcript differs from procs=1/workers=4", name)
-			}
+		prev := runtime.GOMAXPROCS(procs)
+		var buf bytes.Buffer
+		// A zero budget is the server's default.
+		for _, budget := range []time.Duration{0, time.Nanosecond} {
+			srv := server.New(ds, server.Config{ExpandBudget: budget})
+			fmt.Fprintf(&buf, "### expand budget %v\n", budget)
+			transcript(t, &buf, srv.Handler())
+		}
+		runtime.GOMAXPROCS(prev)
+		if want == nil {
+			want = buf.Bytes()
+			continue
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("GOMAXPROCS %d: transcript differs from GOMAXPROCS 1", procs)
 		}
 	}
 	checkGolden(t, want)
