@@ -11,10 +11,12 @@ package bionav_test
 import (
 	"context"
 	"io"
+	"runtime"
 	"sync"
 	"testing"
 
 	"bionav/internal/core"
+	"bionav/internal/corpus"
 	"bionav/internal/experiments"
 	"bionav/internal/navigate"
 	"bionav/internal/navtree"
@@ -329,6 +331,42 @@ func BenchmarkExpandInstrumented(b *testing.B) {
 	}
 	b.Run("untraced", func(b *testing.B) { run(b, false) })
 	b.Run("traced", func(b *testing.B) { run(b, true) })
+}
+
+// BenchmarkTableITreeBytes measures the memory a cached navigation tree
+// holds: it builds the ten full-scale Table I trees (the 48,000-concept
+// workload the server builds them over), opens a session on each, which
+// computes the tree's shared aggregates, and keeps them all alive. It
+// reports the growth of the live heap (HeapAlloc after runtime.GC) per
+// tree as B/tree, and the mean tree size as nodes/tree.
+func BenchmarkTableITreeBytes(b *testing.B) {
+	w, err := workload.Generate(workload.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	results := make([][]corpus.CitationID, len(w.Queries))
+	for i, q := range w.Queries {
+		results[i] = w.Dataset.Index.Search(q.Spec.Keyword)
+	}
+	var perTree, nodes float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		trees := make([]*core.ActiveTree, len(results))
+		nodes = 0
+		for j, r := range results {
+			trees[j] = core.NewActiveTree(navtree.Build(w.Dataset.Corpus, r))
+			nodes += float64(trees[j].Nav().Len())
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		perTree = float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(len(trees))
+		runtime.KeepAlive(trees)
+	}
+	b.ReportMetric(perTree, "B/tree")
+	b.ReportMetric(nodes/float64(len(results)), "nodes/tree")
 }
 
 // BenchmarkBooleanQuery measures the boolean retrieval path on the

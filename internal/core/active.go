@@ -56,19 +56,21 @@ type compAgg struct {
 
 // treeAggregates is the per-node state that depends only on the
 // navigation tree: each node's citation bitset and selectivity score, the
-// citation union and node count of each node's full navigation subtree,
-// and the tree's pre-order layout. It is computed at most once per
-// *navtree.Tree, on the first NewActiveTree over it, and never written
-// afterwards, so every session on a cached tree, and every
+// distinct-citation count and node count of each node's full navigation
+// subtree, and the tree's pre-order layout. Its per-node arrays hold no
+// pointers, so the garbage collector does not scan them. It is computed
+// at most once per *navtree.Tree, on the first NewActiveTree over it, and
+// never written afterwards, so every session on a cached tree, and every
 // SolveComponents goroutine, reads one copy without locking. The one
 // exception is the cut memo, which the sessions fill as they solve
 // components and which its own mutex guards.
 type treeAggregates struct {
-	bits        []bitset  // per node: citations attached to it, as a bitset
-	scores      []float64 // per node: s(n) = |res(n)| / cnt(n)
-	sumScores   float64   // Σ s(n) in node order: the pX normalizer
-	subtreeBits []bitset  // per node: union of bits over its navigation subtree; a leaf's is its bits
-	subtreeSize []int     // per node: size of its navigation subtree
+	bits         []uint64  // per node: citations attached to it, as bitsets of words words laid end to end (nodeBits)
+	words        int       // width of one node's bitset
+	scores       []float64 // per node: s(n) = |res(n)| / cnt(n)
+	sumScores    float64   // Σ s(n) in node order: the pX normalizer
+	subtreeCount []int32   // per node: distinct citations attached over its navigation subtree
+	subtreeSize  []int32   // per node: size of its navigation subtree
 
 	// The navigation tree in pre-order, following each node's child order:
 	// pre[pos[n]] == n, and n's subtree fills the positions from pos[n] to
@@ -77,6 +79,11 @@ type treeAggregates struct {
 	preScore float64 // Σ s(n) in pre-order: the initial component's score sum
 
 	memo cutMemo // solved cuts shared by the tree's sessions (cutmemo.go)
+}
+
+// nodeBits returns the citation bitset of n, a window of bits.
+func (agg *treeAggregates) nodeBits(n navtree.NodeID) bitset {
+	return bitset(agg.bits[n*agg.words : (n+1)*agg.words])
 }
 
 // undoFrame is what BACKTRACK needs to undo one EXPAND: the lower roots
@@ -101,7 +108,7 @@ func NewActiveTree(nav *navtree.Tree) *ActiveTree {
 		treeAggregates: agg,
 		isRoot:         make([]bool, n),
 		comp: map[navtree.NodeID]compAgg{
-			root: {size: n, count: agg.subtreeBits[root].count(), score: agg.preScore},
+			root: {size: n, count: int(agg.subtreeCount[root]), score: agg.preScore},
 		},
 	}
 	at.isRoot[root] = true
@@ -112,67 +119,85 @@ func NewActiveTree(nav *navtree.Tree) *ActiveTree {
 // runs it once per tree.
 func buildAggregates(nav *navtree.Tree) any {
 	n := nav.Len()
-	agg := &treeAggregates{
-		bits:        make([]bitset, n),
-		scores:      make([]float64, n),
-		subtreeBits: make([]bitset, n),
-		subtreeSize: make([]int, n),
-	}
 	words := (nav.DistinctTotal() + 63) / 64
-	inner := 0
-	for i := 0; i < n; i++ {
-		if len(nav.Children(i)) > 0 {
-			inner++
-		}
+	back := make([]int32, 4*n)
+	agg := &treeAggregates{
+		bits:         make([]uint64, n*words),
+		words:        words,
+		scores:       make([]float64, n),
+		subtreeCount: back[:n:n],
+		subtreeSize:  back[n : 2*n : 2*n],
+		pre:          back[2*n : 3*n : 3*n],
+		pos:          back[3*n:],
 	}
-	ownBack := make([]uint64, n*words)
-	subBack := make([]uint64, inner*words)
+	height := 0
 	for i := 0; i < n; i++ {
-		b := bitset(ownBack[i*words : (i+1)*words])
-		for _, idx := range nav.ResultIndexes(i) {
+		b := agg.nodeBits(i)
+		idxs := nav.ResultIndexes(i)
+		for _, idx := range idxs {
 			b.set(int(idx))
 		}
-		agg.bits[i] = b
-		// A leaf's subtree is the leaf itself, so its subtree bitset is its
-		// own: the sweep below ORs only into parents, and nothing writes a
-		// subtree bitset after it.
-		agg.subtreeBits[i] = b
-		if len(nav.Children(i)) > 0 {
-			sb := bitset(subBack[:words])
-			subBack = subBack[words:]
-			copy(sb, b)
-			agg.subtreeBits[i] = sb
-		}
-		agg.subtreeSize[i] = 1
 		if cnt := nav.GlobalCount(i); cnt > 0 {
-			agg.scores[i] = float64(nav.NumResults(i)) / float64(cnt)
+			agg.scores[i] = float64(len(idxs)) / float64(cnt)
 		}
 		agg.sumScores += agg.scores[i]
+		height = max(height, nav.Depth(i))
 	}
-	// Parents precede children in ID order, so one reverse sweep ORs each
-	// subtree into its parent instead of re-scanning results per ancestor.
-	for i := n - 1; i >= 1; i-- {
-		p := nav.Parent(i)
-		agg.subtreeBits[p].orInto(agg.subtreeBits[i])
-		agg.subtreeSize[p] += agg.subtreeSize[i]
-	}
-	// Pre-order positions follow from the subtree sizes: a node's first
-	// child comes right after it, and each later child after the subtree
-	// of the one before.
-	back := make([]int32, 2*n)
-	agg.pre, agg.pos = back[:n], back[n:]
-	for i := 0; i < n; i++ {
-		next := agg.pos[i] + 1
-		for _, c := range nav.Children(i) {
-			agg.pos[c] = next
-			next += int32(agg.subtreeSize[c])
-		}
-		agg.pre[agg.pos[i]] = int32(i)
-	}
-	for _, v := range agg.pre {
-		agg.preScore += agg.scores[v]
-	}
+	agg.walk(nav, height)
 	return agg
+}
+
+// walk lays the tree out in pre-order, following each node's child
+// order, and fills subtreeSize, subtreeCount and preScore, in one
+// depth-first walk. The walk keeps a citation union only for each inner
+// node on the path from the root to the current node, one per depth.
+// Reaching a node at depth d, it has left the subtree of every inner node
+// at depth d or deeper, so their sizes and unions are complete: each
+// union is counted and ORed into its parent's, the one a level up. A leaf
+// is counted from its own bitset, which it ORs straight into its parent's
+// union.
+func (agg *treeAggregates) walk(nav *navtree.Tree, height int) {
+	w := agg.words
+	path := make([]int32, height+1)     // path[d]: the inner node at depth d
+	union := make(bitset, (height+1)*w) // its union, at level(d)
+	level := func(d int) bitset { return union[d*w : (d+1)*w] }
+	open, k := 0, int32(0) // the depths that hold a union; the next pre-order position
+	complete := func(d int) {
+		for open > d {
+			open--
+			top, u := path[open], level(open)
+			agg.subtreeSize[top] = k - agg.pos[top]
+			agg.subtreeCount[top] = int32(u.count())
+			if open > 0 {
+				level(open - 1).orInto(u)
+			}
+		}
+	}
+	todo := make([]int32, 1, 64) // the nodes still to visit, the next last; the root first
+	for len(todo) > 0 {
+		v := todo[len(todo)-1]
+		todo = todo[:len(todo)-1]
+		d := nav.Depth(int(v))
+		complete(d)
+		agg.pre[k], agg.pos[v] = v, k
+		k++
+		agg.preScore += agg.scores[v]
+		b := agg.nodeBits(int(v))
+		if kids := nav.Children(int(v)); len(kids) > 0 {
+			copy(level(d), b)
+			path[d], open = v, d+1
+			for j := len(kids) - 1; j >= 0; j-- {
+				todo = append(todo, int32(kids[j]))
+			}
+			continue
+		}
+		agg.subtreeSize[v] = 1
+		agg.subtreeCount[v] = int32(b.count())
+		if d > 0 {
+			level(d - 1).orInto(b)
+		}
+	}
+	complete(0)
 }
 
 // scan calls visit, in pre-order, on top and on each member of top's
@@ -183,11 +208,11 @@ func buildAggregates(nav *navtree.Tree) any {
 // the node lies in the root's component.
 func (at *ActiveTree) scan(top navtree.NodeID, visit func(navtree.NodeID)) {
 	visit(top)
-	end := int(at.pos[top]) + at.subtreeSize[top]
+	end := int(at.pos[top] + at.subtreeSize[top])
 	for i := int(at.pos[top]) + 1; i < end; {
 		n := navtree.NodeID(at.pre[i])
 		if at.isRoot[n] {
-			i += at.subtreeSize[n]
+			i += int(at.subtreeSize[n])
 			continue
 		}
 		visit(n)
@@ -242,7 +267,7 @@ func (at *ActiveTree) Members(root navtree.NodeID) []navtree.NodeID {
 // subtree exactly when it is as large.
 func (at *ActiveTree) fullComponent(root navtree.NodeID) bool {
 	c, ok := at.comp[root]
-	return ok && c.size == at.subtreeSize[root]
+	return ok && c.size == int(at.subtreeSize[root])
 }
 
 // ComponentSize reports |I(root)|, or 0 when root is not a component root.
@@ -266,10 +291,10 @@ func (at *ActiveTree) DistinctUnder(root, n navtree.NodeID) int {
 		return 0
 	}
 	if at.fullComponent(root) {
-		return at.subtreeBits[n].count()
+		return int(at.subtreeCount[n])
 	}
 	u := getScratch(at.nav.DistinctTotal())
-	at.scan(n, func(m navtree.NodeID) { u.orInto(at.bits[m]) })
+	at.scan(n, func(m navtree.NodeID) { u.orInto(at.nodeBits(m)) })
 	c := u.count()
 	putScratch(u)
 	return c
@@ -296,9 +321,6 @@ func (at *ActiveTree) ExploreProb(root navtree.NodeID) float64 {
 
 // nodeScore exposes s(n) for policy construction.
 func (at *ActiveTree) nodeScore(n navtree.NodeID) float64 { return at.scores[n] }
-
-// nodeBits exposes the citation bitset of n for policy construction.
-func (at *ActiveTree) nodeBits(n navtree.NodeID) bitset { return at.bits[n] }
 
 // SumScores returns the active-tree normalizer Σ s(m).
 func (at *ActiveTree) SumScores() float64 { return at.sumScores }
@@ -356,7 +378,7 @@ func (at *ActiveTree) Expand(root navtree.NodeID, cut []Edge) ([]navtree.NodeID,
 	f := undoFrame{root: root, agg: at.comp[root]}
 	// A full component hands whole subtrees to the cut children (the cut
 	// children are pairwise incomparable), so the lower components are
-	// full too and their counts are their subtree unions'.
+	// full too and their counts are their subtree counts.
 	full := at.fullComponent(root)
 	u := getScratch(at.nav.DistinctTotal())
 	lower := make([]navtree.NodeID, 0, len(cut))
@@ -375,9 +397,9 @@ func (at *ActiveTree) Expand(root navtree.NodeID, cut []Edge) ([]navtree.NodeID,
 }
 
 // tally returns the aggregates of top and the members of its component
-// below it. The score sum adds them in pre-order. The count is the
-// popcount of top's subtree union when whole is set, as the members are
-// then top's entire subtree, and otherwise of the union of their bitsets,
+// below it. The score sum adds them in pre-order. The count is top's
+// subtree count when whole is set, as the members are then top's entire
+// subtree, and otherwise the popcount of the union of their bitsets,
 // built in u.
 func (at *ActiveTree) tally(top navtree.NodeID, whole bool, u bitset) compAgg {
 	var c compAgg
@@ -386,11 +408,11 @@ func (at *ActiveTree) tally(top navtree.NodeID, whole bool, u bitset) compAgg {
 		c.size++
 		c.score += at.scores[n]
 		if !whole {
-			u.orInto(at.bits[n])
+			u.orInto(at.nodeBits(n))
 		}
 	})
 	if whole {
-		c.count = at.subtreeBits[top].count()
+		c.count = int(at.subtreeCount[top])
 	} else {
 		c.count = u.count()
 	}
@@ -494,7 +516,7 @@ func (at *ActiveTree) CheckInvariants() error {
 			}
 			size++
 			score += at.scores[n]
-			u.orInto(at.bits[n])
+			u.orInto(at.nodeBits(n))
 			return true
 		})
 		got, ok := at.comp[r]

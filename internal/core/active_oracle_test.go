@@ -67,7 +67,7 @@ func oracleDistinctUnder(at *ActiveTree, root, n navtree.NodeID) int {
 		if at.ComponentOf(m) != root {
 			return false
 		}
-		u.orInto(at.bits[m])
+		u.orInto(at.nodeBits(m))
 		return true
 	})
 	return u.count()
@@ -126,6 +126,37 @@ func oracleVisualize(at *ActiveTree) map[navtree.NodeID]*VisibleNode {
 		})
 	}
 	return vis
+}
+
+// diffAggregates checks at's per-tree aggregates against naive walks of
+// its navigation tree: each node's bitset against its result indexes,
+// and each node's subtree count and size against the union of the result
+// indexes over nav.Subtree and its length.
+func diffAggregates(t *testing.T, at *ActiveTree) {
+	t.Helper()
+	nav := at.nav
+	for n := 0; n < nav.Len(); n++ {
+		own := newBitset(nav.DistinctTotal())
+		for _, idx := range nav.ResultIndexes(n) {
+			own.set(int(idx))
+		}
+		if !slices.Equal(at.nodeBits(n), own) {
+			t.Fatalf("nodeBits(%d) = %v, result indexes give %v", n, at.nodeBits(n), own)
+		}
+		sub := nav.Subtree(n)
+		u := newBitset(nav.DistinctTotal())
+		for _, m := range sub {
+			for _, idx := range nav.ResultIndexes(m) {
+				u.set(int(idx))
+			}
+		}
+		if got := int(at.subtreeCount[n]); got != u.count() {
+			t.Fatalf("subtreeCount[%d] = %d, union over its subtree has %d", n, got, u.count())
+		}
+		if got := int(at.subtreeSize[n]); got != len(sub) {
+			t.Fatalf("subtreeSize[%d] = %d, subtree has %d nodes", n, got, len(sub))
+		}
+	}
 }
 
 // diffActive compares every component read of at with the oracle's,
@@ -240,6 +271,7 @@ func TestActiveTreeMatchesOracle(t *testing.T) {
 	cases = append(cases, tc{"prothymosin-scale", NewActiveTree(navtree.Build(corp, corp.IDs())), 60})
 	for i, c := range cases {
 		src := rng.New(uint64(7000 + i))
+		diffAggregates(t, c.at)
 		diffActive(t, c.at, src)
 		for step := 0; step < c.steps && activeStep(t, c.at, src); step++ {
 			diffActive(t, c.at, src)
@@ -280,6 +312,7 @@ func FuzzActiveTree(f *testing.F) {
 			FirstID: 1, YearLo: 2000, YearHi: 2008,
 		})
 		tr := NewActiveTree(navtree.Build(corp, corp.IDs()))
+		diffAggregates(t, tr)
 		diffActive(t, tr, rng.New(seed))
 		for i := 7; i < len(data); i++ {
 			src := rng.New(uint64(data[i]) + 1)

@@ -389,3 +389,43 @@ func TestExploreProbPartitions(t *testing.T) {
 		t.Fatalf("Σ pX = %v, want 1", sum)
 	}
 }
+
+// TestAggregatesArePointerFree checks that no per-node array of a tree's
+// aggregates holds a pointer, so the garbage collector skips them for
+// every cached tree. The cut memo is not a per-node array.
+func TestAggregatesArePointerFree(t *testing.T) {
+	typ := reflect.TypeOf((*treeAggregates)(nil)).Elem()
+	columns := 0
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if f.Type.Kind() != reflect.Slice {
+			continue
+		}
+		columns++
+		if !pointerFree(f.Type.Elem()) {
+			t.Errorf("treeAggregates.%s is %s: its elements hold pointers", f.Name, f.Type)
+		}
+	}
+	if columns == 0 {
+		t.Fatal("treeAggregates has no slice fields")
+	}
+}
+
+// pointerFree reports whether values of typ hold no pointer, slice,
+// string, map, chan, func or interface, at any depth.
+func pointerFree(typ reflect.Type) bool {
+	switch typ.Kind() {
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.String,
+		reflect.Map, reflect.Chan, reflect.Func, reflect.Interface:
+		return false
+	case reflect.Array:
+		return pointerFree(typ.Elem())
+	case reflect.Struct:
+		for i := 0; i < typ.NumField(); i++ {
+			if !pointerFree(typ.Field(i).Type) {
+				return false
+			}
+		}
+	}
+	return true
+}

@@ -23,7 +23,7 @@ func benchTree(b *testing.B) *ActiveTree {
 
 // BenchmarkNewActiveTree times a session opening on a navigation tree:
 // "first" on a freshly built tree, which pays for the per-tree aggregates
-// (citation bitsets, subtree unions, scores), and "shared" on a tree whose
+// (citation bitsets, subtree counts, scores), and "shared" on a tree whose
 // aggregates an earlier session already computed, as on a nav-cache hit.
 func BenchmarkNewActiveTree(b *testing.B) {
 	tree := hierarchy.Generate(hierarchy.GenConfig{Seed: 91, Nodes: 8000, TopLevel: 112, MaxDepth: 11})

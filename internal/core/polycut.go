@@ -163,7 +163,7 @@ func (s *polySolver) buildStats() error {
 	}
 
 	for i := 0; i < n; i++ {
-		o := at.bits[members[i]].count()
+		o := at.nodeBits(members[i]).count()
 		s.own[i] = o
 		s.size[i] = 1
 		s.score[i] = at.scores[members[i]]
@@ -190,9 +190,9 @@ func (s *polySolver) buildStats() error {
 
 	if at.fullComponent(s.root) {
 		// Full component: member subtrees are whole navigation subtrees,
-		// so the active tree's precomputed unions answer L directly.
+		// so the active tree's precomputed subtree counts answer L directly.
 		for i := 0; i < n; i++ {
-			s.L[i] = at.subtreeBits[members[i]].count()
+			s.L[i] = int(at.subtreeCount[members[i]])
 		}
 	} else {
 		words := (nav.DistinctTotal() + 63) / 64
@@ -200,7 +200,7 @@ func (s *polySolver) buildStats() error {
 		subs := make([]bitset, n)
 		for i := 0; i < n; i++ {
 			subs[i] = bitset(back[i*words : (i+1)*words])
-			copy(subs[i], at.bits[members[i]])
+			copy(subs[i], at.nodeBits(members[i]))
 		}
 		for i := n - 1; i >= 1; i-- {
 			subs[parent[i]].orInto(subs[i])
@@ -500,7 +500,7 @@ func (s *polySolver) evalCut(cut []int) float64 {
 			v = s.preEnd[v]
 			continue
 		}
-		u.orInto(s.at.bits[members[v]])
+		u.orInto(s.at.nodeBits(members[v]))
 		retained += s.at.scores[members[v]]
 		v++
 	}

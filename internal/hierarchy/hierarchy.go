@@ -32,7 +32,10 @@ type Node struct {
 // Tree is a concept hierarchy rooted at node 0. Trees are immutable once
 // built and safe for concurrent readers.
 type Tree struct {
-	nodes   []Node
+	nodes []Node
+	// parents[id] is nodes[id].Parent, kept as a column of its own so a
+	// walk up the tree reads 4 bytes per step instead of a whole Node.
+	parents []ConceptID
 	byLabel map[string]ConceptID
 	height  int
 }
@@ -54,7 +57,7 @@ func (t *Tree) Node(id ConceptID) *Node { return &t.nodes[id] }
 func (t *Tree) Label(id ConceptID) string { return t.nodes[id].Label }
 
 // Parent returns the parent of id, or None for the root.
-func (t *Tree) Parent(id ConceptID) ConceptID { return t.nodes[id].Parent }
+func (t *Tree) Parent(id ConceptID) ConceptID { return t.parents[id] }
 
 // Children returns the children of id. The returned slice must not be
 // modified.
@@ -71,7 +74,7 @@ func (t *Tree) IsAncestor(a, b ConceptID) bool {
 	if a == b {
 		return false
 	}
-	for cur := t.nodes[b].Parent; cur != None; cur = t.nodes[cur].Parent {
+	for cur := t.parents[b]; cur != None; cur = t.parents[cur] {
 		if cur == a {
 			return true
 		}
@@ -82,7 +85,7 @@ func (t *Tree) IsAncestor(a, b ConceptID) bool {
 // Path returns the node IDs from the root to id, inclusive.
 func (t *Tree) Path(id ConceptID) []ConceptID {
 	var rev []ConceptID
-	for cur := id; cur != None; cur = t.nodes[cur].Parent {
+	for cur := id; cur != None; cur = t.parents[cur] {
 		rev = append(rev, cur)
 	}
 	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
@@ -141,20 +144,24 @@ func (t *Tree) ComputeStats() Stats {
 }
 
 // Builder incrementally constructs a Tree. Builders are single-use: Build
-// finalizes the tree and the builder must not be reused afterwards.
+// finalizes the tree and the builder must not be reused afterwards. Add
+// appends to three narrow columns; Build lays the nodes out once, at
+// their final count.
 type Builder struct {
-	nodes []Node
-	built bool
+	parents []ConceptID
+	labels  []string
+	depths  []int32
+	built   bool
 }
 
 // NewBuilder returns a builder whose tree is rooted at a concept with the
 // given label.
 func NewBuilder(rootLabel string) *Builder {
-	return &Builder{nodes: []Node{{ID: 0, Label: rootLabel, Parent: None}}}
+	return &Builder{parents: []ConceptID{None}, labels: []string{rootLabel}, depths: []int32{0}}
 }
 
 // Len reports the number of nodes added so far, including the root.
-func (b *Builder) Len() int { return len(b.nodes) }
+func (b *Builder) Len() int { return len(b.parents) }
 
 // Add appends a new concept under parent and returns its ID.
 // It panics if parent does not exist or the builder is already built.
@@ -162,32 +169,35 @@ func (b *Builder) Add(parent ConceptID, label string) ConceptID {
 	if b.built {
 		panic("hierarchy: Add after Build")
 	}
-	if parent < 0 || int(parent) >= len(b.nodes) {
+	if parent < 0 || int(parent) >= len(b.parents) {
 		panic(fmt.Sprintf("hierarchy: Add under unknown parent %d", parent))
 	}
-	id := ConceptID(len(b.nodes))
-	b.nodes = append(b.nodes, Node{
-		ID:     id,
-		Label:  label,
-		Parent: parent,
-		Depth:  b.nodes[parent].Depth + 1,
-	})
+	id := ConceptID(len(b.parents))
+	b.parents = append(b.parents, parent)
+	b.labels = append(b.labels, label)
+	b.depths = append(b.depths, b.depths[parent]+1)
 	return id
 }
 
 // Build finalizes the tree: it links every node to its children, assigns
 // MeSH-style tree identifiers, verifies label uniqueness, and indexes the
-// labels. Build returns an error if two concepts share a label.
+// labels. The builder's parent column becomes the tree's. Build returns
+// an error if two concepts share a label.
 func (b *Builder) Build() (*Tree, error) {
 	if b.built {
 		return nil, fmt.Errorf("hierarchy: Build called twice")
 	}
 	b.built = true
-	t := &Tree{
-		nodes:   b.nodes,
-		byLabel: make(map[string]ConceptID, len(b.nodes)),
+	nodes := make([]Node, len(b.parents))
+	for i := range nodes {
+		nodes[i] = Node{ID: ConceptID(i), Label: b.labels[i], Parent: b.parents[i], Depth: int(b.depths[i])}
 	}
-	linkChildren(t.nodes)
+	t := &Tree{
+		nodes:   nodes,
+		parents: b.parents,
+		byLabel: make(map[string]ConceptID, len(nodes)),
+	}
+	linkChildren(t.nodes, t.parents)
 	assignTreeIDs(t.nodes)
 	for i := range t.nodes {
 		n := &t.nodes[i]
@@ -206,10 +216,10 @@ func (b *Builder) Build() (*Tree, error) {
 // each parent gets a zero-length window of its exact child count, and the
 // children are appended in ID order, the order Add created them in. A
 // leaf's Children stays nil.
-func linkChildren(nodes []Node) {
+func linkChildren(nodes []Node, parents []ConceptID) {
 	count := make([]int32, len(nodes))
-	for i := 1; i < len(nodes); i++ {
-		count[nodes[i].Parent]++
+	for _, p := range parents[1:] {
+		count[p]++
 	}
 	flat, off := make([]ConceptID, len(nodes)-1), 0
 	for p, n := range count {
@@ -219,7 +229,7 @@ func linkChildren(nodes []Node) {
 		}
 	}
 	for i := 1; i < len(nodes); i++ {
-		p := nodes[i].Parent
+		p := parents[i]
 		nodes[p].Children = append(nodes[p].Children, ConceptID(i))
 	}
 }
@@ -301,7 +311,7 @@ func Relabel(t *Tree, labels map[ConceptID]string) (*Tree, error) {
 	}
 	b := NewBuilder(pick(0))
 	for i := 1; i < len(t.nodes); i++ {
-		b.Add(t.nodes[i].Parent, pick(ConceptID(i)))
+		b.Add(t.parents[i], pick(ConceptID(i)))
 	}
 	return b.Build()
 }

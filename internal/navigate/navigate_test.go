@@ -29,7 +29,7 @@ func deepTarget(t *testing.T, nav *navtree.Tree) navtree.NodeID {
 	t.Helper()
 	best, bestDepth := -1, -1
 	for i := 1; i < nav.Len(); i++ {
-		d := nav.Node(i).Depth
+		d := nav.Depth(i)
 		if d > bestDepth && nav.NumResults(i) >= 2 && nav.NumResults(i) <= 30 {
 			best, bestDepth = i, d
 		}
@@ -253,7 +253,7 @@ func TestSimulateToTargetsMulti(t *testing.T) {
 		if i == first || nav.IsAncestor(first, i) || nav.IsAncestor(i, first) {
 			continue
 		}
-		if nav.Node(i).Depth >= 3 && nav.NumResults(i) >= 2 {
+		if nav.Depth(i) >= 3 && nav.NumResults(i) >= 2 {
 			second = i
 			break
 		}

@@ -8,7 +8,7 @@ package navtree
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"bionav/internal/corpus"
@@ -18,22 +18,28 @@ import (
 // NodeID indexes a node within a navigation Tree. The root is always 0.
 type NodeID = int
 
-// Node is one concept of the navigation tree with its attached results.
-type Node struct {
-	Concept  hierarchy.ConceptID
-	Parent   NodeID // -1 for the root
-	Children []NodeID
-	Results  []corpus.CitationID // res(n): result citations attached to the concept
-	Depth    int                 // depth within the navigation tree (root = 0)
-}
-
-// Tree is an immutable navigation tree for one query result.
+// Tree is an immutable navigation tree for one query result. Its nodes
+// ascend by concept ID, so parents precede children, and it keeps them
+// as flat columns that hold no pointers, which the garbage collector
+// does not scan.
 type Tree struct {
-	corp        *corpus.Corpus
-	nodes       []Node    // ascending by Concept; parents precede children
-	distinct    int       // distinct citations across the whole tree
-	attachments int       // citations attached across all nodes, with duplicates
-	nodeIdxs    [][]int32 // per node: the dense result index of each of Results
+	corp *corpus.Corpus
+
+	concept []hierarchy.ConceptID // per node: its concept, ascending
+	parent  []int32               // per node: its parent; -1 for the root
+	depth   []int32               // per node: depth within the navigation tree (root = 0)
+
+	// Node i's children are children[kidOff[i]:kidOff[i+1]], in ascending
+	// order; its results are cits[resOff[i]:resOff[i+1]], and their dense
+	// result indexes sit at the same positions of idxs.
+	kidOff   []int32
+	children []NodeID
+	resOff   []int32
+	cits     []corpus.CitationID
+	idxs     []int32
+
+	distinct    int // distinct citations across the whole tree
+	attachments int // citations attached across all nodes, with duplicates
 
 	aggOnce sync.Once
 	agg     any // see Aggregates
@@ -91,85 +97,71 @@ func Build(corp *corpus.Corpus, results []corpus.CitationID) *Tree {
 
 	// Number the kept concepts in ascending ID order, so the nearest kept
 	// ancestor is numbered already; the root's node 0 ends every walk up.
-	// slot[c] turns into the start of c's result window.
+	// slot[c] turns into the start of c's result window, and kidOff[p]
+	// counts p's children.
+	n := nKept + 1
+	t := &Tree{
+		corp:        corp,
+		concept:     make([]hierarchy.ConceptID, n),
+		children:    make([]NodeID, n-1),
+		cits:        make([]corpus.CitationID, attachments),
+		idxs:        make([]int32, attachments),
+		distinct:    len(order),
+		attachments: attachments,
+	}
+	back := make([]int32, 4*n+2)
+	t.parent, t.depth = back[:n:n], back[n:2*n:2*n]
+	t.kidOff, t.resOff = back[2*n:3*n+1:3*n+1], back[3*n+1:]
 	root := h.Root()
-	nodes := make([]Node, 1, nKept+1)
-	nodes[0] = Node{Concept: root, Parent: -1}
-	s.kids = resize(s.kids, nKept+1)
+	t.concept[0], t.parent[0] = root, -1
 	var off int32
-	for c := root + 1; len(nodes) <= nKept; c++ {
-		n := s.slot[c]
-		if n == 0 {
+	for c, i := root+1, 1; i < n; c++ {
+		cnt := s.slot[c]
+		if cnt == 0 {
 			continue
 		}
 		a := h.Parent(c)
 		for a != root && s.nodeOf[a] == 0 {
 			a = h.Parent(a)
 		}
-		parent := NodeID(s.nodeOf[a])
-		s.nodeOf[c] = int32(len(nodes))
+		p := s.nodeOf[a]
+		s.nodeOf[c] = int32(i)
 		s.slot[c] = off
-		off += n
-		s.kids[parent]++
-		nodes = append(nodes, Node{Concept: c, Parent: parent, Depth: nodes[parent].Depth + 1})
+		t.concept[i], t.parent[i], t.depth[i], t.resOff[i] = c, p, t.depth[p]+1, off
+		off += cnt
+		t.kidOff[p]++
+		i++
 	}
+	t.resOff[n] = off
 
 	// Fill the result windows; slot[c] advances to the window's end.
-	cits := make([]corpus.CitationID, attachments)
-	idxs := make([]int32, attachments)
 	for i, k := range order {
 		for _, c := range k.concepts {
 			at := s.slot[c]
-			cits[at], idxs[at] = k.id, int32(i)
+			t.cits[at], t.idxs[at] = k.id, int32(i)
 			s.slot[c]++
 		}
 	}
-
-	// Counting sort of the nodes by parent: kids[p] turns into the start of
-	// p's children window, then advances to its end.
-	var coff int32
-	for i := range nodes {
-		n := s.kids[i]
-		s.kids[i] = coff
-		coff += n
+	// Clear every scratch entry the build touched. Not deferred: a build
+	// that panics drops its scratch instead of handing dirty arrays to the
+	// next one.
+	for _, c := range t.concept[1:] {
+		s.slot[c], s.nodeOf[c] = 0, 0
 	}
-	children := make([]NodeID, len(nodes)-1)
-	for i := 1; i < len(nodes); i++ {
-		p := nodes[i].Parent
-		children[s.kids[p]] = i
-		s.kids[p]++
-	}
-
-	// Cut the windows, clearing every scratch entry the build touched.
-	nodeIdxs := make([][]int32, len(nodes))
-	var lo, clo int32
-	for i := range nodes {
-		n := &nodes[i]
-		if hi := s.kids[i]; hi > clo {
-			n.Children = children[clo:hi:hi]
-			clo = hi
-		}
-		s.kids[i] = 0
-		if i == 0 {
-			continue
-		}
-		hi := s.slot[n.Concept]
-		n.Results = cits[lo:hi:hi]
-		nodeIdxs[i] = idxs[lo:hi:hi]
-		lo = hi
-		s.slot[n.Concept], s.nodeOf[n.Concept] = 0, 0
-	}
-	// Not deferred: a build that panics drops its scratch instead of
-	// handing dirty arrays to the next one.
 	buildPool.Put(s)
 
-	return &Tree{
-		corp:        corp,
-		nodes:       nodes,
-		distinct:    len(order),
-		attachments: attachments,
-		nodeIdxs:    nodeIdxs,
+	// Counting sort of the nodes by parent: kidOff[p] turns into the end of
+	// p's children window, then, filled from the back, into its start.
+	for i := 1; i < n; i++ {
+		t.kidOff[i] += t.kidOff[i-1]
 	}
+	t.kidOff[n] = t.kidOff[n-1]
+	for i := n - 1; i >= 1; i-- {
+		p := t.parent[i]
+		t.kidOff[p]--
+		t.children[t.kidOff[p]] = i
+	}
+	return t
 }
 
 // BuildParallel is Build; workers is ignored.
@@ -185,7 +177,6 @@ func BuildParallel(corp *corpus.Corpus, results []corpus.CitationID, workers int
 type buildScratch struct {
 	slot   []int32 // concept → attachment count, then write cursor into the flat result arrays
 	nodeOf []int32 // concept → navigation node; 0 for concepts not kept
-	kids   []int32 // node → child count, then write cursor into the flat children array
 }
 
 var buildPool = sync.Pool{New: func() any { return new(buildScratch) }}
@@ -203,37 +194,47 @@ func resize(a []int32, n int) []int32 {
 func (t *Tree) Corpus() *corpus.Corpus { return t.corp }
 
 // Len reports the number of navigation-tree nodes, including the root.
-func (t *Tree) Len() int { return len(t.nodes) }
+func (t *Tree) Len() int { return len(t.concept) }
 
 // Root returns the root node ID (always 0).
 func (t *Tree) Root() NodeID { return 0 }
 
-// Node returns the node with the given ID.
-func (t *Tree) Node(id NodeID) *Node { return &t.nodes[id] }
-
 // Parent returns id's parent, or -1 for the root.
-func (t *Tree) Parent(id NodeID) NodeID { return t.nodes[id].Parent }
+func (t *Tree) Parent(id NodeID) NodeID { return NodeID(t.parent[id]) }
+
+// Depth returns id's depth within the navigation tree; the root's is 0.
+func (t *Tree) Depth(id NodeID) int { return int(t.depth[id]) }
 
 // Children returns id's children; the slice must not be modified.
-func (t *Tree) Children(id NodeID) []NodeID { return t.nodes[id].Children }
+func (t *Tree) Children(id NodeID) []NodeID { return window(t.children, t.kidOff, id) }
 
 // Concept returns the hierarchy concept a node represents.
-func (t *Tree) Concept(id NodeID) hierarchy.ConceptID { return t.nodes[id].Concept }
+func (t *Tree) Concept(id NodeID) hierarchy.ConceptID { return t.concept[id] }
 
 // Label returns the concept label of a node.
-func (t *Tree) Label(id NodeID) string { return t.corp.Tree().Label(t.nodes[id].Concept) }
+func (t *Tree) Label(id NodeID) string { return t.corp.Tree().Label(t.concept[id]) }
 
 // Results returns the citations attached directly to a node (res(n)); the
 // slice must not be modified.
-func (t *Tree) Results(id NodeID) []corpus.CitationID { return t.nodes[id].Results }
+func (t *Tree) Results(id NodeID) []corpus.CitationID { return window(t.cits, t.resOff, id) }
 
 // NumResults returns |res(n)|.
-func (t *Tree) NumResults(id NodeID) int { return len(t.nodes[id].Results) }
+func (t *Tree) NumResults(id NodeID) int { return int(t.resOff[id+1] - t.resOff[id]) }
 
 // GlobalCount returns the MEDLINE-wide citation count of the node's concept
 // (cnt(n) of §IV).
 func (t *Tree) GlobalCount(id NodeID) int64 {
-	return t.corp.GlobalCount(t.nodes[id].Concept)
+	return t.corp.GlobalCount(t.concept[id])
+}
+
+// window returns the entries of a from off[id] to off[id+1], or nil when
+// there are none.
+func window[E any](a []E, off []int32, id NodeID) []E {
+	lo, hi := off[id], off[id+1]
+	if lo == hi {
+		return nil
+	}
+	return a[lo:hi:hi]
 }
 
 // DistinctTotal reports the number of distinct citations in the whole tree
@@ -249,7 +250,7 @@ func (t *Tree) Attachments() int { return t.attachments }
 // distinct known citations of the result list, in the order Build was
 // given them. These are the indexes a per-node citation bitset needs. The
 // slice must not be modified.
-func (t *Tree) ResultIndexes(id NodeID) []int32 { return t.nodeIdxs[id] }
+func (t *Tree) ResultIndexes(id NodeID) []int32 { return window(t.idxs, t.resOff, id) }
 
 // Aggregates returns per-tree derived state, computing it with compute on
 // the first call and returning that same value to every later caller,
@@ -268,8 +269,8 @@ func (t *Tree) Aggregates(compute func(*Tree) any) any {
 // NodeByConcept resolves a concept to its navigation-tree node by binary
 // search: nodes ascend by concept ID.
 func (t *Tree) NodeByConcept(c hierarchy.ConceptID) (NodeID, bool) {
-	i := sort.Search(len(t.nodes), func(i int) bool { return t.nodes[i].Concept >= c })
-	if i == len(t.nodes) || t.nodes[i].Concept != c {
+	i, ok := slices.BinarySearch(t.concept, c)
+	if !ok {
 		return 0, false
 	}
 	return i, true
@@ -281,8 +282,8 @@ func (t *Tree) IsAncestor(a, b NodeID) bool {
 	if a == b {
 		return false
 	}
-	for cur := t.nodes[b].Parent; cur != -1; cur = t.nodes[cur].Parent {
-		if cur == a {
+	for cur := t.parent[b]; cur != -1; cur = t.parent[cur] {
+		if NodeID(cur) == a {
 			return true
 		}
 	}
@@ -295,7 +296,7 @@ func (t *Tree) PreOrder(id NodeID, visit func(NodeID) bool) {
 	if !visit(id) {
 		return
 	}
-	for _, c := range t.nodes[id].Children {
+	for _, c := range t.Children(id) {
 		t.PreOrder(c, visit)
 	}
 }
@@ -319,14 +320,11 @@ type Stats struct {
 
 // ComputeStats scans the tree once.
 func (t *Tree) ComputeStats() Stats {
-	s := Stats{Size: len(t.nodes) - 1, TotalAttached: t.attachments, DistinctTotal: t.distinct}
+	s := Stats{Size: t.Len() - 1, TotalAttached: t.attachments, DistinctTotal: t.distinct}
 	widths := make(map[int]int)
-	for i := 1; i < len(t.nodes); i++ {
-		n := &t.nodes[i]
-		widths[n.Depth]++
-		if n.Depth > s.Height {
-			s.Height = n.Depth
-		}
+	for _, d := range t.depth[1:] {
+		widths[int(d)]++
+		s.Height = max(s.Height, int(d))
 	}
 	for _, w := range widths {
 		if w > s.MaxLevelWidth {
@@ -344,24 +342,24 @@ func (t *Tree) ComputeStats() Stats {
 // consistent, and hierarchy ancestry is preserved by the embedding.
 func (t *Tree) Validate() error {
 	h := t.corp.Tree()
-	if len(t.nodes) == 0 || t.nodes[0].Parent != -1 {
+	if t.Len() == 0 || t.parent[0] != -1 {
 		return fmt.Errorf("navtree: malformed root")
 	}
-	for i := 1; i < len(t.nodes); i++ {
-		n := &t.nodes[i]
-		if len(n.Results) == 0 {
+	for i := 1; i < t.Len(); i++ {
+		if t.NumResults(i) == 0 {
 			return fmt.Errorf("navtree: node %d (%s) has empty results", i, t.Label(i))
 		}
-		if n.Parent < 0 || n.Parent >= i {
-			return fmt.Errorf("navtree: node %d has invalid parent %d", i, n.Parent)
+		p := t.Parent(i)
+		if p < 0 || p >= i {
+			return fmt.Errorf("navtree: node %d has invalid parent %d", i, p)
 		}
-		if t.nodes[n.Parent].Depth+1 != n.Depth {
+		if t.depth[p]+1 != t.depth[i] {
 			return fmt.Errorf("navtree: node %d depth inconsistent", i)
 		}
 		// Embedding property: the navigation-tree parent's concept must be
 		// a hierarchy ancestor of the node's concept (or the root).
-		pc := t.nodes[n.Parent].Concept
-		if pc != h.Root() && !h.IsAncestor(pc, n.Concept) {
+		pc := t.concept[p]
+		if pc != h.Root() && !h.IsAncestor(pc, t.concept[i]) {
 			return fmt.Errorf("navtree: node %d parent concept %d is not a hierarchy ancestor", i, pc)
 		}
 	}

@@ -1,6 +1,7 @@
 package navtree
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -151,8 +152,8 @@ func TestEmbeddingReconnectsAcrossElidedNodes(t *testing.T) {
 	if nt.Parent(deepNode) != aNode {
 		t.Fatalf("deep's parent = %d, want a = %d", nt.Parent(deepNode), aNode)
 	}
-	if nt.Node(deepNode).Depth != 2 {
-		t.Fatalf("deep depth = %d, want 2 (path compressed)", nt.Node(deepNode).Depth)
+	if nt.Depth(deepNode) != 2 {
+		t.Fatalf("deep depth = %d, want 2 (path compressed)", nt.Depth(deepNode))
 	}
 }
 
@@ -286,4 +287,45 @@ func TestEmptyResultTree(t *testing.T) {
 	if s.Size != 0 || s.DuplicateRatio != 0 {
 		t.Fatalf("stats = %+v", s)
 	}
+}
+
+// TestTreeIsPointerFree checks that no per-node array of a Tree holds a
+// pointer: the garbage collector then skips a cached tree's columns
+// instead of scanning a slice header, or two, per node. Fields that are
+// not slices, such as the corpus and the aggregates, are out of scope.
+func TestTreeIsPointerFree(t *testing.T) {
+	typ := reflect.TypeOf((*Tree)(nil)).Elem()
+	columns := 0
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if f.Type.Kind() != reflect.Slice {
+			continue
+		}
+		columns++
+		if !pointerFree(f.Type.Elem()) {
+			t.Errorf("Tree.%s is %s: its elements hold pointers", f.Name, f.Type)
+		}
+	}
+	if columns == 0 {
+		t.Fatal("Tree has no slice fields")
+	}
+}
+
+// pointerFree reports whether values of typ hold no pointer, slice,
+// string, map, chan, func or interface, at any depth.
+func pointerFree(typ reflect.Type) bool {
+	switch typ.Kind() {
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.String,
+		reflect.Map, reflect.Chan, reflect.Func, reflect.Interface:
+		return false
+	case reflect.Array:
+		return pointerFree(typ.Elem())
+	case reflect.Struct:
+		for i := 0; i < typ.NumField(); i++ {
+			if !pointerFree(typ.Field(i).Type) {
+				return false
+			}
+		}
+	}
+	return true
 }

@@ -13,11 +13,21 @@ import (
 // oracleTree is the navigation tree as the original map-based build laid
 // it out: the reference Build is checked against.
 type oracleTree struct {
-	nodes     []Node
+	nodes     []oracleNode
 	byConcept map[hierarchy.ConceptID]NodeID
 	distinct  int
 	resultIdx map[corpus.CitationID]int
 	nodeIdxs  [][]int32
+}
+
+// oracleNode is one node of the oracle's tree, one struct per node as
+// the original build kept them.
+type oracleNode struct {
+	Concept  hierarchy.ConceptID
+	Parent   NodeID // -1 for the root
+	Children []NodeID
+	Results  []corpus.CitationID
+	Depth    int
 }
 
 // oracleBuild is the original serial build: per-concept citation lists in
@@ -60,7 +70,7 @@ func oracleBuild(corp *corpus.Corpus, results []corpus.CitationID) *oracleTree {
 		distinct:  len(resultIdx),
 		resultIdx: resultIdx,
 	}
-	t.nodes = append(t.nodes, Node{Concept: h.Root(), Parent: -1})
+	t.nodes = append(t.nodes, oracleNode{Concept: h.Root(), Parent: -1})
 	t.nodeIdxs = append(t.nodeIdxs, nil)
 	t.byConcept[h.Root()] = 0
 
@@ -73,7 +83,7 @@ func oracleBuild(corp *corpus.Corpus, results []corpus.CitationID) *oracleTree {
 	for _, c := range conceptIDs {
 		parentNode := t.findKeptAncestor(h, c)
 		id := NodeID(len(t.nodes))
-		t.nodes = append(t.nodes, Node{
+		t.nodes = append(t.nodes, oracleNode{
 			Concept: c,
 			Parent:  parentNode,
 			Results: attached[c],
@@ -106,19 +116,21 @@ func diffOracle(corp *corpus.Corpus, results []corpus.CitationID, got *Tree, wan
 	}
 	attachments := 0
 	for i := range want.nodes {
-		g, w := got.Node(i), &want.nodes[i]
+		w := &want.nodes[i]
 		attachments += len(w.Results)
 		switch {
-		case g.Concept != w.Concept:
-			return fmt.Errorf("node %d: Concept = %d, want %d", i, g.Concept, w.Concept)
-		case g.Parent != w.Parent:
-			return fmt.Errorf("node %d: Parent = %d, want %d", i, g.Parent, w.Parent)
-		case !reflect.DeepEqual(g.Children, w.Children):
-			return fmt.Errorf("node %d: Children = %#v, want %#v", i, g.Children, w.Children)
-		case !reflect.DeepEqual(g.Results, w.Results):
-			return fmt.Errorf("node %d: Results = %#v, want %#v", i, g.Results, w.Results)
-		case g.Depth != w.Depth:
-			return fmt.Errorf("node %d: Depth = %d, want %d", i, g.Depth, w.Depth)
+		case got.Concept(i) != w.Concept:
+			return fmt.Errorf("node %d: Concept = %d, want %d", i, got.Concept(i), w.Concept)
+		case got.Parent(i) != w.Parent:
+			return fmt.Errorf("node %d: Parent = %d, want %d", i, got.Parent(i), w.Parent)
+		case !reflect.DeepEqual(got.Children(i), w.Children):
+			return fmt.Errorf("node %d: Children = %#v, want %#v", i, got.Children(i), w.Children)
+		case !reflect.DeepEqual(got.Results(i), w.Results):
+			return fmt.Errorf("node %d: Results = %#v, want %#v", i, got.Results(i), w.Results)
+		case got.NumResults(i) != len(w.Results):
+			return fmt.Errorf("node %d: NumResults = %d, want %d", i, got.NumResults(i), len(w.Results))
+		case got.Depth(i) != w.Depth:
+			return fmt.Errorf("node %d: Depth = %d, want %d", i, got.Depth(i), w.Depth)
 		case !reflect.DeepEqual(got.ResultIndexes(i), want.nodeIdxs[i]):
 			return fmt.Errorf("node %d: ResultIndexes = %#v, want %#v", i, got.ResultIndexes(i), want.nodeIdxs[i])
 		}
