@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all check build test race vet fmt lint lint-fix-audit checks-test golden-test fuzz-smoke bench bench-smoke bench-json bench-check bench-diff loc anytime-test faults-test chaos-test metrics-test parallel-test ingest-test load-test load-bench experiments demo clean
+.PHONY: all check build test race vet fmt lint lint-fix-audit checks-test golden-test fuzz-smoke bench bench-smoke bench-json bench-check bench-diff loc cutmemo-test faults-test chaos-test metrics-test parallel-test ingest-test load-test load-bench experiments demo clean
 
 all: fmt vet lint test build
 
@@ -56,7 +56,7 @@ golden-test:
 	$(GO) test -count=1 -run 'BehaviourGolden|ViewGolden|DPCostGolden' ./internal/experiments
 	$(GO) test -count=1 -run 'TranscriptGolden' ./internal/server
 
-# Short fuzz runs of the differential Opt-EdgeCut, PolyCut, k-partition,
+# Short fuzz runs of the differential Opt-EdgeCut, k-partition,
 # active-tree and navigation-tree build targets, and the parsers that read
 # outside input: the /api/query keyword parser, the MeSH ASCII and MEDLINE
 # XML readers behind bionav.Import, the frame scanner every durable file
@@ -64,7 +64,6 @@ golden-test:
 # campaign.
 fuzz-smoke:
 	$(GO) test -run FuzzOptEdgeCut -fuzz FuzzOptEdgeCut -fuzztime 10s ./internal/core
-	$(GO) test -run FuzzPolyCut -fuzz FuzzPolyCut -fuzztime 10s ./internal/core
 	$(GO) test -run FuzzKPartition -fuzz FuzzKPartition -fuzztime 10s ./internal/core
 	$(GO) test -run FuzzActiveTree -fuzz FuzzActiveTree -fuzztime 10s ./internal/core
 	$(GO) test -run FuzzBuild -fuzz FuzzBuild -fuzztime 10s ./internal/navtree
@@ -177,13 +176,12 @@ bench-check:
 	$(GO) test ./cmd/bionav-benchcheck
 	$(GO) run ./cmd/bionav-benchcheck BENCH_core.json BENCH_load.json
 
-# Anytime-optimization gate: the PolyCut DP differential tests, the
-# grade ladder, the w8d3 anytime-beats-static acceptance scenario, and
-# the cut-memo suite (memo hits, exact keys, the differential and race
-# tests, and imports kept out of the memo) — raced at a tight GOMAXPROCS
-# so the memo's locking is exercised under contention.
-anytime-test:
-	GOMAXPROCS=4 $(GO) test -race -run 'PolyCut|Anytime|PolyPolicy|SolverCacheReplayHit|SolverCacheBatchReplay|CutMemo|ReplayKeepsCutsOutOfMemo' ./internal/core ./internal/navigate ./internal/server
+# Cut-memo gate: the memo suite (memo hits, exact keys, the entry bound,
+# the differential and race tests, and imports kept out of the memo) —
+# raced at a tight GOMAXPROCS so the memo's locking is exercised under
+# contention.
+cutmemo-test:
+	GOMAXPROCS=4 $(GO) test -race -run 'SolverCacheReplayHit|SolverCacheBatchReplay|CutMemo|ReplayKeepsCutsOutOfMemo' ./internal/core ./internal/navigate ./internal/server
 
 # Non-test Go lines per package directory and for the whole module,
 # leaving out servebench, the linter's fixtures and build outputs: the

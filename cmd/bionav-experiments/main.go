@@ -40,7 +40,7 @@ func run(args []string, stdout io.Writer) error {
 		out    = fs.String("out", "", "write results to this file instead of stdout")
 		seed   = fs.Uint64("seed", 2009, "workload seed")
 		dbDir  = fs.String("db", "", "reuse a workload database written by `bionav-gen -workload` instead of synthesizing")
-		policy = fs.String("policy", "heuristic", "BioNav-arm expansion policy: heuristic, poly, opt or static")
+		policy = fs.String("policy", "heuristic", "BioNav-arm expansion policy: heuristic or static")
 	)
 	fs.SetOutput(stdout)
 	if err := fs.Parse(args); err != nil {

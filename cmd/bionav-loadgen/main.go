@@ -26,6 +26,7 @@ import (
 	"strings"
 	"time"
 
+	"bionav/internal/core"
 	"bionav/internal/loadgen"
 	"bionav/internal/server"
 	"bionav/internal/workload"
@@ -65,7 +66,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	var (
 		addr         = fs.String("addr", "", "target server base URL; empty self-hosts a workload server")
 		scale        = fs.String("scale", "small", "self-hosted workload scale: small or full")
-		policy       = fs.String("policy", "heuristic", "expansion policy of the self-hosted server")
+		policy       = fs.String("policy", "heuristic", "expansion policy of the self-hosted server: heuristic or static")
 		seed         = fs.Uint64("seed", 2009, "master seed; session streams derive from it")
 		rate         = fs.Float64("rate", 2, "offered sessions/second of the first step")
 		rateFactor   = fs.Float64("rate-factor", 2, "offered-rate multiplier per step")
@@ -81,6 +82,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		out          = fs.String("out", "-", "BENCH_load.json path, or - for stdout")
 	)
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	// server.Config turns an unknown name into the default policy; refuse
+	// it here, as bionav-server does, so a sweep never runs another one.
+	if _, err := core.PolicyByName(*policy, 0); err != nil {
 		return err
 	}
 

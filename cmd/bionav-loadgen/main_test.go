@@ -86,3 +86,15 @@ func TestRunRejectsUnknownScale(t *testing.T) {
 		t.Fatalf("err = %v, want unknown-scale rejection", err)
 	}
 }
+
+// TestRunRejectsUnknownPolicy: a -policy spelling core.PolicyByName
+// refuses stops the run before any workload is synthesized, rather than
+// self-hosting the default policy under the requested name.
+func TestRunRejectsUnknownPolicy(t *testing.T) {
+	for _, name := range []string{"poly", "opt", "bogus"} {
+		err := run(context.Background(), []string{"-policy", name}, new(bytes.Buffer), new(bytes.Buffer))
+		if err == nil || !strings.Contains(err.Error(), name) {
+			t.Fatalf("-policy %s: err = %v, want unknown-policy rejection", name, err)
+		}
+	}
+}

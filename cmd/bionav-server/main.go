@@ -108,7 +108,7 @@ func build(args []string, stdout io.Writer, logger *slog.Logger) (*app, error) {
 		dbDir   = fs.String("db", "", "BioNav database directory (from bionav-gen)")
 		demo    = fs.Bool("demo", false, "serve an in-memory demo dataset instead of -db")
 		addr    = fs.String("addr", ":8080", "listen address")
-		policy  = fs.String("policy", "heuristic", "expansion policy: heuristic, poly, opt or static")
+		policy  = fs.String("policy", "heuristic", "expansion policy: heuristic or static")
 		policyK = fs.Int("k", 10, "policy cut/reduction budget")
 		maxSess = fs.Int("max-sessions", 256, "maximum concurrent navigation sessions")
 		sessTTL = fs.Duration("session-ttl", 30*time.Minute, "idle session lifetime")

@@ -123,10 +123,7 @@ func TestBuildJournalRecovery(t *testing.T) {
 // Every entry must appear on /metrics of a freshly built server; `make
 // metrics-test` runs this against a real listener in CI.
 var metricCatalog = []struct{ name, kind string }{
-	{"bionav_anytime_improvements_total", "counter"},
-	{"bionav_anytime_rounds", "histogram"},
 	{"bionav_build_info", "gauge"},
-	{"bionav_cut_grade_total", "counter"},
 	{"bionav_dataset_epoch", "gauge"},
 	{"bionav_dp_aborts_total", "counter"},
 	{"bionav_dp_fold_steps_total", "counter"},

@@ -121,51 +121,3 @@ func TestFaultPolicyPropagatesCancellation(t *testing.T) {
 		t.Fatalf("CachedHeuristic after cancel: %v", err)
 	}
 }
-
-// TestFaultPolyDPAbortDegradesToStatic arms the PolyCut anytime driver's
-// own failpoint at full tilt: every checkpoint aborts, so the solve can
-// never improve on its seed — it must still answer, statically graded,
-// with a reason and a valid cut. This is the degradation contract the
-// EXPAND path leans on when the anytime budget is exhausted immediately.
-func TestFaultPolyDPAbortDegradesToStatic(t *testing.T) {
-	t.Cleanup(faults.Reset)
-	at := w8d3ActiveTree(t)
-	root := at.Nav().Root()
-	faults.Arm(faults.SitePolyDP, faults.Always(), nil)
-	res, err := AnytimeSolve(context.Background(), at, root, 10, w8d3Model)
-	if err != nil {
-		t.Fatalf("fully aborted solve errored: %v", err)
-	}
-	if res.Grade != GradeStatic {
-		t.Fatalf("grade = %v, want GradeStatic", res.Grade)
-	}
-	if res.Reason == "" {
-		t.Fatal("degraded solve carried no reason")
-	}
-	validateCut(t, at, root, res.Cut)
-}
-
-// TestFaultPolyDPStallUnderDeadline parks a long stall on the PolyCut
-// checkpoint under a short caller deadline: the stall must be cut off at
-// the deadline (SleepAction honors ctx) and the solve must come back
-// degraded-but-valid, well before the stall's nominal duration.
-func TestFaultPolyDPStallUnderDeadline(t *testing.T) {
-	t.Cleanup(faults.Reset)
-	at := w8d3ActiveTree(t)
-	root := at.Nav().Root()
-	faults.Arm(faults.SitePolyDP, faults.Always(), faults.SleepAction(30*time.Second))
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	res, err := AnytimeSolve(ctx, at, root, 10, w8d3Model)
-	if err != nil {
-		t.Fatalf("stalled solve errored: %v", err)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("anytime driver ignored its deadline (%v)", elapsed)
-	}
-	if res.Grade == GradeFull {
-		t.Fatal("stalled solve claimed a full-grade answer")
-	}
-	validateCut(t, at, root, res.Cut)
-}

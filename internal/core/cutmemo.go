@@ -21,8 +21,8 @@ import (
 // and the roots of the components directly below it: its members are the
 // root's navigation subtree minus the subtrees of those roots. The memo
 // holds only what the policy would return for that key, so callers store
-// full-grade cuts of completed solves alone, never a degraded, anytime,
-// static-fallback or replayed cut.
+// the cuts of completed solves alone, never a degraded static-fallback
+// or a replayed cut.
 
 // cutMemoBound caps the entries of one tree's memo; reaching it clears the
 // memo. An entry takes 200 to 400 bytes, and the trees sessions share come
@@ -84,8 +84,8 @@ func (at *ActiveTree) MemoCut(k MemoKey) ([]Edge, bool) {
 	return cut, ok
 }
 
-// Memoize stores a copy of cut under k. The cut must be the full-grade
-// result of a completed ChooseCut over the component k was built for.
+// Memoize stores a copy of cut under k. The cut must be the result of a
+// completed ChooseCut over the component k was built for.
 func (at *ActiveTree) Memoize(k MemoKey, cut []Edge) {
 	cut = slices.Clone(cut)
 	m := &at.memo

@@ -21,96 +21,6 @@ import (
 //	n-1 bytes      parent of node i = byte%i (topological order holds)
 //	n bytes        per-node citation bitmask (8-citation universe)
 //	n bytes        per-node score s(i) = (byte%64)/32
-//
-// FuzzPolyCut drives the polynomial anytime DP differentially against
-// the antichain-enumeration oracle on arbitrary small active trees:
-// every deepening horizon's aggregates, continuation values and knapsack
-// tables must match brute force, the reconstructed cut must achieve the
-// oracle optimum, and the final anytime cut — evaluated under the exact
-// exponential recursion — must never beat Opt-EdgeCut's exact optimum
-// nor exceed its own static seed. Seed corpus entries under
-// testdata/fuzz/FuzzPolyCut cover a chain, a star, and a mixed shape.
-//
-// Byte layout (missing bytes read as zero, so every input decodes):
-//
-//	data[0]        tree size n = 2 + data[0]%9 (2..10)
-//	data[1]        cost model: diffModels[data[1]%len(diffModels)]
-//	data[2]        cut budget k = 1 + data[2]%4
-//	n-1 bytes      parent of node i = byte%i (topological order holds)
-//	n bytes        per-node citation bitmask (8-citation universe)
-//	n bytes        per-node duplicate count = 1 + 16·byte
-func FuzzPolyCut(f *testing.F) {
-	f.Add([]byte{})                                                                                                               // degenerate: 2-node chain
-	f.Add([]byte{8, 1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 4, 8, 16, 32, 64, 128, 3, 5, 200, 10, 10, 10, 10, 10, 10, 10, 10, 10}) // star
-	f.Add([]byte{5, 4, 1, 0, 1, 2, 3, 4, 5, 255, 1, 3, 7, 15, 31, 63, 0, 64, 128, 192, 255, 32, 16})                              // chain, heavy tail
-	f.Fuzz(func(t *testing.T, data []byte) {
-		at := func(i int) byte {
-			if i < len(data) {
-				return data[i]
-			}
-			return 0
-		}
-		n := 2 + int(at(0))%9
-		model := diffModels[int(at(1))%len(diffModels)]
-		k := 1 + int(at(2))%4
-		pos := 3
-		parents := make([]int, n)
-		parents[0] = -1
-		for i := 1; i < n; i++ {
-			parents[i] = int(at(pos)) % i
-			pos++
-		}
-		results := make([][]int, n)
-		for i := 0; i < n; i++ {
-			b := at(pos)
-			pos++
-			for bit := 0; bit < 8; bit++ {
-				if b&(1<<bit) != 0 {
-					results[i] = append(results[i], bit)
-				}
-			}
-		}
-		counts := make([]int64, n)
-		for i := 0; i < n; i++ {
-			counts[i] = 1 + 16*int64(at(pos))
-			pos++
-		}
-		tree := buildActiveTree(t, parents, results, counts)
-		root := tree.Nav().Root()
-
-		s := fullSolver(t, tree, root, k, model)
-		for d := 1; d <= s.maxDepth; d++ {
-			if err := s.computeRound(d); err != nil {
-				t.Fatal(err)
-			}
-			checkRoundAgainstOracle(t, s, d)
-		}
-
-		res, err := AnytimeSolve(context.Background(), tree, root, k, model)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Grade != GradeFull {
-			t.Fatalf("unbounded solve graded %v", res.Grade)
-		}
-		if res.Cost > res.StaticCost+polyEps {
-			t.Fatalf("anytime cost %v worse than its static seed %v", res.Cost, res.StaticCost)
-		}
-		validateCut(t, tree, root, res.Cut)
-		ct, err := exactCompTree(tree, root)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, optCost, err := optEdgeCut(context.Background(), ct, model)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := exactCutCost(t, tree, root, res.Cut, model); got < optCost-polyEps {
-			t.Fatalf("PolyCut cut exact cost %v beats exact optimum %v", got, optCost)
-		}
-	})
-}
-
 func FuzzOptEdgeCut(f *testing.F) {
 	f.Add([]byte{})                               // degenerate: 2-node chain, all-zero attachments
 	f.Add([]byte{8, 3, 0, 0, 1, 0, 3, 2, 1, 255}) // mixed shape, sparse data

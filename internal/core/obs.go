@@ -21,17 +21,6 @@ var (
 		"Reduced-tree size |T_R| per Heuristic-ReducedOpt reduction (k histogram).")
 )
 
-// PolyCut anytime-driver metrics: how deep the deepening got, how often
-// a round beat the incumbent, and the grade ladder every solve lands on.
-var (
-	anytimeRounds = obs.Default.Histogram("bionav_anytime_rounds",
-		"Deepening rounds completed per PolyCut anytime solve.")
-	anytimeImprovements = obs.Default.Counter("bionav_anytime_improvements_total",
-		"PolyCut rounds whose candidate cut displaced the incumbent.")
-	cutGrades = obs.Default.CounterVec("bionav_cut_grade_total",
-		"PolyCut solves by final cut grade (full, anytime, static).", "grade")
-)
-
 // solveSeconds times one component's ChooseCut in SolveComponents, on
 // whichever goroutine runs it.
 var solveSeconds = obs.Default.Histogram("bionav_solve_component_seconds",

@@ -141,51 +141,6 @@ func (t *memoTable) reset() {
 	t.n = 0
 }
 
-// budget is a solver's cancellation state: the context and failpoint it
-// checks, the steps counted and the first error met. Opt-EdgeCut
-// (faults.SiteDP) and PolyCut (faults.SitePolyDP) each embed one, count
-// steps inline and checkpoint every dpStride or polyStride steps. ctx
-// stays nil until begin: minting a Background at construction would hide
-// a missed begin instead of failing fast.
-type budget struct {
-	ctx   context.Context
-	site  string
-	steps uint64
-	err   error
-}
-
-// begin resets the per-call cancellation state; every entry point calls
-// it, then checkpoint once so even a trivial solve observes an armed
-// failpoint or an already-expired deadline.
-func (b *budget) begin(ctx context.Context) error {
-	if ctx == nil {
-		//lint:ignore CTX01 nil means "no bound": the neutral ctx is the documented coercion, minted in exactly this one spot
-		ctx = context.Background()
-	}
-	b.ctx = ctx
-	b.err = nil
-	return b.checkpoint()
-}
-
-// checkpoint evaluates the solver's failpoint and the context, reporting
-// the first error.
-func (b *budget) checkpoint() error {
-	if err := faults.InjectCtx(b.ctx, b.site); err != nil {
-		return err
-	}
-	return b.ctx.Err()
-}
-
-// stop runs a checkpoint and records its error in b.err, reporting
-// whether the solve must unwind.
-func (b *budget) stop() bool {
-	if err := b.checkpoint(); err != nil {
-		b.err = err
-		return true
-	}
-	return false
-}
-
 type optimizer struct {
 	ct    *compTree
 	model CostModel
@@ -197,18 +152,54 @@ type optimizer struct {
 	scratch *bitset
 	ownBuf  []int // expandProb input; filled and consumed before recursing
 
-	// Cancellation state, reset by each entry point. The DP is the only
-	// unbounded computation on the serving path, so the fold checks ctx
-	// (and the faults.SiteDP failpoint) once on entry and then every
+	// Cancellation state, reset by each entry point (begin). The DP is the
+	// only unbounded computation on the serving path, so the fold checks
+	// ctx (and the faults.SiteDP failpoint) once on entry and then every
 	// dpStride steps; abort sets err and the recursion unwinds without
-	// touching the memo, leaving completed entries valid for reuse.
-	budget
+	// touching the memo, leaving completed entries valid for reuse. ctx
+	// stays nil until begin: minting a Background at construction would
+	// hide a missed begin instead of failing fast.
+	ctx context.Context
+	err error
 
 	// Local observability tallies, cumulative over the optimizer's life.
 	// Entry points snapshot them before the search and publish the deltas
 	// to the obs registry (and the request's trace span) once per call.
+	steps      uint64 // fold steps; the checkpoint stride counts them too
 	memoHits   uint64
 	memoMisses uint64
+}
+
+// begin resets the per-call cancellation state; every entry point calls
+// it, then checkpoint once so even a trivial solve observes an armed
+// failpoint or an already-expired deadline.
+func (o *optimizer) begin(ctx context.Context) error {
+	if ctx == nil {
+		//lint:ignore CTX01 nil means "no bound": the neutral ctx is the documented coercion, minted in exactly this one spot
+		ctx = context.Background()
+	}
+	o.ctx = ctx
+	o.err = nil
+	return o.checkpoint()
+}
+
+// checkpoint evaluates the faults.SiteDP failpoint and the context,
+// reporting the first error.
+func (o *optimizer) checkpoint() error {
+	if err := faults.InjectCtx(o.ctx, faults.SiteDP); err != nil {
+		return err
+	}
+	return o.ctx.Err()
+}
+
+// stop runs a checkpoint and records its error in o.err, reporting
+// whether the solve must unwind.
+func (o *optimizer) stop() bool {
+	if err := o.checkpoint(); err != nil {
+		o.err = err
+		return true
+	}
+	return false
 }
 
 // dpSnap is the tally snapshot an entry point takes before searching.
@@ -256,7 +247,6 @@ func newOptimizer(ct *compTree, model CostModel) *optimizer {
 		model:  model,
 		memo:   new(memoTable),
 		ownBuf: make([]int, 0, ct.len()),
-		budget: budget{site: faults.SiteDP},
 	}
 }
 
@@ -268,7 +258,6 @@ func borrowOptimizer(ct *compTree, model CostModel) *optimizer {
 		model:  model,
 		memo:   memoPool.Get().(*memoTable),
 		ownBuf: make([]int, 0, ct.len()),
-		budget: budget{site: faults.SiteDP},
 	}
 }
 

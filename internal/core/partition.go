@@ -27,8 +27,7 @@ import (
 //
 // This layout is the one way internal/core lays a component out for a
 // solver: the exact tree Opt-EdgeCut runs on is the layout's identity
-// partition (exactCompTree), and PolyCut's member tree is the layout
-// itself.
+// partition (exactCompTree).
 
 // compLayout is the flat layout of one component plus the sweep state. It
 // is taken per call from layoutPool rather than kept on the ActiveTree,

@@ -191,7 +191,7 @@ func TestExpectedCostRejectsHiddenNode(t *testing.T) {
 	for _, p := range []interface {
 		Name() string
 		ExpectedCost(*ActiveTree, navtree.NodeID) (float64, error)
-	}{NewHeuristicReducedOpt(), &OptEdgeCutPolicy{Model: DefaultCostModel()}, NewPolyCutPolicy()} {
+	}{NewHeuristicReducedOpt(), &OptEdgeCutPolicy{Model: DefaultCostModel()}} {
 		if c, err := p.ExpectedCost(f.at, hidden); err == nil {
 			t.Errorf("%s: ExpectedCost of hidden node %d = %v, want an error", p.Name(), hidden, c)
 		}

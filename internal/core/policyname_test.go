@@ -1,11 +1,16 @@
 package core
 
-import "testing"
+import (
+	"fmt"
+	"strings"
+	"testing"
+)
 
 // TestPolicyByName pins the CLI spellings and K handling: k <= 0 keeps
 // the default budget, a heuristic K above the Opt-EdgeCut limit is
-// rejected (its reduced trees could exceed what the DP takes), and the
-// other budgeted policy takes any K.
+// rejected (its reduced trees could exceed what the DP takes), static
+// ignores K, and no other spelling resolves. "opt" is refused with a
+// message that names the Opt-EdgeCut limit its root EXPANDs would exceed.
 func TestPolicyByName(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -19,10 +24,9 @@ func TestPolicyByName(t *testing.T) {
 		{"heuristic", maxOptNodes, "Heuristic-ReducedOpt", maxOptNodes},
 		{"heuristic", maxOptNodes + 1, "", 0},
 		{"heuristic", 36, "", 0},
-		{"poly", 0, "Poly-Anytime", 10},
-		{"poly", 36, "Poly-Anytime", 36},
-		{"opt", 36, "Opt-EdgeCut", 0},
 		{"static", 36, "Static", 0},
+		{"poly", 0, "", 0},
+		{"opt", 0, "", 0},
 		{"Heuristic", 0, "", 0},
 		{"cached", 0, "", 0},
 	} {
@@ -41,14 +45,14 @@ func TestPolicyByName(t *testing.T) {
 			t.Errorf("PolicyByName(%q, %d) = %s, want %s", tc.name, tc.k, p.Name(), tc.want)
 		}
 		k := 0
-		switch p := p.(type) {
-		case *HeuristicReducedOpt:
-			k = p.K
-		case *PolyCutPolicy:
-			k = p.K
+		if h, ok := p.(*HeuristicReducedOpt); ok {
+			k = h.K
 		}
 		if k != tc.wantK {
 			t.Errorf("PolicyByName(%q, %d): K = %d, want %d", tc.name, tc.k, k, tc.wantK)
 		}
+	}
+	if _, err := PolicyByName("opt", 0); err == nil || !strings.Contains(err.Error(), fmt.Sprint(maxOptNodes)) {
+		t.Errorf("PolicyByName(opt) err = %v, want one naming the limit %d", err, maxOptNodes)
 	}
 }

@@ -24,11 +24,6 @@ type ComponentCut struct {
 	Root navtree.NodeID
 	Cut  []Edge
 	Err  error
-	// Grade reports how complete the solve behind Cut was; policies that
-	// don't grade leave the zero value, GradeFull. Reason carries the
-	// grading policy's abort cause for degraded grades.
-	Grade  CutGrade
-	Reason string
 }
 
 // SolveComponents runs policy.ChooseCut for every listed component root.
@@ -60,12 +55,7 @@ func SolveComponents(ctx context.Context, at *ActiveTree, policy Policy, roots [
 		}()
 		stop := obs.Time(solveSeconds)
 		defer stop()
-		// Each solve gets its own GradeReport holder: the holder is
-		// written by the solving goroutine and read only after wg.Wait,
-		// so concurrent components never share one.
-		sctx, rep := WithGradeReport(ctx)
-		out[i].Cut, out[i].Err = policy.ChooseCut(sctx, at, ordered[i])
-		out[i].Grade, out[i].Reason = rep.Grade, rep.Reason
+		out[i].Cut, out[i].Err = policy.ChooseCut(ctx, at, ordered[i])
 	}
 	// Index 0 is the caller's; next hands out the rest.
 	var next atomic.Int64

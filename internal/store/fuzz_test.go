@@ -170,7 +170,7 @@ func FuzzIngestBatch(f *testing.F) {
 }
 
 // FuzzReadLog feeds arbitrary files to the table-log reader: it must never
-// panic, and any error must wrap ErrCorrupt (torn tails return nil).
+// panic, and any error must wrap ErrCorrupt (a torn base table is one).
 func FuzzReadLog(f *testing.F) {
 	// Seed with a valid two-record log.
 	path := filepath.Join(f.TempDir(), "seed.tbl")

@@ -11,7 +11,7 @@ var (
 	storeLoadSeconds = obs.Default.Histogram("bionav_store_load_seconds",
 		"Wall time to load a dataset from disk.")
 	storeTornTails = obs.Default.Counter("bionav_store_torn_tails_total",
-		"Torn tails (crash artifacts) found while scanning store logs: base tables, ingest log.")
+		"Torn tails (crash artifacts) truncated from the ingest log; a torn base table fails the load instead.")
 	ingestBatches = obs.Default.CounterVec("bionav_ingest_batches_total",
 		"Ingest batches by outcome (ok, error).", "outcome")
 	ingestCitations = obs.Default.Counter("bionav_ingest_citations_total",

@@ -152,9 +152,10 @@ func TestLogTornTailRecovered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Truncate at every possible byte boundary inside the last record; the
-	// reader must always recover the first four records, never error, and
-	// count each torn tail.
+	// Truncate at every possible byte boundary inside the last record. As
+	// the ingest log, the reader must always recover the first four
+	// records, never error, and count each torn tail. As a base table,
+	// which Save writes once, the torn tail is ErrCorrupt and not counted.
 	recSize := (len(full) - 4) / 5
 	for cut := len(full) - recSize + 1; cut < len(full); cut++ {
 		if err := os.WriteFile(path, full[:cut], 0o644); err != nil {
@@ -162,7 +163,7 @@ func TestLogTornTailRecovered(t *testing.T) {
 		}
 		n := 0
 		before := storeTornTails.Value()
-		if err := readTable(path, func([]byte) error { n++; return nil }); err != nil {
+		if _, err := readLog(path, true, func([]byte) error { n++; return nil }); err != nil {
 			t.Fatalf("cut=%d: %v", cut, err)
 		}
 		if n != 4 {
@@ -170,6 +171,12 @@ func TestLogTornTailRecovered(t *testing.T) {
 		}
 		if got := storeTornTails.Value(); got != before+1 {
 			t.Fatalf("cut=%d: torn-tail counter %d, want %d", cut, got, before+1)
+		}
+		if err := readTable(path, func([]byte) error { return nil }); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("cut=%d: base table read err = %v, want ErrCorrupt", cut, err)
+		}
+		if got := storeTornTails.Value(); got != before+1 {
+			t.Fatalf("cut=%d: torn base table counted as a torn tail", cut)
 		}
 	}
 }
