@@ -369,6 +369,86 @@ func BenchmarkTableITreeBytes(b *testing.B) {
 	b.ReportMetric(nodes/float64(len(results)), "nodes/tree")
 }
 
+// reduceState is one component a cold EXPAND solves: an active tree and
+// the root of the component to reduce.
+type reduceState struct {
+	at   *core.ActiveTree
+	root navtree.NodeID
+}
+
+// tableIReduceStates builds (once) the 60 full-scale Table I components of
+// BenchmarkTableIReduce: on each of the ten query trees, the root, then
+// the largest visible component (the smallest root on ties) after each of
+// five heuristic EXPANDs. Each state is an active tree of its own with
+// the EXPANDs before it applied.
+var tableIReduceStates = sync.OnceValues(func() ([]reduceState, error) {
+	w, err := workload.Generate(workload.DefaultConfig())
+	if err != nil {
+		return nil, err
+	}
+	pol := core.NewHeuristicReducedOpt()
+	type expand struct {
+		root navtree.NodeID
+		cut  []core.Edge
+	}
+	var states []reduceState
+	for _, q := range w.Queries {
+		nav := navtree.Build(w.Dataset.Corpus, w.Dataset.Index.Search(q.Spec.Keyword))
+		live, root := core.NewActiveTree(nav), nav.Root()
+		var done []expand
+		for e := 0; ; e++ {
+			at := core.NewActiveTree(nav)
+			for _, x := range done {
+				if _, err := at.Expand(x.root, x.cut); err != nil {
+					return nil, err
+				}
+			}
+			states = append(states, reduceState{at: at, root: root})
+			if e == 5 {
+				break
+			}
+			cut, err := pol.ChooseCut(context.Background(), live, root)
+			if err != nil {
+				return nil, err
+			}
+			if _, err := live.Expand(root, cut); err != nil {
+				return nil, err
+			}
+			done = append(done, expand{root, cut})
+			root = -1
+			for _, r := range live.VisibleRoots() {
+				if root < 0 || live.ComponentSize(r) > live.ComponentSize(root) {
+					root = r
+				}
+			}
+		}
+	}
+	return states, nil
+})
+
+// BenchmarkTableIReduce times Heuristic-ReducedOpt's reduction alone, the
+// k-partition and the reduced tree it builds, through LastReducedSize, on
+// the 60 full-scale Table I components of tableIReduceStates, which are
+// built before the timer starts. An op reduces all 60; us/reduction is
+// the mean of one.
+func BenchmarkTableIReduce(b *testing.B) {
+	states, err := tableIReduceStates()
+	if err != nil {
+		b.Fatal(err)
+	}
+	pol := core.NewHeuristicReducedOpt()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, s := range states {
+			if _, err := pol.LastReducedSize(s.at, s.root); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(states)), "us/reduction")
+}
+
 // BenchmarkBooleanQuery measures the boolean retrieval path on the
 // workload corpus.
 func BenchmarkBooleanQuery(b *testing.B) {

@@ -56,21 +56,22 @@ type compAgg struct {
 
 // treeAggregates is the per-node state that depends only on the
 // navigation tree: each node's citation bitset and selectivity score, the
-// distinct-citation count and node count of each node's full navigation
-// subtree, and the tree's pre-order layout. Its per-node arrays hold no
-// pointers, so the garbage collector does not scan them. It is computed
-// at most once per *navtree.Tree, on the first NewActiveTree over it, and
-// never written afterwards, so every session on a cached tree, and every
-// SolveComponents goroutine, reads one copy without locking. The one
-// exception is the cut memo, which the sessions fill as they solve
-// components and which its own mutex guards.
+// distinct-citation count, node count and k-partition weight of each
+// node's full navigation subtree, and the tree's pre-order layout. Its
+// per-node arrays hold no pointers, so the garbage collector does not
+// scan them. It is computed at most once per *navtree.Tree, on the first
+// NewActiveTree over it, and never written afterwards, so every session
+// on a cached tree, and every SolveComponents goroutine, reads one copy
+// without locking. The one exception is the cut memo, which the sessions
+// fill as they solve components and which its own mutex guards.
 type treeAggregates struct {
-	bits         []uint64  // per node: citations attached to it, as bitsets of words words laid end to end (nodeBits)
-	words        int       // width of one node's bitset
-	scores       []float64 // per node: s(n) = |res(n)| / cnt(n)
-	sumScores    float64   // Σ s(n) in node order: the pX normalizer
-	subtreeCount []int32   // per node: distinct citations attached over its navigation subtree
-	subtreeSize  []int32   // per node: size of its navigation subtree
+	bits          []uint64  // per node: citations attached to it, as bitsets of words words laid end to end (nodeBits)
+	words         int       // width of one node's bitset
+	scores        []float64 // per node: s(n) = |res(n)| / cnt(n)
+	sumScores     float64   // Σ s(n) in node order: the pX normalizer
+	subtreeCount  []int32   // per node: distinct citations attached over its navigation subtree
+	subtreeSize   []int32   // per node: size of its navigation subtree
+	subtreeWeight []int32   // per node: Σ (|res(m)|+1) over its navigation subtree, the k-partition weight
 
 	// The navigation tree in pre-order, following each node's child order:
 	// pre[pos[n]] == n, and n's subtree fills the positions from pos[n] to
@@ -120,15 +121,16 @@ func NewActiveTree(nav *navtree.Tree) *ActiveTree {
 func buildAggregates(nav *navtree.Tree) any {
 	n := nav.Len()
 	words := (nav.DistinctTotal() + 63) / 64
-	back := make([]int32, 4*n)
+	back := make([]int32, 5*n)
 	agg := &treeAggregates{
-		bits:         make([]uint64, n*words),
-		words:        words,
-		scores:       make([]float64, n),
-		subtreeCount: back[:n:n],
-		subtreeSize:  back[n : 2*n : 2*n],
-		pre:          back[2*n : 3*n : 3*n],
-		pos:          back[3*n:],
+		bits:          make([]uint64, n*words),
+		words:         words,
+		scores:        make([]float64, n),
+		subtreeCount:  back[:n:n],
+		subtreeSize:   back[n : 2*n : 2*n],
+		subtreeWeight: back[2*n : 3*n : 3*n],
+		pre:           back[3*n : 4*n : 4*n],
+		pos:           back[4*n:],
 	}
 	height := 0
 	for i := 0; i < n; i++ {
@@ -141,6 +143,7 @@ func buildAggregates(nav *navtree.Tree) any {
 			agg.scores[i] = float64(len(idxs)) / float64(cnt)
 		}
 		agg.sumScores += agg.scores[i]
+		agg.subtreeWeight[i] = int32(len(idxs)) + 1 // walk adds the children's
 		height = max(height, nav.Depth(i))
 	}
 	agg.walk(nav, height)
@@ -148,14 +151,15 @@ func buildAggregates(nav *navtree.Tree) any {
 }
 
 // walk lays the tree out in pre-order, following each node's child
-// order, and fills subtreeSize, subtreeCount and preScore, in one
-// depth-first walk. The walk keeps a citation union only for each inner
-// node on the path from the root to the current node, one per depth.
-// Reaching a node at depth d, it has left the subtree of every inner node
-// at depth d or deeper, so their sizes and unions are complete: each
-// union is counted and ORed into its parent's, the one a level up. A leaf
-// is counted from its own bitset, which it ORs straight into its parent's
-// union.
+// order, and fills subtreeSize, subtreeCount, subtreeWeight and preScore,
+// in one depth-first walk. subtreeWeight holds each node's own weight on
+// entry. The walk keeps a citation union only for each inner node on the
+// path from the root to the current node, one per depth. Reaching a node
+// at depth d, it has left the subtree of every inner node at depth d or
+// deeper, so their sizes, weights and unions are complete: each union is
+// counted and ORed into its parent's, the one a level up, and each weight
+// added to its parent's. A leaf is counted from its own bitset, which it
+// ORs straight into its parent's union.
 func (agg *treeAggregates) walk(nav *navtree.Tree, height int) {
 	w := agg.words
 	path := make([]int32, height+1)     // path[d]: the inner node at depth d
@@ -170,6 +174,7 @@ func (agg *treeAggregates) walk(nav *navtree.Tree, height int) {
 			agg.subtreeCount[top] = int32(u.count())
 			if open > 0 {
 				level(open - 1).orInto(u)
+				agg.subtreeWeight[path[open-1]] += agg.subtreeWeight[top]
 			}
 		}
 	}
@@ -195,6 +200,7 @@ func (agg *treeAggregates) walk(nav *navtree.Tree, height int) {
 		agg.subtreeCount[v] = int32(b.count())
 		if d > 0 {
 			level(d - 1).orInto(b)
+			agg.subtreeWeight[path[d-1]] += agg.subtreeWeight[v]
 		}
 	}
 	complete(0)

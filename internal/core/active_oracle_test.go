@@ -130,8 +130,8 @@ func oracleVisualize(at *ActiveTree) map[navtree.NodeID]*VisibleNode {
 
 // diffAggregates checks at's per-tree aggregates against naive walks of
 // its navigation tree: each node's bitset against its result indexes,
-// and each node's subtree count and size against the union of the result
-// indexes over nav.Subtree and its length.
+// and each node's subtree count, size and weight against the union of the
+// result indexes over nav.Subtree, its length and its Σ (|res|+1).
 func diffAggregates(t *testing.T, at *ActiveTree) {
 	t.Helper()
 	nav := at.nav
@@ -145,16 +145,21 @@ func diffAggregates(t *testing.T, at *ActiveTree) {
 		}
 		sub := nav.Subtree(n)
 		u := newBitset(nav.DistinctTotal())
+		weight := 0
 		for _, m := range sub {
 			for _, idx := range nav.ResultIndexes(m) {
 				u.set(int(idx))
 			}
+			weight += nav.NumResults(m) + 1
 		}
 		if got := int(at.subtreeCount[n]); got != u.count() {
 			t.Fatalf("subtreeCount[%d] = %d, union over its subtree has %d", n, got, u.count())
 		}
 		if got := int(at.subtreeSize[n]); got != len(sub) {
 			t.Fatalf("subtreeSize[%d] = %d, subtree has %d nodes", n, got, len(sub))
+		}
+		if got := int(at.subtreeWeight[n]); got != weight {
+			t.Fatalf("subtreeWeight[%d] = %d, subtree weighs %d", n, got, weight)
 		}
 	}
 }

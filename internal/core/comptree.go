@@ -7,9 +7,9 @@ import (
 )
 
 // compTree is the small tree Opt-EdgeCut runs on. Its nodes are the
-// partitions of a component's flat layout (compLayout.compTree): the
-// k-partition's supernodes (§VI-B), or one node per member when the
-// partition is the identity (exactCompTree). Node 0 is the root;
+// partitions of a component (partitioner.compTree): the k-partition's
+// supernodes (§VI-B), or one node per member when the partition is the
+// identity (exactCompTree). Node 0 is the root;
 // Parent[i] < i for all i > 0 so iteration in index order is a valid
 // pre-order.
 type compTree struct {
@@ -40,17 +40,14 @@ type compTree struct {
 const maxOptNodes = 24
 
 // exactCompTree builds the compTree with one node per member of the
-// component rooted at root, which must be a component root: the identity
-// partition of its layout.
+// component rooted at root, which must be a component root: its identity
+// partition.
 func exactCompTree(at *ActiveTree, root navtree.NodeID) (*compTree, error) {
-	if n := at.ComponentSize(root); n > maxOptNodes {
+	n := at.ComponentSize(root)
+	if n > maxOptNodes {
 		return nil, fmt.Errorf("core: component of %d nodes exceeds Opt-EdgeCut limit %d", n, maxOptNodes)
 	}
-	sc := layoutPool.Get().(*compLayout)
-	defer layoutPool.Put(sc)
-	sc.load(at, root)
-	sc.split(len(sc.node))
-	return sc.compTree(at)
+	return splitComponent(at, root, n).compTree()
 }
 
 func newCompTree(n int, sum float64) *compTree {

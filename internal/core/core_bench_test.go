@@ -10,9 +10,10 @@ import (
 	"bionav/internal/navtree"
 )
 
-// benchTree builds a prothymosin-scale active tree once per benchmark run.
-func benchTree(b *testing.B) *ActiveTree {
-	b.Helper()
+// benchTree builds a prothymosin-scale active tree: 8,000 concepts, 112
+// top-level categories (the fan-out of a Table I root) and depth 11.
+func benchTree(tb testing.TB) *ActiveTree {
+	tb.Helper()
 	tree := hierarchy.Generate(hierarchy.GenConfig{Seed: 91, Nodes: 8000, TopLevel: 112, MaxDepth: 11})
 	corp := corpus.Generate(tree, corpus.GenConfig{
 		Seed: 92, Citations: 313, MeanConcepts: 90, FirstID: 1, YearLo: 1990, YearHi: 2008,

@@ -55,23 +55,32 @@ func (at *ActiveTree) MemoKey(p Policy, root navtree.NodeID) (MemoKey, bool) {
 	if pk == nil || !at.isRoot[root] {
 		return MemoKey{}, false
 	}
-	// The visible roots are few, so reading them all is cheaper than
-	// scanning the component for its boundary. Typical keys fit the
-	// stack buffers, leaving the key string as the one allocation.
+	// Typical keys fit the stack buffers, leaving the key string as the
+	// one allocation.
 	var belowBuf [16]int32
-	below := belowBuf[:0]
-	for r := range at.comp {
-		if up := at.nav.Parent(r); up >= 0 && r != root && at.ComponentOf(up) == root {
-			below = append(below, int32(r))
-		}
-	}
-	slices.Sort(below)
+	below := at.rootsBelow(root, belowBuf[:0])
 	var keyBuf [68]byte
 	b := binary.LittleEndian.AppendUint32(keyBuf[:0], uint32(root))
 	for _, r := range below {
 		b = binary.LittleEndian.AppendUint32(b, uint32(r))
 	}
 	return MemoKey{policy: pk, comp: string(b)}, true
+}
+
+// rootsBelow returns, in buf and in ascending order, the roots of the
+// components directly below root's: the component roots whose navigation
+// parent lies in root's component. Root's navigation subtree holds its
+// members and, beyond them, exactly these roots' subtrees. The visible
+// roots are few, so reading them all is cheaper than scanning the
+// component for its boundary.
+func (at *ActiveTree) rootsBelow(root navtree.NodeID, buf []int32) []int32 {
+	for r := range at.comp {
+		if r != root && r != at.nav.Root() && at.ComponentOf(at.nav.Parent(r)) == root {
+			buf = append(buf, int32(r))
+		}
+	}
+	slices.Sort(buf)
+	return buf
 }
 
 // MemoCut returns the cut memoized under k. The cut is shared: callers

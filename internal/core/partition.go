@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sync"
 
 	"bionav/internal/navtree"
 )
@@ -16,230 +15,275 @@ import (
 // the threshold W. Starting from W = Σw / k, W is multiplied by 1.5 until
 // at most k partitions remain.
 //
-// One scan of the active tree's pre-order layout lays the component out
-// flat: slot → NodeID, parent slot, CSR child lists and integer node
-// weights. A W sweep is then one reverse pass over the slots (every
-// child's slot follows its parent's) that allocates nothing and sorts a
-// node's children only when the node must detach some, so a sweep costs
-// O(n) plus O(f log f) for each detaching node of fanout f. Once the
-// roots are final, a slot → partition array built in one forward pass
-// yields the reduced tree.
+// The partition lays nothing out: it reads the tree's shared pre-order
+// aggregates. A member's weight within its component is its navigation
+// subtree's weight less those of the component roots directly below the
+// component that lie in its pre-order range. A member that weighs at most
+// W detaches nothing and keeps its whole weight, so a W sweep recurses
+// only into the members heavier than W, an ancestor-closed set that
+// shrinks as W grows, and reads the weights of their children. Once the
+// roots are final, one pre-order pass over the component's range assigns
+// each member its partition and builds the reduced tree.
 //
-// This layout is the one way internal/core lays a component out for a
-// solver: the exact tree Opt-EdgeCut runs on is the layout's identity
-// partition (exactCompTree).
+// This is the one way internal/core reduces a component for a solver: the
+// exact tree Opt-EdgeCut runs on is the identity partition
+// (exactCompTree).
 
-// compLayout is the flat layout of one component plus the sweep state. It
-// is taken per call from layoutPool rather than kept on the ActiveTree,
-// because SolveComponents runs ChooseCut on one ActiveTree from several
-// goroutines at once.
-type compLayout struct {
-	node   []navtree.NodeID // slot → NodeID, in pre-order
-	par    []int32          // slot → parent slot; -1 for the component root
-	kidOff []int32          // children of slot s are kids[kidOff[s]:kidOff[s+1]]
-	kids   []int32          // child slots, in navigation child order
-	wt     []int64          // |res(n)| + 1 per slot
-	sub    []int64          // weight of each slot's whole component subtree
-	acc    []int64          // per sweep: weight of each slot's remaining cluster
-	part   []int32          // slot → partition index, once the roots are final
-	roots  []int32          // partition root slots
-	order  []int32          // one node's children, sorted for detachment
-	sweeps int              // W sweeps run by the last split
+// partitioner is the k-partition of one component. It is made per call
+// rather than kept on the ActiveTree, because SolveComponents runs
+// ChooseCut on one ActiveTree from several goroutines at once.
+type partitioner struct {
+	at   *ActiveTree
+	root navtree.NodeID
+
+	// The pre-order positions of the component roots directly below the
+	// component, ascending, and cum[i], the summed subtree weights of
+	// below[:i].
+	below []int32
+	cum   []int64
+
+	kids       []uint64         // the child lists of the members on a sweep's path, end to end (kidKey)
+	roots      []navtree.NodeID // partition roots, in partition order once splitComponent returns
+	parent     []int            // per partition, once assign has run: the partition holding its root's navigation parent; -1 for the first
+	sweeps     int              // W sweeps run
+	sweepNodes int              // members the sweeps examined, summed over sweeps
 }
 
-var layoutPool = sync.Pool{New: func() any { return new(compLayout) }}
-
-// load lays out the component rooted at root, which must be a component
-// root, in pre-order (the order of ActiveTree.Members).
-func (sc *compLayout) load(at *ActiveTree, root navtree.NodeID) {
-	n := at.ComponentSize(root)
-	sc.node, sc.par, sc.wt = resize(sc.node, n), resize(sc.par, n), resize(sc.wt, n)
-	sc.kidOff = resize(sc.kidOff, n+1)
-	clear(sc.kidOff)
-	sc.roots, sc.sweeps = sc.roots[:0], 0
-	var s int32
-	at.scan(root, func(m navtree.NodeID) {
-		// In pre-order, m's parent is the last slot laid out or one of
-		// its ancestors.
-		p, pm := s-1, at.nav.Parent(m)
-		for p >= 0 && sc.node[p] != pm {
-			p = sc.par[p]
-		}
-		sc.node[s], sc.par[s], sc.wt[s] = m, p, int64(at.nav.NumResults(m))+1
-		if p >= 0 {
-			sc.kidOff[p+1]++
-		}
-		s++
-	})
-
-	for s := 0; s < n; s++ {
-		sc.kidOff[s+1] += sc.kidOff[s]
-	}
-	// Fill with kidOff[p] as p's cursor, leaving it at p's end (= the start
-	// of p+1), then shift the offsets back into place.
-	sc.kids = resize(sc.kids, n-1)
-	for s := 1; s < n; s++ {
-		p := sc.par[s]
-		sc.kids[sc.kidOff[p]] = int32(s)
-		sc.kidOff[p]++
-	}
-	copy(sc.kidOff[1:], sc.kidOff[:n])
-	sc.kidOff[0] = 0
-
-	sc.sub = resize(sc.sub, n)
-	copy(sc.sub, sc.wt)
-	for s := n - 1; s >= 1; s-- {
-		sc.sub[sc.par[s]] += sc.sub[s]
-	}
-	sc.acc = resize(sc.acc, n)
-	sc.part = resize(sc.part, n)
+// kidKey packs a child of a member a sweep visits with the weight it
+// keeps, so that ascending keys order the children heaviest first and by
+// NodeID on ties. Weights fit 31 bits: they are sums of an int32 column.
+func kidKey(c navtree.NodeID, acc int64) uint64 {
+	return uint64(^uint32(acc))<<32 | uint64(uint32(c))
 }
 
-// children returns the child slots of slot s, in navigation child order.
-func (sc *compLayout) children(s int) []int32 { return sc.kids[sc.kidOff[s]:sc.kidOff[s+1]] }
+// unpackKid inverts kidKey.
+func unpackKid(key uint64) (navtree.NodeID, int64) {
+	return navtree.NodeID(uint32(key)), int64(^uint32(key >> 32))
+}
 
-// split partitions the loaded component into at most k connected clusters
-// (k < 1 counts as 1), leaving the root slots in sc.roots in partition
-// order and every slot's partition in sc.part. When the component has at
-// most k members, each member is its own partition, in pre-order.
-// Otherwise partitions are ordered by root NodeID, so the component root
-// comes first and a partition's parent always precedes it.
-func (sc *compLayout) split(k int) {
-	n := len(sc.node)
-	if k < 1 {
-		k = 1
+// splitComponent partitions the component rooted at root, which must be
+// a component root, into at most k connected clusters (k < 1 counts as 1).
+// When the component has at most k members, each member is its own
+// partition, in pre-order. Otherwise partitions are ordered by root
+// NodeID, so the component root comes first and a partition's parent
+// always precedes it.
+func splitComponent(at *ActiveTree, root navtree.NodeID, k int) *partitioner {
+	p := &partitioner{at: at, root: root, below: at.rootsBelow(root, nil)}
+	for i, r := range p.below {
+		p.below[i] = at.pos[r]
 	}
-	if n <= k {
-		sc.roots = sc.roots[:0]
-		for s := 0; s < n; s++ {
-			sc.roots = append(sc.roots, int32(s))
-			sc.part[s] = int32(s)
-		}
-		return
+	slices.Sort(p.below)
+	p.cum = make([]int64, len(p.below)+1)
+	for i, q := range p.below {
+		p.cum[i+1] = p.cum[i] + int64(at.subtreeWeight[at.pre[q]])
 	}
-	w := float64(sc.sub[0]) / float64(k)
+	if k = max(k, 1); at.ComponentSize(root) <= k {
+		at.scan(root, func(m navtree.NodeID) { p.roots = append(p.roots, m) })
+	} else {
+		p.split(k)
+	}
+	return p
+}
+
+// weight returns the weight of member n's subtree within the component:
+// Σ (|res(m)|+1) over its members.
+func (p *partitioner) weight(n navtree.NodeID) int64 {
+	at := p.at
+	w := int64(at.subtreeWeight[n])
+	if len(p.below) == 0 {
+		return w
+	}
+	lo, hi := at.pos[n], at.pos[n]+at.subtreeSize[n]
+	i, _ := slices.BinarySearch(p.below, lo)
+	j, _ := slices.BinarySearch(p.below, hi)
+	return w - (p.cum[j] - p.cum[i])
+}
+
+// split runs the W sweeps on a component of more than k members and
+// leaves the partition roots in p.roots, ordered by NodeID.
+func (p *partitioner) split(k int) {
+	total := p.weight(p.root)
+	w := float64(total) / float64(k)
+	// Room for the root's children and a path below them, and for a
+	// first sweep that detaches several times k clusters.
+	p.kids = make([]uint64, 0, 2*len(p.at.nav.Children(p.root))+64)
+	p.roots = make([]navtree.NodeID, 0, 4*k)
 	for {
-		sc.sweep(w)
-		if len(sc.roots) <= k {
+		p.sweep(total, w)
+		if len(p.roots) <= k {
 			break
 		}
 		w *= 1.5
 	}
-	if len(sc.roots) == 1 {
+	if len(p.roots) == 1 {
 		// Skewed weights can overshoot the threshold and leave a single
 		// cluster, which gives Opt-EdgeCut nothing to cut: force a two-way
 		// split on the heaviest child subtree.
-		sc.roots = append(sc.roots, sc.heaviestChild())
+		p.roots = append(p.roots, p.heaviestChild())
 	}
-	slices.SortFunc(sc.roots, func(a, b int32) int { return cmp.Compare(sc.node[a], sc.node[b]) })
-	if sc.roots[0] != 0 {
+	slices.Sort(p.roots)
+	if p.roots[0] != p.root {
 		panic("core: partition ordering violated")
 	}
-	for s := range sc.part {
-		sc.part[s] = -1
-	}
-	for i, r := range sc.roots {
-		sc.part[r] = int32(i)
-	}
-	for s := 1; s < n; s++ {
-		if sc.part[s] < 0 {
-			sc.part[s] = sc.part[sc.par[s]]
-		}
-	}
 }
 
-// sweep runs one bottom-up pass with threshold w and leaves in sc.roots
+// sweep runs one bottom-up pass with threshold w and leaves in p.roots
 // the component root followed by every detached cluster root.
-func (sc *compLayout) sweep(w float64) {
-	sc.sweeps++
-	acc := sc.acc
-	copy(acc, sc.wt)
-	roots := append(sc.roots[:0], 0)
-	for s := len(sc.node) - 1; s >= 0; s-- {
-		if float64(acc[s]) > w {
-			// Heaviest-first detachment: children by remaining weight
-			// descending, ties by NodeID ascending (not by slot: slots
-			// follow pre-order, which is not NodeID order).
-			kids := append(sc.order[:0], sc.children(s)...)
-			slices.SortFunc(kids, func(a, b int32) int {
-				if acc[a] != acc[b] {
-					return cmp.Compare(acc[b], acc[a])
-				}
-				return cmp.Compare(sc.node[a], sc.node[b])
-			})
-			for _, c := range kids {
-				if float64(acc[s]) <= w {
-					break
-				}
-				roots = append(roots, c)
-				acc[s] -= acc[c]
-			}
-			sc.order = kids
-		}
-		if s > 0 {
-			acc[sc.par[s]] += acc[s]
-		}
+func (p *partitioner) sweep(total int64, w float64) {
+	p.sweeps++
+	p.sweepNodes++
+	p.roots = append(p.roots[:0], p.root)
+	if float64(total) > w {
+		p.shed(p.root, w)
 	}
-	sc.roots = roots
 }
 
-// heaviestChild returns the slot of the component root's child whose
+// shed returns the weight member n keeps under threshold w, n being
+// heavier than w: its own weight plus what its children keep, less what
+// it detaches. While that exceeds w, n detaches its children's clusters,
+// heaviest first and by NodeID on ties, appending their roots to p.roots.
+// A child no heavier than w keeps its whole weight and detaches nothing,
+// so shed reads its weight and does not visit it.
+func (p *partitioner) shed(n navtree.NodeID, w float64) int64 {
+	at := p.at
+	acc := int64(at.nav.NumResults(n)) + 1
+	base := len(p.kids)
+	for _, c := range at.nav.Children(n) {
+		if at.isRoot[c] {
+			continue
+		}
+		p.sweepNodes++
+		cw := p.weight(c)
+		if float64(cw) > w {
+			cw = p.shed(c, w)
+		}
+		p.kids = append(p.kids, kidKey(c, cw))
+		acc += cw
+	}
+	if float64(acc) > w {
+		kids := p.kids[base:]
+		slices.Sort(kids)
+		for _, key := range kids {
+			if float64(acc) <= w {
+				break
+			}
+			c, cw := unpackKid(key)
+			p.roots = append(p.roots, c)
+			acc -= cw
+		}
+	}
+	p.kids = p.kids[:base]
+	return acc
+}
+
+// heaviestChild returns the component root's child in the component whose
 // subtree carries the most weight, the first in child order on ties. The
 // component must have a child edge.
-func (sc *compLayout) heaviestChild() int32 {
-	best, bestWeight := int32(-1), int64(-1)
-	for _, c := range sc.children(0) {
-		if sc.sub[c] > bestWeight {
-			best, bestWeight = c, sc.sub[c]
+func (p *partitioner) heaviestChild() navtree.NodeID {
+	best, bestWeight := navtree.NodeID(-1), int64(-1)
+	for _, c := range p.at.nav.Children(p.root) {
+		if p.at.isRoot[c] {
+			continue
+		}
+		if w := p.weight(c); w > bestWeight {
+			best, bestWeight = c, w
 		}
 	}
 	return best
+}
+
+// assign walks the component once in pre-order, skipping the subtrees of
+// other components as scan does, and hands visit each member's partition
+// as runs: visit(lo, hi, q) means that the members at pre-order positions
+// lo to hi-1 belong to partition q. A member's partition is that of its
+// nearest partition root, the top of a stack of the partition roots whose
+// subtrees the walk is in, so a run ends only where a partition root's
+// subtree starts or ends or another component's starts. assign also
+// records each partition's parent in p.parent.
+func (p *partitioner) assign(visit func(lo, hi int32, q int)) {
+	at := p.at
+	np := len(p.roots)
+	byPos := make([]int, np) // the partitions in the pre-order of their roots
+	for i := range byPos {
+		byPos[i] = i
+	}
+	slices.SortFunc(byPos, func(a, b int) int { return cmp.Compare(at.pos[p.roots[a]], at.pos[p.roots[b]]) })
+	p.parent = make([]int, np)
+	type openPart struct {
+		end  int32 // the pre-order position just past the root's subtree
+		part int
+	}
+	var stackBuf [16]openPart
+	stack, next, below := stackBuf[:0], 0, p.below
+	for i, end := at.pos[p.root], at.pos[p.root]+at.subtreeSize[p.root]; i < end; {
+		for len(stack) > 0 && stack[len(stack)-1].end <= i {
+			stack = stack[:len(stack)-1]
+		}
+		if len(below) > 0 && below[0] == i {
+			i += at.subtreeSize[at.pre[i]]
+			below = below[1:]
+			continue
+		}
+		if next < np && at.pos[p.roots[byPos[next]]] == i {
+			q := byPos[next]
+			next++
+			p.parent[q] = -1
+			if len(stack) > 0 {
+				p.parent[q] = stack[len(stack)-1].part
+			}
+			stack = append(stack, openPart{end: i + at.subtreeSize[p.roots[q]], part: q})
+		}
+		top := stack[len(stack)-1]
+		stop := top.end
+		if next < np {
+			stop = min(stop, at.pos[p.roots[byPos[next]]])
+		}
+		if len(below) > 0 {
+			stop = min(stop, below[0])
+		}
+		visit(i, stop, top.part)
+		i = stop
+	}
 }
 
 // compTree builds the reduced supernode tree T_R from the last split: a
 // supernode's bits and score are the union and the sum (in pre-order)
 // over its members, its size their count, and its parent is the
 // partition holding its root's navigation parent.
-func (sc *compLayout) compTree(at *ActiveTree) (*compTree, error) {
-	np := len(sc.roots)
+func (p *partitioner) compTree() (*compTree, error) {
+	at := p.at
+	np := len(p.roots)
 	if np > maxOptNodes {
 		return nil, fmt.Errorf("core: %d partitions exceed Opt-EdgeCut limit %d", np, maxOptNodes)
 	}
 	ct := newCompTree(np, at.SumScores())
-	words := (at.nav.DistinctTotal() + 63) / 64
-	back := make([]uint64, np*words)
+	back := make([]uint64, np*at.words)
 	for i := range ct.Bits {
-		ct.Bits[i] = bitset(back[i*words : (i+1)*words])
+		ct.Bits[i] = bitset(back[i*at.words : (i+1)*at.words])
 	}
-	for s, n := range sc.node {
-		p := sc.part[s]
-		ct.Bits[p].orInto(at.nodeBits(n))
-		ct.Score[p] += at.nodeScore(n)
-		ct.Size[p]++
-	}
-	for i, r := range sc.roots {
+	p.assign(func(lo, hi int32, q int) {
+		b, score := ct.Bits[q], ct.Score[q]
+		for _, m := range at.pre[lo:hi] {
+			b.orInto(at.nodeBits(int(m)))
+			score += at.scores[m]
+		}
+		ct.Score[q] = score
+		ct.Size[q] += int(hi - lo)
+	})
+	for i, r := range p.roots {
 		ct.Own[i] = ct.Bits[i].count()
 		if i == 0 {
 			ct.Parent[i] = -1
 			continue
 		}
-		pi := int(sc.part[sc.par[r]])
+		pi := p.parent[i]
 		if pi >= i {
 			return nil, fmt.Errorf("core: partition order violated: parent %d !< child %d", pi, i)
 		}
 		ct.Parent[i] = pi
 		ct.Children[pi] = append(ct.Children[pi], i)
-		ct.NavEdge[i] = Edge{Parent: sc.node[sc.par[r]], Child: sc.node[r]}
+		ct.NavEdge[i] = Edge{Parent: at.nav.Parent(r), Child: r}
 	}
 	ct.computeDescMasks()
 	return ct, nil
-}
-
-// resize returns s with length n, reallocating only when its capacity is
-// short; the contents are unspecified.
-func resize[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
 }

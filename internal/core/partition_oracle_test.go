@@ -7,11 +7,11 @@ import (
 	"bionav/internal/navtree"
 )
 
-// The k-partition and reduced-tree construction as they were before the
-// flat-layout sweep of partition.go: a recursive sweep per threshold that
-// allocates and sorts every node's child list, then map-based partition
-// collection. Kept unchanged as the differential oracle for kPartition
-// and FuzzKPartition.
+// The k-partition and reduced-tree construction as they were before
+// partition.go read the tree's pre-order aggregates: a recursive sweep
+// per threshold over every member that allocates and sorts every node's
+// child list, then map-based partition collection. Kept unchanged as the
+// differential oracle for kPartition and FuzzKPartition.
 
 // oracleKPartition splits the component rooted at root into at most k
 // connected partitions, ordered root-partition first, then by partition

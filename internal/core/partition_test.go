@@ -22,32 +22,34 @@ type partition struct {
 
 // kPartition runs the production k-partition of the component rooted at
 // root and materializes it: partitions in order, each with its parent
-// partition and its members in pre-order.
+// partition and its members in pre-order, the members of all partitions
+// in one array.
 func kPartition(at *ActiveTree, root navtree.NodeID, k int) []partition {
-	sc := layoutPool.Get().(*compLayout)
-	defer layoutPool.Put(sc)
-	sc.load(at, root)
-	sc.split(k)
-	parts := make([]partition, len(sc.roots))
-	members := make([]navtree.NodeID, len(sc.node))
-	end := make([]int, len(parts)+1)
-	for s := range sc.node {
-		end[sc.part[s]+1]++
+	p := splitComponent(at, root, k)
+	type run struct {
+		lo, hi int32
+		q      int
 	}
+	var runs []run
+	parts := make([]partition, len(p.roots))
+	end := make([]int, len(parts)+1)
+	p.assign(func(lo, hi int32, q int) {
+		runs = append(runs, run{lo, hi, q})
+		end[q+1] += int(hi - lo)
+	})
 	for i := range parts {
 		end[i+1] += end[i]
 	}
-	for s, n := range sc.node {
-		p := sc.part[s]
-		members[end[p]] = n
-		end[p]++
+	members := make([]navtree.NodeID, end[len(parts)])
+	for _, r := range runs {
+		for _, m := range at.pre[r.lo:r.hi] {
+			members[end[r.q]] = navtree.NodeID(m)
+			end[r.q]++
+		}
 	}
 	start := 0
-	for i, r := range sc.roots {
-		parts[i] = partition{root: sc.node[r], parent: -1, members: members[start:end[i]:end[i]]}
-		if i > 0 {
-			parts[i].parent = int(sc.part[sc.par[r]])
-		}
+	for i, r := range p.roots {
+		parts[i] = partition{root: r, parent: p.parent[i], members: members[start:end[i]:end[i]]}
 		start = end[i]
 	}
 	return parts
@@ -56,11 +58,7 @@ func kPartition(at *ActiveTree, root navtree.NodeID, k int) []partition {
 // partitionCompTree k-partitions the component rooted at root and builds
 // its reduced supernode tree, as HeuristicReducedOpt does.
 func partitionCompTree(at *ActiveTree, root navtree.NodeID, k int) (*compTree, error) {
-	sc := layoutPool.Get().(*compLayout)
-	defer layoutPool.Put(sc)
-	sc.load(at, root)
-	sc.split(k)
-	return sc.compTree(at)
+	return splitComponent(at, root, k).compTree()
 }
 
 // bigActiveTree builds a generated-corpus navigation tree large enough to
@@ -278,11 +276,34 @@ func diffPartition(t *testing.T, at *ActiveTree, root navtree.NodeID, k int) {
 	}
 }
 
-// TestKPartitionMatchesOracle runs the flat-layout k-partition against the
-// recursive oracle on generated trees, over the initial component and
-// over every component left by a few heuristic EXPANDs.
+// TestKPartitionMatchesOracle runs the k-partition against the recursive
+// oracle on generated trees, over the initial component and over every
+// component left by a few heuristic EXPANDs. The bushy case has a Table I
+// root's fan-out, where the heavy-only sweeps and the child sort work.
 func TestKPartitionMatchesOracle(t *testing.T) {
 	pol := NewHeuristicReducedOpt()
+	t.Run("bushy", func(t *testing.T) {
+		at := benchTree(t)
+		ks := []int{2, 10, 24}
+		for _, k := range ks {
+			diffPartition(t, at, at.Nav().Root(), k)
+		}
+		for step := 0; step < 3; step++ {
+			root := largestComponent(at)
+			cut, err := pol.ChooseCut(context.Background(), at, root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := at.Expand(root, cut); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, r := range at.VisibleRoots() {
+			for _, k := range ks {
+				diffPartition(t, at, r, k)
+			}
+		}
+	})
 	for seed := uint64(60); seed < 100; seed++ {
 		tree := hierarchy.Generate(hierarchy.GenConfig{Seed: seed, Nodes: 300 + int(seed%7)*150, TopLevel: 4 + int(seed%9), MaxDepth: 4 + int(seed%6)})
 		corp := corpus.Generate(tree, corpus.GenConfig{
@@ -310,8 +331,20 @@ func TestKPartitionMatchesOracle(t *testing.T) {
 	}
 }
 
-// FuzzKPartition drives the flat-layout k-partition differentially
-// against the recursive oracle on generated trees, after a few EXPANDs.
+// largestComponent returns the root of at's component with the most
+// members, the smallest root on ties.
+func largestComponent(at *ActiveTree) navtree.NodeID {
+	best := at.Nav().Root()
+	for _, r := range at.VisibleRoots() {
+		if at.ComponentSize(r) > at.ComponentSize(best) {
+			best = r
+		}
+	}
+	return best
+}
+
+// FuzzKPartition drives the k-partition differentially against the
+// recursive oracle on generated trees, after a few EXPANDs.
 // Seed corpus entries under testdata/fuzz/FuzzKPartition cover a bushy
 // shallow tree, a deep narrow one after three EXPANDs, and k = 1 (the
 // forced two-way split).
@@ -418,14 +451,14 @@ func TestMembersParentBeforeChild(t *testing.T) {
 	}
 }
 
-// TestKPartitionSpan checks that a traced Heuristic-ReducedOpt cut opens
-// a k_partition span under choose_cut, carrying the component size, the
-// W sweeps run and the partitions made.
-func TestKPartitionSpan(t *testing.T) {
-	at := bigActiveTree(t, 57, 200)
-	root := at.Nav().Root()
+// kPartitionAttrs runs a traced Heuristic-ReducedOpt cut of root's
+// component under budget k and returns the attributes of its choose_cut
+// span and of the one k_partition span under it.
+func kPartitionAttrs(t *testing.T, at *ActiveTree, root navtree.NodeID, k int) (cc, kp map[string]any) {
+	t.Helper()
 	span := obs.NewSpan("expand")
-	if _, err := NewHeuristicReducedOpt().ChooseCut(obs.ContextWithSpan(context.Background(), span), at, root); err != nil {
+	pol := &HeuristicReducedOpt{K: k, Model: DefaultCostModel()}
+	if _, err := pol.ChooseCut(obs.ContextWithSpan(context.Background(), span), at, root); err != nil {
 		t.Fatal(err)
 	}
 	span.End()
@@ -433,18 +466,50 @@ func TestKPartitionSpan(t *testing.T) {
 	if len(sum.Children) == 0 || sum.Children[0].Name != "choose_cut" {
 		t.Fatalf("no choose_cut span: %+v", sum)
 	}
-	cc := sum.Children[0]
-	if len(cc.Children) != 1 || cc.Children[0].Name != "k_partition" {
-		t.Fatalf("choose_cut children = %+v, want one k_partition", cc.Children)
+	c := sum.Children[0]
+	if len(c.Children) != 1 || c.Children[0].Name != "k_partition" {
+		t.Fatalf("choose_cut children = %+v, want one k_partition", c.Children)
 	}
-	kp := cc.Children[0].Attrs
-	if kp["members"] != int64(at.ComponentSize(root)) {
-		t.Errorf("members = %v, want %d", kp["members"], at.ComponentSize(root))
+	return c.Attrs, c.Children[0].Attrs
+}
+
+// TestKPartitionSpan checks that a traced Heuristic-ReducedOpt cut opens
+// a k_partition span under choose_cut, carrying the component size, the
+// W sweeps run, the members they examined and the partitions made.
+func TestKPartitionSpan(t *testing.T) {
+	at := bigActiveTree(t, 57, 200)
+	root := at.Nav().Root()
+	cc, kp := kPartitionAttrs(t, at, root, 10)
+	members := int64(at.ComponentSize(root))
+	if kp["members"] != members {
+		t.Errorf("members = %v, want %d", kp["members"], members)
 	}
-	if s, ok := kp["sweeps"].(int64); !ok || s < 1 {
+	s, ok := kp["sweeps"].(int64)
+	if !ok || s < 1 {
 		t.Errorf("sweeps = %v, want at least 1", kp["sweeps"])
 	}
-	if kp["partitions"] != cc.Attrs["reduced_nodes"] {
-		t.Errorf("partitions = %v, choose_cut reduced_nodes = %v", kp["partitions"], cc.Attrs["reduced_nodes"])
+	// Every sweep examines the component root, and none examines a member
+	// twice.
+	if n, ok := kp["sweep_nodes"].(int64); !ok || n < s || n > s*members {
+		t.Errorf("sweep_nodes = %v, want %d to %d", kp["sweep_nodes"], s, s*members)
 	}
+	if kp["partitions"] != cc["reduced_nodes"] {
+		t.Errorf("partitions = %v, choose_cut reduced_nodes = %v", kp["partitions"], cc["reduced_nodes"])
+	}
+}
+
+// TestKPartitionSweepsVisitHeavyMembers checks that the W sweeps visit
+// only the members heavier than W and read their children's weights: on
+// a root with a Table I fan-out, all sweeps together examine fewer
+// members than the component has, where one reverse pass over the
+// component per sweep would examine every member each time.
+func TestKPartitionSweepsVisitHeavyMembers(t *testing.T) {
+	at := benchTree(t)
+	root := at.Nav().Root()
+	_, kp := kPartitionAttrs(t, at, root, 10)
+	members, sweeps, examined := kp["members"].(int64), kp["sweeps"].(int64), kp["sweep_nodes"]
+	if n, ok := examined.(int64); !ok || n >= members {
+		t.Fatalf("%d sweeps examined %v members of %d, want fewer than the component has", sweeps, examined, members)
+	}
+	t.Logf("%d sweeps examined %v of %d members", sweeps, examined, members)
 }

@@ -94,9 +94,9 @@ func (h *HeuristicReducedOpt) LastReducedSize(at *ActiveTree, root navtree.NodeI
 	return n, err
 }
 
-// reduce lays the component out once and builds the tree Opt-EdgeCut runs
-// on: its k-partition's supernode tree, which is the component itself
-// (the identity partition) when it fits within K nodes. It records a
+// reduce builds the tree Opt-EdgeCut runs on: the component's
+// k-partition's supernode tree, which is the component itself (the
+// identity partition) when it fits within K nodes. It records a
 // k_partition span under sp (nil: untraced) and returns the reduced
 // tree's size.
 func (h *HeuristicReducedOpt) reduce(sp *obs.Span, at *ActiveTree, root navtree.NodeID) (*compTree, int, error) {
@@ -105,23 +105,17 @@ func (h *HeuristicReducedOpt) reduce(sp *obs.Span, at *ActiveTree, root navtree.
 	}
 	ksp := sp.StartChild("k_partition")
 	defer ksp.End()
-	sc := layoutPool.Get().(*compLayout)
-	defer layoutPool.Put(sc)
-	sc.load(at, root)
-	n := len(sc.node)
+	n := at.ComponentSize(root)
 	ksp.SetAttr("members", n)
 	if n < 2 {
 		return nil, 0, fmt.Errorf("core: %s: component %d has no internal edges", h.Name(), root)
 	}
-	k := h.K
-	if k < 2 {
-		k = 2
-	}
-	sc.split(k)
-	ksp.SetAttr("sweeps", sc.sweeps)
-	ksp.SetAttr("partitions", len(sc.roots))
-	ct, err := sc.compTree(at)
-	return ct, len(sc.roots), err
+	p := splitComponent(at, root, max(h.K, 2))
+	ksp.SetAttr("sweeps", p.sweeps)
+	ksp.SetAttr("sweep_nodes", p.sweepNodes)
+	ksp.SetAttr("partitions", len(p.roots))
+	ct, err := p.compTree()
+	return ct, len(p.roots), err
 }
 
 // OptEdgeCutPolicy runs Opt-EdgeCut directly on the component without
